@@ -196,6 +196,21 @@ def cmd_hasse(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """Argparse type for an integer flag that must be at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_input(sub: argparse.ArgumentParser, what: str) -> None:
     sub.add_argument("--input", required=True, help=f"path to a {what} file")
 
@@ -245,18 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("diagonal", help="diagonal witness against a covering family")
     _add_input(sub, "open family JSON")
-    sub.add_argument("--offset", type=int, default=0,
+    sub.add_argument("--offset", type=_at_least(0), default=0,
                      help="lift every witness position this far above its threshold")
     sub.set_defaults(func=cmd_diagonal)
 
     sub = commands.add_parser("lhat-cert", help="countable-intersection certificate for the pruned domain")
-    sub.add_argument("--eval-bound", type=int, default=50,
+    sub.add_argument("--eval-bound", type=_at_least(0), default=50,
                      help="check chain points and cutoffs up to this index (default 50)")
     sub.set_defaults(func=cmd_lhat_cert)
 
     sub = commands.add_parser("truncate-l", help="finite prefix of the chain-bundle domain as poset JSON")
-    sub.add_argument("--width", type=int, required=True, help="number of chains kept")
-    sub.add_argument("--depth", type=int, required=True, help="finite positions kept per chain")
+    sub.add_argument("--width", type=_at_least(1), required=True, help="number of chains kept")
+    sub.add_argument("--depth", type=_at_least(1), required=True,
+                     help="finite positions kept per chain")
     sub.add_argument("--mode", choices=(MODE_L, MODE_LHAT), default=MODE_L)
     _add_bound(sub, default=5000)
     sub.set_defaults(func=cmd_truncate)

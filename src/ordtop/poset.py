@@ -3,8 +3,8 @@
 Elements are opaque hashable labels kept in a fixed tuple; the order is
 stored closed (reflexive and transitive), so order queries never recompute
 reachability.  Internally each element carries an integer bitmask of the
-elements above it, which keeps the subset primitives cheap even when a
-caller sweeps over every subset of the poset.
+elements above it, so a subset is one integer and the subset primitives
+are a few bitwise operations on its members' rows.
 """
 
 from __future__ import annotations
@@ -196,9 +196,8 @@ class FinitePoset:
     def maximal_elements(self) -> frozenset[Label]:
         return self.labels_of(self._max_mask)
 
-    def is_directed(self, labels: Iterable[Label]) -> bool:
+    def _directed(self, mask: int) -> bool:
         """Nonempty, and every pair of members has an upper bound among the members."""
-        mask = self.mask_of(labels)
         if mask == 0:
             return False
         members = list(_iter_bits(mask))
@@ -208,18 +207,27 @@ class FinitePoset:
                     return False
         return True
 
-    def supremum(self, labels: Iterable[Label]) -> Label | None:
-        """Least upper bound of a nonempty subset, or None when there is none."""
-        mask = self.mask_of(labels)
-        if mask == 0:
-            raise EmptySet("supremum of the empty set is not defined here")
+    def _sup(self, mask: int) -> int | None:
+        """Index of the least upper bound of a subset, or None when there is none."""
         ub = (1 << len(self)) - 1
         for i in _iter_bits(mask):
             ub &= self._up[i]
         for u in _iter_bits(ub):
             if ub & ~self._up[u] == 0:
-                return self.elements[u]
+                return u
         return None
+
+    def is_directed(self, labels: Iterable[Label]) -> bool:
+        """Nonempty, and every pair of members has an upper bound among the members."""
+        return self._directed(self.mask_of(labels))
+
+    def supremum(self, labels: Iterable[Label]) -> Label | None:
+        """Least upper bound of a nonempty subset, or None when there is none."""
+        mask = self.mask_of(labels)
+        if mask == 0:
+            raise EmptySet("supremum of the empty set is not defined here")
+        sup = self._sup(mask)
+        return None if sup is None else self.elements[sup]
 
     def is_dcpo(self) -> bool:
         # Finite and nonempty directed sets have greatest elements, so every

@@ -99,33 +99,25 @@ def _directed_families(p: FinitePoset, max_elements: int) -> list[tuple[int, int
     if cached is not None:
         return cached
     _guard(p, max_elements)
-    n = len(p)
-    up = p._up
-    full = (1 << n) - 1
-    out: list[tuple[int, int | None]] = []
-    for mask in range(1, 1 << n):
-        members = list(_iter_bits(mask))
-        directed = True
-        for a in members:
-            for b in members:
-                if not up[a] & up[b] & mask:
-                    directed = False
-                    break
-            if not directed:
-                break
-        if not directed:
-            continue
-        ub = full
-        for a in members:
-            ub &= up[a]
-        sup = None
-        for u in _iter_bits(ub):
-            if ub & ~up[u] == 0:
-                sup = u
-                break
-        out.append((mask, sup))
+    out = [(mask, p._sup(mask)) for mask in range(1, 1 << len(p)) if p._directed(mask)]
     p.__dict__["_directed_cache"] = out
     return out
+
+
+# -- closure enumeration ------------------------------------------------------
+
+
+def _union_closure(rows: Iterable[int]) -> set[int]:
+    """Every union of some of the given masks, the empty union 0 included.
+
+    Each pass only adds unions to a family that is already part of the
+    answer, so the cost is one set operation per row and member of the
+    result, never a sweep over all subsets.
+    """
+    family = {0}
+    for row in rows:
+        family |= {f | row for f in family}
+    return family
 
 
 # -- Scott opens --------------------------------------------------------------
@@ -187,20 +179,13 @@ def is_scott_closed(
 
 
 def scott_opens(p: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Topology:
-    """The whole Scott topology as an explicit family."""
+    """The whole Scott topology as an explicit family.
+
+    The opens are the unions of principal up-sets: every upper set is the
+    union of the up-sets of its members, and every such union is upper.
+    """
     _guard(p, max_elements)
-    n = len(p)
-    up = p._up
-    opens = []
-    for mask in range(1 << n):
-        good = True
-        for i in _iter_bits(mask):
-            if up[i] & ~mask:
-                good = False
-                break
-        if good:
-            opens.append(p.labels_of(mask))
-    return Topology(p.elements, opens)
+    return Topology(p.elements, [p.labels_of(mask) for mask in _union_closure(p._up)])
 
 
 def relative_topology(
@@ -208,13 +193,18 @@ def relative_topology(
     subspace: Iterable[Label],
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> Topology:
-    """Scott opens of ``p`` traced onto a subset of its elements."""
+    """Scott opens of ``p`` traced onto a subset of its elements.
+
+    The traces are the unions of the traced principal up-sets of subspace
+    points: for an upper set U, the trace U & S is the union of the traces
+    of the up-sets of the members of U & S.  The ambient opens are never
+    enumerated.
+    """
     smask = p.mask_of(subspace)
-    whole = scott_opens(p, max_elements)
-    pos = {label: i for i, label in enumerate(p.elements)}
-    space = [label for label in p.elements if smask >> pos[label] & 1]
-    opens = {u & frozenset(space) for u in whole.opens}
-    return Topology(space, opens)
+    _guard(p, max_elements)
+    space = [p.elements[i] for i in _iter_bits(smask)]
+    traces = _union_closure(p._up[i] & smask for i in _iter_bits(smask))
+    return Topology(space, [p.labels_of(mask) for mask in traces])
 
 
 # -- way below ----------------------------------------------------------------
@@ -290,19 +280,18 @@ def is_bounded_complete(p: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS
     """Every subset with an upper bound has a least one.
 
     The empty subset counts: any element bounds it, so a nonempty bounded
-    complete poset must have a bottom.
+    complete poset must have a bottom.  The check runs over the distinct
+    bound sets rather than the subsets: the upper bounds of a subset are
+    the meet of its members' up-sets, so the bound sets are exactly the
+    intersections of up-sets, the whole poset (the empty meet) included.
+    They are enumerated as complements of unions of complements.
     """
     _guard(p, max_elements)
-    n = len(p)
     up = p._up
-    full = (1 << n) - 1
-    for mask in range(1 << n):
-        ub = full
-        for i in _iter_bits(mask):
-            ub &= up[i]
-        if ub == 0:
-            continue
-        if not any(ub & ~up[u] == 0 for u in _iter_bits(ub)):
+    full = (1 << len(p)) - 1
+    for gaps in _union_closure(full ^ row for row in up):
+        ub = full ^ gaps
+        if ub and not any(ub & ~up[u] == 0 for u in _iter_bits(ub)):
             return False
     return True
 

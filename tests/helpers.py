@@ -1,6 +1,10 @@
-"""Shared builders for the test suite."""
+"""Shared builders and subset-sweep oracles for the test suite."""
 
-from ordtop import FinitePoset, ProductModel, build_poset
+from random import Random
+
+from ordtop import FinitePoset, ProductModel, Topology, build_poset
+from ordtop.generate import all_posets, random_poset
+from ordtop.poset import _iter_bits
 
 
 def chain(n: int) -> FinitePoset:
@@ -45,3 +49,50 @@ def rooted_model() -> ProductModel:
     )
     labeling = {"(x1,y)": ("x1", "y"), "(x2,y)": ("x2", "y")}
     return ProductModel(poset, ["x1", "x2"], ["y"], labeling, "y")
+
+
+# -- subset-sweep oracles ------------------------------------------------------
+#
+# The definitions run literally over all 2^n subsets.  The library enumerates
+# only the family each definition quantifies over; these sweeps are the
+# reference it is checked against.
+
+
+def oracle_posets() -> list[FinitePoset]:
+    """Every poset on up to five elements, plus seeded random ones up to ten."""
+    rng = Random(2502)
+    posets = [p for n in range(6) for p in all_posets(n)]
+    posets += [random_poset(rng.randint(6, 10), rng) for _ in range(60)]
+    return posets
+
+
+def oracle_scott_opens(p: FinitePoset) -> Topology:
+    """The upper sets, found by testing every subset."""
+    opens = []
+    for mask in range(1 << len(p)):
+        if all(p._up[i] & ~mask == 0 for i in _iter_bits(mask)):
+            opens.append(p.labels_of(mask))
+    return Topology(p.elements, opens)
+
+
+def oracle_is_bounded_complete(p: FinitePoset) -> bool:
+    """Every subset with an upper bound has a least one, subset by subset."""
+    full = (1 << len(p)) - 1
+    for mask in range(1 << len(p)):
+        ub = full
+        for i in _iter_bits(mask):
+            ub &= p._up[i]
+        if ub and not any(ub & ~p._up[u] == 0 for u in _iter_bits(ub)):
+            return False
+    return True
+
+
+def oracle_all_ideals(p: FinitePoset) -> list[frozenset]:
+    """Member sets of the nonempty directed lower sets, in mask order."""
+    out = []
+    for mask in range(1, 1 << len(p)):
+        if all(p._down[i] & ~mask == 0 for i in _iter_bits(mask)):
+            members = p.labels_of(mask)
+            if p.is_directed(members):
+                out.append(members)
+    return out

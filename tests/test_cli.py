@@ -162,6 +162,21 @@ def test_size_guard_is_an_input_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lhat-cert", "--eval-bound", "-1"],
+    ["truncate-l", "--width", "0", "--depth", "1"],
+    ["truncate-l", "--width", "1", "--depth", "-1"],
+    ["diagonal", "--input", str(DATA / "family_uniform3.json"), "--offset", "-5"],
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-verb"])

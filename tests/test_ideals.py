@@ -1,18 +1,25 @@
+import json
+from types import SimpleNamespace
+
 import pytest
 
+import ordtop.ideals
 from ordtop import (
     Ideal,
     NotAnIdeal,
     UnknownLabel,
+    VerificationFailed,
     all_ideals,
     compact_elements,
     find_order_isomorphism,
     idl_poset,
+    poset_to_json,
     principal_ideal,
 )
+from ordtop.cli import main
 from ordtop.generate import all_posets
 
-from helpers import antichain, chain, diamond, vshape
+from helpers import antichain, chain, diamond, oracle_all_ideals, oracle_posets, vshape
 
 
 def test_ideals_of_small_posets_are_exactly_the_principal_ones():
@@ -20,6 +27,14 @@ def test_ideals_of_small_posets_are_exactly_the_principal_ones():
         ideals = {i.members for i in all_ideals(p)}
         principal = {principal_ideal(p, e).members for e in p.elements}
         assert ideals == principal
+
+
+def test_all_ideals_match_the_subset_sweep():
+    for p in oracle_posets():
+        assert [i.members for i in all_ideals(p)] == sorted(
+            oracle_all_ideals(p),
+            key=lambda m: (len(m), sorted(p.index(e) for e in m)),
+        ), p.covers()
 
 
 def test_diamond_has_four_ideals():
@@ -77,3 +92,17 @@ def test_completion_embedding_preserves_and_reflects_order():
 def test_completion_elements_are_compact():
     completion, _ = idl_poset(diamond())
     assert compact_elements(completion) == frozenset(completion.elements)
+
+
+def test_completion_with_a_non_principal_ideal_fails_verification(monkeypatch, tmp_path, capsys):
+    p = antichain(2)
+    # {a0, a1} is a lower set that no single element generates
+    family = [SimpleNamespace(members=m) for m in
+              (frozenset({"a0"}), frozenset({"a1"}), frozenset({"a0", "a1"}))]
+    monkeypatch.setattr(ordtop.ideals, "all_ideals", lambda base, max_elements: family)
+    with pytest.raises(VerificationFailed, match="not principal"):
+        idl_poset(p)
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps(poset_to_json(p)))
+    assert main(["idl", "--input", str(path)]) == 1
+    assert "not principal" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from ordtop import (
     ForeignSet,
     TooLarge,
     Topology,
+    all_ideals,
     compact_elements,
     is_algebraic,
     is_bounded_complete,
@@ -24,7 +25,15 @@ from ordtop import (
 )
 from ordtop.generate import all_posets, random_poset
 
-from helpers import antichain, chain, diamond, vshape
+from helpers import (
+    antichain,
+    chain,
+    diamond,
+    oracle_is_bounded_complete,
+    oracle_posets,
+    oracle_scott_opens,
+    vshape,
+)
 
 
 def _subsets(items):
@@ -128,6 +137,33 @@ def test_bounded_completeness_examples():
     assert is_bounded_complete(antichain(1))
 
 
+def test_scott_opens_match_the_subset_sweep():
+    for p in oracle_posets():
+        fast, slow = scott_opens(p), oracle_scott_opens(p)
+        assert fast.space == slow.space
+        assert fast.opens == slow.opens, p.covers()
+
+
+def test_bounded_completeness_matches_the_subset_sweep():
+    verdicts = set()
+    for p in oracle_posets():
+        verdict = is_bounded_complete(p)
+        assert verdict == oracle_is_bounded_complete(p), p.covers()
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_relative_topology_traces_every_oracle_open():
+    rng = Random(1937)
+    for p in oracle_posets():
+        whole = oracle_scott_opens(p).opens
+        for _ in range(3):
+            subspace = [e for e in p.elements if rng.random() < 0.5]
+            rel = relative_topology(p, subspace)
+            assert rel.space == tuple(subspace)
+            assert rel.opens == {u & frozenset(subspace) for u in whole}, (p.covers(), subspace)
+
+
 def test_relative_topology_on_maxima_is_discrete():
     for p in [diamond(), vshape(), chain(4), antichain(3)]:
         rel = relative_topology(p, p.maximal_elements())
@@ -173,6 +209,16 @@ def test_size_guard():
     with pytest.raises(TooLarge):
         is_bounded_complete(chain(25))
     assert is_scott_open(chain(25), [f"c{i}" for i in range(5, 25)])
+
+
+def test_enumerators_trip_the_size_guard_at_the_same_size():
+    # the guard bounds the poset, not the answer: chain(20) has 21 opens
+    enumerators = [scott_opens, is_bounded_complete, all_ideals,
+                   lambda p: relative_topology(p, p.maximal_elements())]
+    for enumerate_family in enumerators:
+        enumerate_family(chain(20))
+        with pytest.raises(TooLarge):
+            enumerate_family(chain(21))
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6), st.data())
