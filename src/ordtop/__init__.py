@@ -32,7 +32,6 @@ from .factorization import (
     chain_pairs_model,
     covering_intersection,
     factor_model,
-    factor_topologies,
     ideal_J,
     lower_set_model,
     model_from_json,
@@ -113,7 +112,7 @@ __all__ = [
     "is_bounded_complete", "is_gdelta",
     "Ideal", "principal_ideal", "all_ideals", "idl_poset",
     "Report",
-    "QTriple", "ProductModel", "split_product_topology", "factor_topologies",
+    "QTriple", "ProductModel", "split_product_topology",
     "build_Q", "ideal_J", "box_intersection_pair", "covering_intersection",
     "verify_claims", "factor_model", "lower_set_model", "algebraic_model",
     "chain_pairs_model", "model_to_json", "model_from_json",

@@ -26,7 +26,8 @@ from .errors import (
     VerificationFailed,
 )
 from .ideals import Ideal, idl_poset
-from .poset import FinitePoset, Label, build_poset, label_text, poset_from_json, poset_to_json
+from .poset import (FinitePoset, Label, _order_violation, build_poset, label_text,
+                    poset_from_json, poset_to_json)
 from .report import Report
 from .topology import (
     DEFAULT_MAX_ELEMENTS,
@@ -62,35 +63,23 @@ def split_product_topology(
 ) -> tuple[Topology, Topology]:
     """Factor a topology on pair points, or raise NotAProductTopology.
 
-    The candidate factors are the section families (slices of opens along
-    each coordinate); these are the only possible factors, so the check is
-    complete: the topology is a product exactly when every open satisfies
-    the pointwise box condition against the sections and every box is open.
+    In a product every slice carries its factor's topology, and the smallest
+    open around a pair is the box of the smallest opens around its
+    coordinates.  So the first slices are the only candidate factors, and
+    the topology is a product exactly when every smallest open is that box.
     """
     xs, ys = tuple(xs), tuple(ys)
-    pairs = frozenset((x, y) for x in xs for y in ys)
-    if frozenset(topology.space) != pairs:
-        raise InvalidModel("topology space is not the expected set of pairs")
-    tx_opens = {frozenset(x for x in xs if (x, y) in w) for w in topology.opens for y in ys}
-    ty_opens = {frozenset(y for y in ys if (x, y) in w) for w in topology.opens for x in xs}
-    tx = Topology(xs, tx_opens | {frozenset(), frozenset(xs)})
-    ty = Topology(ys, ty_opens | {frozenset(), frozenset(ys)})
-    for u in tx.sorted_opens():
-        for v in ty.sorted_opens():
-            box = frozenset((x, y) for x in u for y in v)
-            if box not in topology.opens:
+    if not (xs and ys) or frozenset(topology.space) != frozenset((x, y) for x in xs for y in ys):
+        raise InvalidModel("topology space is not the set of pairs of two nonempty factors")
+    tx = topology.renamed({(x, ys[0]): x for x in xs}, xs)
+    ty = topology.renamed({(xs[0], y): y for y in ys}, ys)
+    for x in xs:
+        for y in ys:
+            u, v = tx.smallest_open(x), ty.smallest_open(y)
+            if topology.smallest_open((x, y)) != frozenset((a, b) for a in u for b in v):
                 raise NotAProductTopology(
-                    f"box {sorted(map(str, u))} x {sorted(map(str, v))} is not open"
-                )
-    for w in topology.sorted_opens():
-        for x, y in w:
-            if not any(
-                x in u and y in v and all((a, b) in w for a in u for b in v)
-                for u in tx.opens
-                for v in ty.opens
-            ):
-                raise NotAProductTopology(
-                    f"open containing ({x}, {y}) holds no open box around it"
+                    f"smallest open around ({x}, {y}) is not the box "
+                    f"{sorted(map(str, u))} x {sorted(map(str, v))}"
                 )
     return tx, ty
 
@@ -155,8 +144,7 @@ class ProductModel:
         """Relative Scott topology on the maxima, renamed to label pairs."""
         rel = relative_topology(self.poset, self.poset.maximal_elements(), max_elements)
         space = [(x, y) for x in self.label_x for y in self.label_y]
-        opens = {frozenset(self.max_labeling[e] for e in u) for u in rel.opens}
-        return Topology(space, opens)
+        return rel.renamed(self.max_labeling, space)
 
     def max_shadow(self, k: Label) -> frozenset:
         """Pairs labeling the maximal elements above an element."""
@@ -170,11 +158,6 @@ class ProductModel:
             f"ProductModel({len(self.poset)} elements, "
             f"{len(self.label_x)}x{len(self.label_y)} maxima)"
         )
-
-
-def factor_topologies(model: ProductModel) -> tuple[Topology, Topology]:
-    """The validated factor topologies (computed at construction)."""
-    return model.topology_x, model.topology_y
 
 
 def build_Q(model: ProductModel, *, max_candidates: int = 200_000) -> FinitePoset:
@@ -197,34 +180,28 @@ def build_Q(model: ProductModel, *, max_candidates: int = 200_000) -> FinitePose
 
     shadows = {k: model.max_shadow(k) for k in compact}
     triples: list[QTriple] = []
-    boxes: dict[QTriple, frozenset] = {}
+    boxes: list[frozenset] = []
     for k in compact:
         shadow = shadows[k]
         for u in opens_x:
             for v in opens_y:
                 box = frozenset((x, y) for x in u for y in v)
                 if box <= shadow:
-                    t = QTriple(u, v, k)
-                    triples.append(t)
-                    boxes[t] = box
+                    triples.append(QTriple(u, v, k))
+                    boxes.append(box)
 
-    def below(t1: QTriple, t2: QTriple) -> bool:
-        return p.le(t1.k, t2.k) and shadows[t2.k] <= boxes[t1]
-
-    rel = {(t1, t2) for t1 in triples for t2 in triples if below(t1, t2)}
-    for t in triples:
-        if (t, t) not in rel:
-            raise VerificationFailed(f"triple order is not reflexive at {t}")
-    for t1, t2 in rel:
-        if t1 != t2 and (t2, t1) in rel:
-            raise VerificationFailed(f"triple order is not antisymmetric at {t1}, {t2}")
-    for t1, t2 in rel:
-        for t3 in triples:
-            if (t2, t3) in rel and (t1, t3) not in rel:
-                raise VerificationFailed(
-                    f"triple order is not transitive at {t1}, {t2}, {t3}"
-                )
-    return FinitePoset.from_relation(triples, rel)
+    rows = [
+        sum(1 << j for j, t2 in enumerate(triples)
+            if p.le(t1.k, t2.k) and shadows[t2.k] <= box)
+        for t1, box in zip(triples, boxes)
+    ]
+    violation = _order_violation(rows)
+    if violation is not None:
+        axiom, at = violation
+        raise VerificationFailed(
+            f"triple order is not {axiom} at {', '.join(str(triples[i]) for i in at)}"
+        )
+    return FinitePoset(triples, rows)
 
 
 def ideal_J(model: ProductModel, x, q_poset: FinitePoset) -> Ideal:
@@ -280,19 +257,8 @@ def verify_claims(
     report = Report()
     report.info("q-count", len(q_poset))
 
-    # the triple order must be a partial order; FinitePoset construction
-    # enforces antisymmetry, the rest is re-checked against the raw masks
-    ok1 = all(q_poset.le(t, t) for t in q_poset.elements)
-    for t1 in q_poset.elements:
-        for t2 in q_poset.elements:
-            if not q_poset.le(t1, t2):
-                continue
-            if q_poset.le(t2, t1) and t1 != t2:
-                ok1 = False
-            for t3 in q_poset.elements:
-                if q_poset.le(t2, t3) and not q_poset.le(t1, t3):
-                    ok1 = False
-    report.check("claim-partial-order", ok1)
+    violation = _order_violation(q_poset._up)
+    report.check("claim-partial-order", violation is None, violation and violation[0])
 
     # each selected family must be an ideal of the triple poset
     ok2, witness2 = True, None
@@ -330,29 +296,21 @@ def verify_claims(
         and image == frozenset(maximal_ideals),
     )
 
+    # Once the claims above hold, the point map is a bijection onto the
+    # maxima: pull the relative topology back along it.  The map is
+    # continuous when each X row lies inside its pulled-back row, and open
+    # when the reverse holds.
     rel = relative_topology(completion, maximal_ideals, max_elements)
-
-    # the point-to-ideal map must be continuous (preimages of relative
-    # opens are opens of the X factor)
-    ok5, witness5 = True, None
-    for w in rel.sorted_opens():
-        preimage = frozenset(x for x in model.label_x if selected_sets[x] in w)
-        if preimage not in model.topology_x.opens:
-            ok5, witness5 = False, sorted(map(str, preimage))
-            break
-    report.check("claim-map-continuous", ok5, witness5)
-
-    # the map must also be open (images of X opens are relatively open)
-    ok6, witness6 = True, None
-    images = set()
-    for u in model.topology_x.sorted_opens():
-        image_set = frozenset(selected_sets[x] for x in u)
-        images.add(image_set)
-        if image_set not in rel.opens:
-            ok6, witness6 = False, sorted(map(str, u))
-            break
-    report.check("claim-map-open", ok6, witness6)
-    report.check("topology-transport-exact", ok5 and ok6 and images == set(rel.opens))
+    if report.ok:
+        tx = model.topology_x
+        pulled = rel.renamed({s: x for x, s in selected_sets.items()}, tx.space)
+        loose = [back for row, back in zip(tx.around, pulled.around) if row & ~back]
+        tight = [row for row, back in zip(tx.around, pulled.around) if back & ~row]
+        report.check("claim-map-continuous", not loose,
+                     loose and sorted(map(str, tx.labels_of(loose[0]))))
+        report.check("claim-map-open", not tight,
+                     tight and sorted(map(str, tx.labels_of(tight[0]))))
+        report.check("topology-transport-exact", pulled == tx)
     report.info("max-count", len(maximal_ideals))
 
     if not report.ok:
@@ -414,10 +372,8 @@ def lower_set_model(
     )
     if fiber_ok:
         rel = relative_topology(sub, sub_max, max_elements)
-        renamed = Topology(
-            [x for x in model.label_x],
-            {frozenset(model.max_labeling[e][0] for e in u) for u in rel.opens},
-        )
+        first = {e: model.max_labeling[e][0] for e in sub_max}
+        renamed = rel.renamed(first, model.label_x)
         report.check("max-homeomorphic-to-factor", renamed == model.topology_x)
     else:
         report.check("max-homeomorphic-to-factor", False, "fiber mismatch")
@@ -438,8 +394,7 @@ def algebraic_model(p: FinitePoset, *, max_elements: int = DEFAULT_MAX_ELEMENTS)
         raise VerificationFailed("maximal points do not biject with maximal ideals")
     rel_p = relative_topology(p, maximal, max_elements)
     rel_c = relative_topology(completion, comp_max, max_elements)
-    transported = {frozenset(sent[e] for e in u) for u in rel_p.opens}
-    if transported != set(rel_c.opens):
+    if rel_p.renamed(sent, rel_c.space) != rel_c:
         raise VerificationFailed("maximal point topologies do not correspond")
     return completion
 
@@ -492,8 +447,10 @@ def model_from_json(data: object, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     poset = poset_from_json(data.get("poset"))
     label_x = data.get("labelX")
     label_y = data.get("labelY")
-    if not isinstance(label_x, list) or not isinstance(label_y, list):
-        raise FormatError('"labelX" and "labelY" must be arrays')
+    if not (isinstance(label_x, list) and isinstance(label_y, list)) or any(
+        isinstance(label, (list, dict)) for label in label_x + label_y
+    ):
+        raise FormatError('"labelX" and "labelY" must be arrays of scalar labels')
     raw = data.get("maxLabeling")
     if not isinstance(raw, dict):
         raise FormatError('"maxLabeling" must map maximal elements to [x, y] pairs')

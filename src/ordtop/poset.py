@@ -45,6 +45,26 @@ def _transitive_close(masks: list[int]) -> None:
                 masks[i] |= row
 
 
+def _order_violation(masks: list[int]) -> tuple[str, tuple[int, ...]] | None:
+    """The first partial-order axiom the up-mask rows break, and the indices breaking it.
+
+    Reflexivity and transitivity are tried row by row; a cycle is reported
+    only when both hold everywhere.
+    """
+    cycle = None
+    for i, row in enumerate(masks):
+        if not row >> i & 1:
+            return "reflexive", (i,)
+        for j in _iter_bits(row ^ 1 << i):
+            above = masks[j]
+            if above | row != row:
+                missing = above & ~row
+                return "transitive", (i, j, (missing & -missing).bit_length() - 1)
+            if above >> i & 1 and cycle is None:
+                cycle = "antisymmetric", (i, j)
+    return cycle
+
+
 class FinitePoset:
     """An immutable poset over an ordered tuple of distinct labels.
 
@@ -82,8 +102,7 @@ class FinitePoset:
                 raise UnknownLabel(f"cover mentions unknown label {high!r}")
             masks[seen[low]] |= 1 << seen[high]
         _transitive_close(masks)
-        cls._check_antisymmetry(elements, masks)
-        return cls(elements, masks)
+        return cls._checked(elements, masks)
 
     @classmethod
     def from_relation(cls, elements: Iterable[Label], pairs: Iterable[tuple[Label, Label]]) -> "FinitePoset":
@@ -97,24 +116,18 @@ class FinitePoset:
             if a not in seen or b not in seen:
                 raise UnknownLabel(f"relation mentions unknown pair ({a!r}, {b!r})")
             masks[seen[a]] |= 1 << seen[b]
-        for i in range(len(elements)):
-            if not masks[i] >> i & 1:
-                raise ValueError(f"relation is not reflexive at {elements[i]!r}")
-        closed = list(masks)
-        _transitive_close(closed)
-        if closed != masks:
-            raise ValueError("relation is not transitively closed")
-        cls._check_antisymmetry(elements, masks)
-        return cls(elements, masks)
+        return cls._checked(elements, masks)
 
-    @staticmethod
-    def _check_antisymmetry(elements: tuple[Label, ...], masks: list[int]) -> None:
-        for i in range(len(elements)):
-            for j in _iter_bits(masks[i]):
-                if j != i and masks[j] >> i & 1:
-                    raise CycleDetected(
-                        f"{elements[i]!r} and {elements[j]!r} sit below each other"
-                    )
+    @classmethod
+    def _checked(cls, elements: tuple[Label, ...], masks: list[int]) -> "FinitePoset":
+        violation = _order_violation(masks)
+        if violation is not None:
+            axiom, at = violation
+            names = [repr(elements[k]) for k in at]
+            if axiom == "antisymmetric":
+                raise CycleDetected(f"{' and '.join(names)} sit below each other")
+            raise ValueError(f"relation is not {axiom} at {', '.join(names)}")
+        return cls(elements, masks)
 
     # -- basic queries ----------------------------------------------------
 

@@ -596,7 +596,7 @@ def open_to_json(open_set: SymbolicOpen) -> dict:
 
 
 def _parse_index(key: str) -> int:
-    if not isinstance(key, str) or not key.isdigit():
+    if not isinstance(key, str) or not key.isascii() or not key.isdigit():
         raise FormatError(f"chain index {key!r} must be a base-10 natural number")
     return int(key)
 
@@ -632,7 +632,7 @@ def open_from_json(data: object) -> SymbolicOpen:
                 raise FormatError("cylinder minimums cannot be null")
             conds[_parse_index(key)] = minimum
         levels = entry.get("levels", [])
-        if not isinstance(levels, list) or not all(lv in (0, 1) for lv in levels):
+        if not isinstance(levels, list) or not all(type(lv) is int and lv in (0, 1) for lv in levels):
             raise FormatError('"levels" must be an array over {0, 1}')
         cylinders.append(Cylinder(tuple(conds.items()), frozenset(levels)))
     try:

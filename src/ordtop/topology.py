@@ -1,6 +1,10 @@
 """Scott topology on finite posets, the way-below relation, and the
 classification predicates built from them.
 
+A finite topology is fixed by its specialization preorder (Alexandrov,
+"Diskrete Räume", 1937), so ``Topology`` keeps the smallest open around each
+point and builds the open family only for callers that list it.
+
 On a finite poset every directed set has a greatest element, so the Scott
 condition collapses: open means upper, and way-below means below.  Both
 facts are still implemented from the definitions (directed-set quantifiers
@@ -10,10 +14,11 @@ each other in tests instead of trusting the collapse.
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Mapping
 
 from .errors import ForeignSet, TooLarge
-from .poset import FinitePoset, Label, _iter_bits
+from .poset import FinitePoset, Label, _iter_bits, _order_violation
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -26,68 +31,100 @@ def _guard(p: FinitePoset, max_elements: int) -> None:
 
 
 class Topology:
-    """A finite topology: an ordered point tuple plus its open sets.
+    """A finite topology, stored as the smallest open set around each point.
 
-    ``space`` fixes the deterministic point order used everywhere; opens are
-    stored as frozensets of points.  Construction checks the cheap axioms
-    (empty set and whole space present, opens inside the space); the closure
-    axioms are checked by ``validate``, which is quadratic in the number of
-    opens and therefore explicit.
+    ``space`` fixes the point order used everywhere; ``around[i]`` is a
+    bitmask over those positions holding the smallest open around
+    ``space[i]``.  The opens are the unions of these rows, built on first
+    use.  ``validate`` checks that the rows nest; ``from_opens`` is the way
+    in for an explicit open family.
     """
 
-    def __init__(self, space: Iterable, opens: Iterable[frozenset]):
+    def __init__(self, space: Iterable, around: Iterable[int]):
         self.space = tuple(space)
-        if len(set(self.space)) != len(self.space):
+        self._pos = {pt: i for i, pt in enumerate(self.space)}
+        if len(self._pos) != len(self.space):
             raise ValueError("topology space has repeated points")
-        self.opens = frozenset(frozenset(u) for u in opens)
-        pointset = frozenset(self.space)
-        if frozenset() not in self.opens:
-            raise ValueError("topology misses the empty set")
-        if pointset not in self.opens:
-            raise ValueError("topology misses the whole space")
-        for u in self.opens:
-            if not u <= pointset:
-                raise ValueError("open set leaves the space")
+        self.around = tuple(around)
+        if len(self.around) != len(self.space):
+            raise ValueError("one smallest open per point required")
+        for i, row in enumerate(self.around):
+            if row >> len(self.space) or not row >> i & 1:
+                raise ValueError(f"smallest open around {self.space[i]!r} is not around it")
 
-    def _key(self, u: frozenset) -> tuple:
-        pos = {pt: i for i, pt in enumerate(self.space)}
-        return (len(u), tuple(sorted(pos[x] for x in u)))
+    @classmethod
+    def from_opens(cls, space: Iterable, family: Iterable[Iterable]) -> "Topology":
+        """The topology with exactly the given opens, or ValueError.
+
+        Each point's row is the meet of the members holding it.  Every member is
+        the union of its points' rows, so the family is a topology exactly when
+        it holds every union of rows.
+        """
+        space = tuple(space)
+        pos = {pt: i for i, pt in enumerate(space)}
+        try:
+            masks = {sum(1 << pos[x] for x in set(u)) for u in family}
+        except KeyError:
+            raise ValueError("open set leaves the space") from None
+        around = [(1 << len(space)) - 1] * len(space)
+        for mask in masks:
+            for i in _iter_bits(mask):
+                around[i] &= mask
+        topology = cls(space, around)
+        if _union_closure(around) != masks:
+            raise ValueError("family is not closed under unions and meets, empty ones included")
+        return topology
+
+    def labels_of(self, mask: int) -> frozenset:
+        return frozenset(self.space[i] for i in _iter_bits(mask))
+
+    def smallest_open(self, point) -> frozenset:
+        """The meet of all opens around a point, itself open."""
+        return self.labels_of(self.around[self._pos[point]])
+
+    def renamed(self, name: Mapping, space: Iterable) -> "Topology":
+        """The subspace on the points ``name`` maps, renamed along it onto ``space``."""
+        space = tuple(space)
+        pos = {pt: i for i, pt in enumerate(space)}
+        around = [0] * len(space)
+        for pt, row in zip(self.space, self.around):
+            if pt in name:
+                around[pos[name[pt]]] = sum(1 << pos[name[q]] for q in self.labels_of(row) if q in name)
+        return Topology(space, around)
+
+    @cached_property
+    def opens(self) -> frozenset[frozenset]:
+        """Every open set: the unions of the smallest opens."""
+        return frozenset(self.labels_of(mask) for mask in _union_closure(self.around))
 
     def sorted_opens(self) -> list[frozenset]:
         """Opens ordered by size then point positions; the canonical order."""
-        return sorted(self.opens, key=self._key)
+        return sorted(self.opens, key=lambda u: (len(u), tuple(sorted(self._pos[x] for x in u))))
 
     def validate(self) -> None:
-        """Raise ValueError unless closed under intersections and unions."""
-        pos = {pt: i for i, pt in enumerate(self.space)}
-        masks = set()
-        for u in self.opens:
-            m = 0
-            for x in u:
-                m |= 1 << pos[x]
-            masks.add(m)
-        listed = sorted(masks)
-        for a in listed:
-            for b in listed:
-                if a & b not in masks:
-                    raise ValueError("opens are not closed under intersection")
-                if a | b not in masks:
-                    raise ValueError("opens are not closed under union")
+        """Raise ValueError unless the rows nest: they must form a preorder."""
+        violation = _order_violation(self.around)
+        if violation is not None and violation[0] != "antisymmetric":
+            axiom, at = violation
+            raise ValueError(f"rows are not {axiom} at {[self.space[k] for k in at]}")
 
     @property
     def is_discrete(self) -> bool:
-        return len(self.opens) == 1 << len(self.space)
+        return all(row == 1 << i for i, row in enumerate(self.around))
+
+    def _rows(self) -> dict:
+        return {pt: self.smallest_open(pt) for pt in self.space}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
             return NotImplemented
-        return frozenset(self.space) == frozenset(other.space) and self.opens == other.opens
+        return self._rows() == other._rows()
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.space), self.opens))
+        return hash(frozenset(self._rows().items()))
 
     def __repr__(self) -> str:
-        return f"Topology({len(self.space)} points, {len(self.opens)} opens)"
+        return f"Topology({len(self.space)} points)"
 
 
 # -- directed families -------------------------------------------------------
@@ -179,13 +216,13 @@ def is_scott_closed(
 
 
 def scott_opens(p: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Topology:
-    """The whole Scott topology as an explicit family.
+    """The whole Scott topology.
 
-    The opens are the unions of principal up-sets: every upper set is the
-    union of the up-sets of its members, and every such union is upper.
+    The opens are the upper sets, so the smallest open around an element is
+    its principal up-set.
     """
     _guard(p, max_elements)
-    return Topology(p.elements, [p.labels_of(mask) for mask in _union_closure(p._up)])
+    return Topology(p.elements, p._up)
 
 
 def relative_topology(
@@ -195,16 +232,12 @@ def relative_topology(
 ) -> Topology:
     """Scott opens of ``p`` traced onto a subset of its elements.
 
-    The traces are the unions of the traced principal up-sets of subspace
-    points: for an upper set U, the trace U & S is the union of the traces
-    of the up-sets of the members of U & S.  The ambient opens are never
-    enumerated.
+    The smallest open around a subspace point is the trace of its principal
+    up-set, which is the up-set in the restricted order.
     """
-    smask = p.mask_of(subspace)
+    sub = p.restrict(subspace)
     _guard(p, max_elements)
-    space = [p.elements[i] for i in _iter_bits(smask)]
-    traces = _union_closure(p._up[i] & smask for i in _iter_bits(smask))
-    return Topology(space, [p.labels_of(mask) for mask in traces])
+    return Topology(sub.elements, sub._up)
 
 
 # -- way below ----------------------------------------------------------------
@@ -302,15 +335,12 @@ def is_bounded_complete(p: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS
 def is_gdelta(topology: Topology, subset: Iterable) -> bool:
     """Whether the subset is an intersection of opens.
 
-    In a finite topology every intersection of opens is already realized by
-    the (finite) intersection of all opens containing the subset, so the
-    test compares that intersection with the subset itself.
+    In a finite topology the intersection of all opens containing the
+    subset is the union of the smallest opens around its points, so the
+    subset is such an intersection exactly when it is an upper set of the
+    specialization order: it holds the smallest open around each member.
     """
     target = frozenset(subset)
     if not target <= frozenset(topology.space):
         raise ForeignSet("subset leaves the topology's space")
-    meet = frozenset(topology.space)
-    for u in topology.opens:
-        if target <= u:
-            meet &= u
-    return meet == target
+    return all(topology.smallest_open(x) <= target for x in target)

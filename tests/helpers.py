@@ -2,7 +2,14 @@
 
 from random import Random
 
-from ordtop import FinitePoset, ProductModel, Topology, build_poset
+from ordtop import (
+    FinitePoset,
+    InvalidModel,
+    NotAProductTopology,
+    ProductModel,
+    Topology,
+    build_poset,
+)
 from ordtop.generate import all_posets, random_poset
 from ordtop.poset import _iter_bits
 
@@ -72,7 +79,7 @@ def oracle_scott_opens(p: FinitePoset) -> Topology:
     for mask in range(1 << len(p)):
         if all(p._up[i] & ~mask == 0 for i in _iter_bits(mask)):
             opens.append(p.labels_of(mask))
-    return Topology(p.elements, opens)
+    return Topology.from_opens(p.elements, opens)
 
 
 def oracle_is_bounded_complete(p: FinitePoset) -> bool:
@@ -96,3 +103,49 @@ def oracle_all_ideals(p: FinitePoset) -> list[frozenset]:
             if p.is_directed(members):
                 out.append(members)
     return out
+
+
+def oracle_split_product_topology(topology: Topology, xs, ys) -> tuple[Topology, Topology]:
+    """Factor a topology on pair points by comparing explicit open families.
+
+    The candidate factors are the section families (slices of opens along
+    each coordinate); these are the only possible factors, so the check is
+    complete: the topology is a product exactly when every open satisfies
+    the pointwise box condition against the sections and every box is open.
+    """
+    xs, ys = tuple(xs), tuple(ys)
+    pairs = frozenset((x, y) for x in xs for y in ys)
+    if frozenset(topology.space) != pairs:
+        raise InvalidModel("topology space is not the expected set of pairs")
+    tx_opens = {frozenset(x for x in xs if (x, y) in w) for w in topology.opens for y in ys}
+    ty_opens = {frozenset(y for y in ys if (x, y) in w) for w in topology.opens for x in xs}
+    tx_opens |= {frozenset(), frozenset(xs)}
+    ty_opens |= {frozenset(), frozenset(ys)}
+    for u in tx_opens:
+        for v in ty_opens:
+            box = frozenset((x, y) for x in u for y in v)
+            if box not in topology.opens:
+                raise NotAProductTopology(
+                    f"box {sorted(map(str, u))} x {sorted(map(str, v))} is not open"
+                )
+    for w in topology.opens:
+        for x, y in w:
+            if not any(
+                x in u and y in v and all((a, b) in w for a in u for b in v)
+                for u in tx_opens
+                for v in ty_opens
+            ):
+                raise NotAProductTopology(
+                    f"open containing ({x}, {y}) holds no open box around it"
+                )
+    return Topology.from_opens(xs, tx_opens), Topology.from_opens(ys, ty_opens)
+
+
+def oracle_is_gdelta(topology: Topology, subset) -> bool:
+    """The subset is the meet of the opens that contain it."""
+    target = frozenset(subset)
+    meet = frozenset(topology.space)
+    for u in topology.opens:
+        if target <= u:
+            meet &= u
+    return meet == target

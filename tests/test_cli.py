@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from ordtop import ProductModel
 from ordtop.cli import main
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = sorted((DATA / "golden").glob("*.out"))
 
 
 def run(capsys, *argv):
@@ -181,3 +183,56 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-verb"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("golden", GOLDEN, ids=[g.stem for g in GOLDEN])
+def test_finite_verbs_match_their_golden_stdout(capsys, golden):
+    # golden/<verb>_<input>.out holds the stdout of `ordtop <verb> --input data/<input>.json`
+    verb, _, stem = golden.stem.partition("_")
+    code, out = run(capsys, verb, "--input", DATA / f"{stem}.json")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+ARABIC_INDIC_THREE = "\u0663"
+
+
+@pytest.mark.parametrize("verb,source,edit", [
+    ("factor", "model_2x1", lambda d: d.update(labelX=[["x1"], "x2"])),
+    ("lower-model", "model_2x1", lambda d: d.update(labelY=[{"y": 1}])),
+    ("diagonal", "family_uniform3",
+     lambda d: d[0]["thresholds"].update(exceptions={ARABIC_INDIC_THREE: 1})),
+    ("diagonal", "family_uniform3",
+     lambda d: d[0].update(extraPhi=[{"conds": {ARABIC_INDIC_THREE: 1}, "levels": [1]}])),
+    ("diagonal", "family_uniform3",
+     lambda d: d[0].update(extraPhi=[{"conds": {"0": 1}, "levels": [True]}])),
+    ("diagonal", "family_uniform3",
+     lambda d: d[0].update(extraPhi=[{"conds": {"0": 1}, "levels": [1.0]}])),
+], ids=["array-label", "object-label", "non-ascii-exception-index",
+        "non-ascii-cylinder-index", "bool-level", "float-level"])
+def test_malformed_documents_are_input_errors(capsys, tmp_path, verb, source, edit):
+    data = json.loads((DATA / f"{source}.json").read_text())
+    edit(data)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data))
+    code = main([verb, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_a_broken_triple_order_is_a_failed_verification(capsys, monkeypatch):
+    # every compact element claims every pair, so boxes smaller than the
+    # whole space sit below no triple, not even themselves
+    def everything(model, k):
+        return frozenset((x, y) for x in model.label_x for y in model.label_y)
+
+    monkeypatch.setattr(ProductModel, "max_shadow", everything)
+    code = main(["factor", "--input", str(DATA / "model_2x1.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "triple order is not reflexive" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,3 +1,6 @@
+from functools import cached_property
+from random import Random
+
 import pytest
 
 from ordtop import (
@@ -18,19 +21,30 @@ from ordtop import (
     chain_pairs_model,
     covering_intersection,
     factor_model,
-    factor_topologies,
     find_order_isomorphism,
     ideal_J,
     idl_poset,
     lower_set_model,
     model_from_json,
     model_to_json,
+    product,
     relative_topology,
+    scott_opens,
     split_product_topology,
     verify_claims,
 )
+import ordtop.factorization as factorization
+from ordtop.generate import all_posets
+from ordtop.poset import _transitive_close
 
-from helpers import chain, diamond, discrete_model, rooted_model, vshape
+from helpers import (
+    chain,
+    diamond,
+    discrete_model,
+    oracle_split_product_topology,
+    rooted_model,
+    vshape,
+)
 
 
 def test_qtriple_renders_sorted():
@@ -42,7 +56,7 @@ def test_split_product_topology_recovers_discrete_factors():
     xs, ys = ("x1", "x2"), ("y1", "y2")
     pairs = [(x, y) for x in xs for y in ys]
     every = [frozenset(s) for s in _powerset(pairs)]
-    tx, ty = split_product_topology(Topology(pairs, every), xs, ys)
+    tx, ty = split_product_topology(Topology.from_opens(pairs, every), xs, ys)
     assert tx.is_discrete and ty.is_discrete
 
 
@@ -50,15 +64,68 @@ def test_split_product_topology_rejects_a_diagonal():
     xs, ys = ("x1", "x2"), ("y1", "y2")
     pairs = [(x, y) for x in xs for y in ys]
     diagonal = frozenset({("x1", "y1"), ("x2", "y2")})
-    t = Topology(pairs, [frozenset(), frozenset(pairs), diagonal])
+    t = Topology.from_opens(pairs, [frozenset(), frozenset(pairs), diagonal])
     with pytest.raises(NotAProductTopology):
         split_product_topology(t, xs, ys)
 
 
 def test_split_product_topology_needs_the_pair_space():
-    t = Topology(["a"], [frozenset(), frozenset({"a"})])
+    t = Topology.from_opens(["a"], [frozenset(), frozenset({"a"})])
     with pytest.raises(InvalidModel):
         split_product_topology(t, ("x",), ("y1", "y2"))
+
+
+def _both_splits(topology, xs, ys):
+    """The factors from the fast split and from the explicit-family oracle, or None for both."""
+    outcomes = []
+    for split in (split_product_topology, oracle_split_product_topology):
+        try:
+            outcomes.append(split(topology, xs, ys))
+        except NotAProductTopology:
+            outcomes.append(None)
+    return outcomes
+
+
+def test_split_matches_the_oracle_on_every_preorder_of_the_2x2_pairs():
+    xs, ys = ("x1", "x2"), ("y1", "y2")
+    pairs = [(x, y) for x in xs for y in ys]
+    off = [(i, j) for i in range(4) for j in range(4) if i != j]
+    verdicts = set()
+    for choice in range(1 << len(off)):
+        masks = [1 << i for i in range(4)]
+        for bit, (i, j) in enumerate(off):
+            if choice >> bit & 1:
+                masks[i] |= 1 << j
+        closed = list(masks)
+        _transitive_close(closed)
+        if closed != masks:
+            continue
+        fast, slow = _both_splits(Topology(pairs, masks), xs, ys)
+        assert fast == slow, masks
+        verdicts.add(fast is None)
+    assert verdicts == {True, False}
+
+
+def test_split_recovers_both_factors_of_poset_products():
+    for p in [q for n in range(1, 4) for q in all_posets(n)]:
+        for q in [r for n in range(1, 3) for r in all_posets(n)]:
+            topology = scott_opens(product(p, q))
+            fast, slow = _both_splits(topology, p.elements, q.elements)
+            assert fast == slow == (scott_opens(p), scott_opens(q))
+
+
+def test_split_matches_the_oracle_on_random_3x2_topologies():
+    rng = Random(1966)
+    xs, ys = ("x1", "x2", "x3"), ("y1", "y2")
+    pairs = [(x, y) for x in xs for y in ys]
+    verdicts = set()
+    for _ in range(300):
+        masks = [sum(1 << j for j in range(6) if rng.random() < 0.15) for _ in range(6)]
+        _transitive_close(masks)
+        fast, slow = _both_splits(Topology(pairs, masks), xs, ys)
+        assert fast == slow, masks
+        verdicts.add(fast is None)
+    assert verdicts == {True, False}
 
 
 def _powerset(items):
@@ -89,9 +156,27 @@ def test_model_validation_errors():
 
 
 def test_factor_topologies_of_a_discrete_model_are_discrete():
-    tx, ty = factor_topologies(discrete_model(3, 2))
+    model = discrete_model(3, 2)
+    tx, ty = model.topology_x, model.topology_y
     assert tx.is_discrete and len(tx.opens) == 8
     assert ty.is_discrete and len(ty.opens) == 4
+
+
+def test_factor_pipeline_lists_opens_only_on_the_factor_spaces(monkeypatch):
+    listed = []
+    build = Topology.opens.func
+
+    def spy(self):
+        listed.append(len(self.space))
+        return build(self)
+
+    spied = cached_property(spy)
+    spied.__set_name__(Topology, "opens")
+    monkeypatch.setattr(Topology, "opens", spied)
+    m = discrete_model(5, 3)
+    assert factor_model(m)[2].ok
+    assert lower_set_model(m, "y0")[1].ok
+    assert sorted(set(listed)) == [3, 5]
 
 
 def test_triple_poset_of_the_rooted_model_is_two_chains():
@@ -152,6 +237,34 @@ def test_verification_rejects_a_doctored_completion():
     flattened = build_poset(completion.elements, [])
     with pytest.raises(VerificationFailed, match="claim-max-ideals-are-selected"):
         verify_claims(m, q, flattened, selected)
+
+
+def _pipeline(m):
+    q = build_Q(m)
+    completion, _ = idl_poset(q)
+    return q, completion, {x: ideal_J(m, x, q) for x in m.label_x}
+
+
+def test_verification_rejects_a_coarser_x_topology():
+    m = discrete_model(3, 2)
+    q, completion, selected = _pipeline(m)
+    m.topology_x = Topology(m.label_x, [0b111] * 3)
+    with pytest.raises(VerificationFailed, match="claim-map-continuous"):
+        verify_claims(m, q, completion, selected)
+
+
+def test_verification_rejects_a_non_discrete_maximal_space(monkeypatch):
+    m = discrete_model(3, 2)
+    q, completion, selected = _pipeline(m)
+    honest = factorization.relative_topology
+
+    def indiscrete(p, subspace, max_elements):
+        rel = honest(p, subspace, max_elements)
+        return Topology(rel.space, [(1 << len(rel.space)) - 1] * len(rel.space))
+
+    monkeypatch.setattr(factorization, "relative_topology", indiscrete)
+    with pytest.raises(VerificationFailed, match="claim-map-open"):
+        verify_claims(m, q, completion, selected)
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (3, 2)])

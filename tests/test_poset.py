@@ -24,6 +24,7 @@ from ordtop import (
     to_dot,
 )
 from ordtop.generate import all_posets, random_poset
+from ordtop.poset import _order_violation
 
 from helpers import antichain, chain, diamond, vshape
 
@@ -132,6 +133,37 @@ def test_from_relation_rejects_broken_input():
         FinitePoset.from_relation(
             ["a", "b"], {("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}
         )
+
+
+def test_order_violation_names_a_broken_axiom():
+    rng = Random(1937)
+    found = set()
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        masks = [sum(1 << j for j in range(n) if rng.random() < 0.6) for _ in range(n)]
+        rel = {(i, j) for i in range(n) for j in range(n) if masks[i] >> j & 1}
+        preorder = all((i, i) in rel for i in range(n)) and all(
+            (i, k) in rel for i, j in rel for j2, k in rel if j == j2
+        )
+        cyclic = any(i != j and (j, i) in rel for i, j in rel)
+        violation = _order_violation(masks)
+        axiom, at = violation or (None, ())
+        found.add(axiom)
+        if not preorder:
+            assert axiom in ("reflexive", "transitive"), masks
+        elif cyclic:
+            assert axiom == "antisymmetric", masks
+        else:
+            assert violation is None, masks
+        if axiom == "reflexive":
+            assert (at[0], at[0]) not in rel
+        if axiom == "transitive":
+            i, j, k = at
+            assert (i, j) in rel and (j, k) in rel and (i, k) not in rel
+        if axiom == "antisymmetric":
+            i, j = at
+            assert i != j and (i, j) in rel and (j, i) in rel
+    assert found == {None, "reflexive", "transitive", "antisymmetric"}
 
 
 def test_value_equality():

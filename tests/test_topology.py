@@ -30,6 +30,7 @@ from helpers import (
     chain,
     diamond,
     oracle_is_bounded_complete,
+    oracle_is_gdelta,
     oracle_posets,
     oracle_scott_opens,
     vshape,
@@ -51,21 +52,35 @@ def test_two_chain_scott_topology_is_exact():
 
 def test_topology_constructor_rejects_broken_families():
     with pytest.raises(ValueError):
-        Topology(["a", "a"], [frozenset(), frozenset({"a"})])
+        Topology.from_opens(["a", "a"], [frozenset(), frozenset({"a"})])
     with pytest.raises(ValueError):
-        Topology(["a"], [frozenset({"a"})])  # missing the empty set
+        Topology.from_opens(["a"], [frozenset({"a"})])  # missing the empty set
     with pytest.raises(ValueError):
-        Topology(["a"], [frozenset(), frozenset({"a"}), frozenset({"b"})])
+        Topology.from_opens(["a"], [frozenset(), frozenset({"a"}), frozenset({"b"})])
+
+
+def test_topology_constructor_rejects_malformed_rows():
+    with pytest.raises(ValueError):
+        Topology(["a", "b"], [0b01])  # one row short
+    with pytest.raises(ValueError):
+        Topology(["a", "b"], [0b10, 0b10])  # a's smallest open misses a
+    with pytest.raises(ValueError):
+        Topology(["a"], [0b11])  # the row leaves the space
+    with pytest.raises(ValueError):
+        Topology(["a", "a"], [0b01, 0b10])
 
 
 def test_topology_validate_finds_missing_meets():
-    t = Topology(
-        ["a", "b", "c"],
-        [frozenset(), frozenset({"a", "b"}), frozenset({"b", "c"}),
-         frozenset({"a", "b", "c"})],
-    )
+    # {a,b} and {b,c} are open but their meet {b} is not
     with pytest.raises(ValueError):
-        t.validate()
+        Topology.from_opens(
+            ["a", "b", "c"],
+            [frozenset(), frozenset({"a", "b"}), frozenset({"b", "c"}),
+             frozenset({"a", "b", "c"})],
+        )
+    # the same failure given as rows: b sits in a's smallest open, c in b's
+    with pytest.raises(ValueError):
+        Topology(["a", "b", "c"], [0b011, 0b110, 0b100]).validate()
 
 
 def test_scott_topologies_validate_exhaustively():
@@ -179,12 +194,34 @@ def test_relative_topology_keeps_ambient_traces():
 
 
 def test_gdelta_in_a_two_point_space():
-    t = Topology(["a", "b"], [frozenset(), frozenset({"b"}), frozenset({"a", "b"})])
+    t = Topology.from_opens(["a", "b"], [frozenset(), frozenset({"b"}), frozenset({"a", "b"})])
     assert is_gdelta(t, {"b"})
     # every open around a also holds b, so the meet never shrinks to {a}
     assert not is_gdelta(t, {"a"})
     with pytest.raises(ForeignSet):
         is_gdelta(t, {"zzz"})
+
+
+def test_from_opens_rebuilds_the_smallest_opens():
+    for p in oracle_posets():
+        t = scott_opens(p)
+        assert Topology.from_opens(t.space, t.opens) == t, p.covers()
+
+
+def test_gdelta_matches_the_meet_of_opens():
+    rng = Random(1937)
+    verdicts = set()
+    for p in oracle_posets():
+        t = scott_opens(p)
+        if len(p) <= 5:
+            subsets = list(_subsets(p.elements))
+        else:
+            subsets = [[e for e in p.elements if rng.random() < 0.5] for _ in range(20)]
+        for subset in subsets:
+            verdict = is_gdelta(t, subset)
+            assert verdict == oracle_is_gdelta(t, subset), (p.covers(), subset)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_maxima_form_a_gdelta_in_finite_scott_topologies():
