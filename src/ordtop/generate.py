@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from random import Random
 
-from .poset import FinitePoset, _iter_bits
+from .poset import FinitePoset, _iter_bits, _order_violation, _transitive_close
 
 
 def _close_upper_triangular(n: int, strict: dict[tuple[int, int], bool]) -> list[int] | None:
@@ -19,11 +19,7 @@ def _close_upper_triangular(n: int, strict: dict[tuple[int, int], bool]) -> list
     for (i, j), present in strict.items():
         if present:
             masks[i] |= 1 << j
-    for i, j in combinations(range(n), 2):
-        if masks[i] >> j & 1:
-            if masks[i] | masks[j] != masks[i]:
-                return None
-    return masks
+    return masks if _order_violation(masks) is None else None
 
 
 def _canonical_key(n: int, masks: list[int]) -> tuple:
@@ -69,11 +65,7 @@ def random_poset(n: int, rng: Random) -> FinitePoset:
     for i, j in combinations(range(n), 2):
         if rng.random() < density:
             masks[i] |= 1 << j
-    for k in range(n):
-        row = masks[k]
-        for i in range(n):
-            if masks[i] >> k & 1:
-                masks[i] |= row
+    _transitive_close(masks)
     # Shuffle which label lands on which index so consumers cannot rely on
     # the order being index-monotone.
     perm = list(range(n))

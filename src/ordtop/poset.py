@@ -242,11 +242,6 @@ class FinitePoset:
         sup = self._sup(mask)
         return None if sup is None else self.elements[sup]
 
-    def is_dcpo(self) -> bool:
-        # Finite and nonempty directed sets have greatest elements, so every
-        # finite poset is directed complete.
-        return True
-
     # -- derived structure ---------------------------------------------------
 
     def covers(self) -> tuple[tuple[Label, Label], ...]:
@@ -408,13 +403,17 @@ def poset_from_json(data: object) -> FinitePoset:
     return build_poset(elements, pairs)
 
 
-def load_poset(path: str) -> FinitePoset:
-    with open(path, "r", encoding="utf-8") as handle:
+def load_json(path: str) -> object:
+    """The JSON document in a UTF-8 file; FormatError when it cannot be read as one."""
+    with open(path, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return poset_from_json(data)
+
+
+def load_poset(path: str) -> FinitePoset:
+    return poset_from_json(load_json(path))
 
 
 def _dot_quote(text: str) -> str:

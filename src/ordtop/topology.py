@@ -5,11 +5,11 @@ A finite topology is fixed by its specialization preorder (Alexandrov,
 "Diskrete Räume", 1937), so ``Topology`` keeps the smallest open around each
 point and builds the open family only for callers that list it.
 
-On a finite poset every directed set has a greatest element, so the Scott
-condition collapses: open means upper, and way-below means below.  Both
-facts are still implemented from the definitions (directed-set quantifiers
-included) next to the fast paths, so the two routes can be played against
-each other in tests instead of trusting the collapse.
+On a finite poset a nonempty directed set contains its supremum as its
+greatest element, so the Scott conditions collapse: open means upper, closed
+means lower, and way-below means below.  Each check is that collapse alone;
+the definitions, quantified over every directed subset, run as oracles in
+the test suite.
 """
 
 from __future__ import annotations
@@ -127,20 +127,6 @@ class Topology:
         return f"Topology({len(self.space)} points)"
 
 
-# -- directed families -------------------------------------------------------
-
-
-def _directed_families(p: FinitePoset, max_elements: int) -> list[tuple[int, int | None]]:
-    """All (mask, sup index or None) for nonempty directed subsets; cached."""
-    cached = p.__dict__.get("_directed_cache")
-    if cached is not None:
-        return cached
-    _guard(p, max_elements)
-    out = [(mask, p._sup(mask)) for mask in range(1, 1 << len(p)) if p._directed(mask)]
-    p.__dict__["_directed_cache"] = out
-    return out
-
-
 # -- closure enumeration ------------------------------------------------------
 
 
@@ -168,51 +154,25 @@ def is_upper_set(p: FinitePoset, members: Iterable[Label]) -> bool:
     return True
 
 
-def is_scott_open(
-    p: FinitePoset,
-    members: Iterable[Label],
-    *,
-    exhaustive: bool = False,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> bool:
+def is_scott_open(p: FinitePoset, members: Iterable[Label]) -> bool:
     """Upper set whose membership is inaccessible by directed suprema.
 
-    The fast path checks upward closure, which is the whole condition on a
-    finite poset.  ``exhaustive=True`` additionally quantifies over every
-    directed subset: whenever the supremum lands in the set, some member of
-    the directed subset must already be there.
+    A nonempty finite directed set contains its supremum as its greatest
+    element, so a supremum inside an upper set is always a member already
+    there: upward closure is the whole condition.
+    """
+    return is_upper_set(p, members)
+
+
+def is_scott_closed(p: FinitePoset, members: Iterable[Label]) -> bool:
+    """Lower set closed under suprema of directed subsets.
+
+    A nonempty finite directed set contains its supremum as its greatest
+    element, so a lower set already holds the supremum of each directed
+    subset it holds: downward closure is the whole condition.
     """
     mask = p.mask_of(members)
-    upper = all(p._up[i] & ~mask == 0 for i in _iter_bits(mask))
-    if not exhaustive:
-        return upper
-    inaccessible = True
-    for dmask, sup in _directed_families(p, max_elements):
-        if sup is not None and mask >> sup & 1 and dmask & mask == 0:
-            inaccessible = False
-            break
-    return upper and inaccessible
-
-
-def is_scott_closed(
-    p: FinitePoset,
-    members: Iterable[Label],
-    *,
-    exhaustive: bool = False,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> bool:
-    """Lower set closed under suprema of directed subsets."""
-    mask = p.mask_of(members)
-    down = p._down
-    lower = all(down[i] & ~mask == 0 for i in _iter_bits(mask))
-    if not exhaustive:
-        return lower
-    closed = True
-    for dmask, sup in _directed_families(p, max_elements):
-        if dmask & ~mask == 0 and sup is not None and not mask >> sup & 1:
-            closed = False
-            break
-    return lower and closed
+    return all(p._down[i] & ~mask == 0 for i in _iter_bits(mask))
 
 
 def scott_opens(p: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Topology:
@@ -243,30 +203,15 @@ def relative_topology(
 # -- way below ----------------------------------------------------------------
 
 
-def way_below(
-    p: FinitePoset,
-    x: Label,
-    y: Label,
-    *,
-    exhaustive: bool = False,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> bool:
+def way_below(p: FinitePoset, x: Label, y: Label) -> bool:
     """x approximates y: directed sets reaching above y must meet above x.
 
-    Fast path: on a finite poset this is just x below y.  The exhaustive
-    path runs the definition over every directed subset with a supremum.
+    A nonempty finite directed set contains its supremum as its greatest
+    element, so a directed set reaching above y has a member above y, hence
+    above x whenever x is below y; the singleton {y} shows the converse.
+    Way-below is the order itself.
     """
-    ix, iy = p.index(x), p.index(y)
-    if not exhaustive:
-        return p._up[ix] >> iy & 1 == 1
-    upx = p._up[ix]
-    for dmask, sup in _directed_families(p, max_elements):
-        if sup is None:
-            continue
-        # y below the supremum must force a member of D above x
-        if p._up[iy] >> sup & 1 and dmask & upx == 0:
-            return False
-    return True
+    return p.le(x, y)
 
 
 def compact_elements(p: FinitePoset) -> frozenset[Label]:
@@ -279,8 +224,6 @@ def compact_elements(p: FinitePoset) -> frozenset[Label]:
 
 def is_continuous(p: FinitePoset) -> bool:
     """Every element is the directed supremum of its approximants."""
-    if not p.is_dcpo():
-        return False
     for x in p.elements:
         approx = frozenset(y for y in p.elements if way_below(p, y, x))
         if not p.is_directed(approx) or p.supremum(approx) != x:
@@ -290,8 +233,6 @@ def is_continuous(p: FinitePoset) -> bool:
 
 def is_algebraic(p: FinitePoset) -> bool:
     """Every element is the directed supremum of its compact approximants."""
-    if not p.is_dcpo():
-        return False
     compact = compact_elements(p)
     for x in p.elements:
         approx = frozenset(a for a in compact if p.le(a, x))
@@ -302,7 +243,7 @@ def is_algebraic(p: FinitePoset) -> bool:
 
 def is_ideal_domain(p: FinitePoset) -> bool:
     """A continuous dcpo in which every element is compact or maximal."""
-    if not (p.is_dcpo() and is_continuous(p)):
+    if not is_continuous(p):
         return False
     compact = compact_elements(p)
     maximal = p.maximal_elements()

@@ -1,5 +1,6 @@
 """Shared builders and subset-sweep oracles for the test suite."""
 
+from functools import lru_cache
 from random import Random
 
 from ordtop import (
@@ -80,6 +81,41 @@ def oracle_scott_opens(p: FinitePoset) -> Topology:
         if all(p._up[i] & ~mask == 0 for i in _iter_bits(mask)):
             opens.append(p.labels_of(mask))
     return Topology.from_opens(p.elements, opens)
+
+
+@lru_cache(maxsize=None)
+def oracle_directed_families(p: FinitePoset) -> tuple[tuple[int, int | None], ...]:
+    """(mask, sup index or None) for every nonempty directed subset, by testing every subset."""
+    return tuple((mask, p._sup(mask)) for mask in range(1, 1 << len(p)) if p._directed(mask))
+
+
+def oracle_is_scott_open(p: FinitePoset, members) -> bool:
+    """Upper, and every directed subset whose supremum lands inside already meets it."""
+    mask = p.mask_of(members)
+    upper = all(p._up[i] & ~mask == 0 for i in _iter_bits(mask))
+    return upper and not any(
+        sup is not None and mask >> sup & 1 and dmask & mask == 0
+        for dmask, sup in oracle_directed_families(p)
+    )
+
+
+def oracle_is_scott_closed(p: FinitePoset, members) -> bool:
+    """Lower, and holds the supremum of every directed subset it holds."""
+    mask = p.mask_of(members)
+    lower = all(p._down[i] & ~mask == 0 for i in _iter_bits(mask))
+    return lower and not any(
+        dmask & ~mask == 0 and sup is not None and not mask >> sup & 1
+        for dmask, sup in oracle_directed_families(p)
+    )
+
+
+def oracle_way_below(p: FinitePoset, x, y) -> bool:
+    """Every directed subset whose supremum is above y has a member above x."""
+    upx, upy = p._up[p.index(x)], p._up[p.index(y)]
+    return not any(
+        sup is not None and upy >> sup & 1 and dmask & upx == 0
+        for dmask, sup in oracle_directed_families(p)
+    )
 
 
 def oracle_is_bounded_complete(p: FinitePoset) -> bool:

@@ -197,24 +197,34 @@ def test_finite_verbs_match_their_golden_stdout(capsys, golden):
 ARABIC_INDIC_THREE = "\u0663"
 
 
-@pytest.mark.parametrize("verb,source,edit", [
-    ("factor", "model_2x1", lambda d: d.update(labelX=[["x1"], "x2"])),
-    ("lower-model", "model_2x1", lambda d: d.update(labelY=[{"y": 1}])),
-    ("diagonal", "family_uniform3",
-     lambda d: d[0]["thresholds"].update(exceptions={ARABIC_INDIC_THREE: 1})),
-    ("diagonal", "family_uniform3",
-     lambda d: d[0].update(extraPhi=[{"conds": {ARABIC_INDIC_THREE: 1}, "levels": [1]}])),
-    ("diagonal", "family_uniform3",
-     lambda d: d[0].update(extraPhi=[{"conds": {"0": 1}, "levels": [True]}])),
-    ("diagonal", "family_uniform3",
-     lambda d: d[0].update(extraPhi=[{"conds": {"0": 1}, "levels": [1.0]}])),
-], ids=["array-label", "object-label", "non-ascii-exception-index",
-        "non-ascii-cylinder-index", "bool-level", "float-level"])
-def test_malformed_documents_are_input_errors(capsys, tmp_path, verb, source, edit):
+def _edited(source, edit) -> bytes:
     data = json.loads((DATA / f"{source}.json").read_text())
     edit(data)
+    return json.dumps(data).encode()
+
+
+UNREADABLE = {"undecodable": b"\xff\xfe{}", "deep-nesting": b"[" * 200000}
+
+
+@pytest.mark.parametrize("verb,document", [
+    pytest.param("factor", _edited("model_2x1", lambda d: d.update(labelX=[["x1"], "x2"])),
+                 id="array-label"),
+    pytest.param("lower-model", _edited("model_2x1", lambda d: d.update(labelY=[{"y": 1}])),
+                 id="object-label"),
+    pytest.param("diagonal", _edited("family_uniform3", lambda d: d[0]["thresholds"].update(
+        exceptions={ARABIC_INDIC_THREE: 1})), id="non-ascii-exception-index"),
+    pytest.param("diagonal", _edited("family_uniform3", lambda d: d[0].update(
+        extraPhi=[{"conds": {ARABIC_INDIC_THREE: 1}, "levels": [1]}])), id="non-ascii-cylinder-index"),
+    pytest.param("diagonal", _edited("family_uniform3", lambda d: d[0].update(
+        extraPhi=[{"conds": {"0": 1}, "levels": [True]}])), id="bool-level"),
+    pytest.param("diagonal", _edited("family_uniform3", lambda d: d[0].update(
+        extraPhi=[{"conds": {"0": 1}, "levels": [1.0]}])), id="float-level"),
+    *(pytest.param(verb, blob, id=f"{name}-{verb}")
+      for name, blob in UNREADABLE.items() for verb in ("check", "factor", "diagonal")),
+])
+def test_malformed_documents_are_input_errors(capsys, tmp_path, verb, document):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(data))
+    path.write_bytes(document)
     code = main([verb, "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 2

@@ -6,6 +6,7 @@ import pytest
 from ordtop import (
     DuplicateLabel,
     FormatError,
+    Ideal,
     InvalidModel,
     NotAnIdeal,
     NotAProductTopology,
@@ -227,6 +228,19 @@ def test_verification_rejects_swapped_ideals():
     swapped = {"x1": ideal_J(m, "x2", q), "x2": ideal_J(m, "x1", q)}
     with pytest.raises(VerificationFailed, match="claim-selected-are-ideals"):
         verify_claims(m, q, completion, swapped)
+
+
+def test_verification_rejects_ideals_over_another_base():
+    m = rooted_model()
+    q = build_Q(m)
+    completion, _ = idl_poset(q)
+    selected = {x: ideal_J(m, x, q) for x in m.label_x}
+    members = selected["x1"].members
+    other = q.restrict(members)
+    assert other != q
+    selected["x1"] = Ideal(other, members)  # J(x1)'s members, but an ideal of another poset
+    with pytest.raises(VerificationFailed, match="claim-selected-are-ideals"):
+        verify_claims(m, q, completion, selected)
 
 
 def test_verification_rejects_a_doctored_completion():

@@ -26,7 +26,7 @@ from ordtop import (
 from ordtop.generate import all_posets, random_poset
 from ordtop.poset import _order_violation
 
-from helpers import antichain, chain, diamond, vshape
+from helpers import antichain, chain, diamond, oracle_directed_families, oracle_posets, vshape
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,8 +97,11 @@ def test_supremum():
 
 
 def test_every_finite_poset_is_a_dcpo():
-    assert chain(4).is_dcpo()
-    assert antichain(3).is_dcpo()
+    # each directed subset has a supremum, and it is the subset's greatest element
+    for p in oracle_posets():
+        for mask, _ in oracle_directed_families(p):
+            directed = p.labels_of(mask)
+            assert p.supremum(directed) in directed, (p.covers(), directed)
 
 
 def test_restrict_induces_suborder():
