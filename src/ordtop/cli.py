@@ -211,7 +211,7 @@ def _add_input(sub: argparse.ArgumentParser, what: str) -> None:
 
 def _add_bound(sub: argparse.ArgumentParser, default: int = DEFAULT_MAX_ELEMENTS) -> None:
     sub.add_argument("--max-elements", type=int, default=default,
-                     help=f"size guard for exhaustive passes (default {default})")
+                     help=f"input size bound, in poset elements (default {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the excerpt helper for their messages."""
+
+import reprlib
+
+_EXCERPT = reprlib.Repr()
+_EXCERPT.maxlevel = 2  # six items a level: at most 36 leaves from any nesting
+
+
+def excerpt(value: object) -> str:
+    """A repr of an offending input value, cut short so that messages stay small."""
+    return _EXCERPT.repr(value)
 
 
 class OrdtopError(Exception):
@@ -30,7 +40,7 @@ class EmptySet(OrdtopError):
 
 
 class TooLarge(OrdtopError):
-    """An exhaustive enumeration would exceed the configured size bound."""
+    """An input holds more elements than the configured size bound."""
 
 
 class InvalidModel(OrdtopError):

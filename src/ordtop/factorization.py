@@ -24,6 +24,7 @@ from .errors import (
     TooLarge,
     UnknownLabel,
     VerificationFailed,
+    excerpt,
 )
 from .ideals import Ideal, idl_poset
 from .poset import (FinitePoset, Label, _order_violation, build_poset, label_text,
@@ -449,7 +450,7 @@ def model_from_json(data: object, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -
     labeling = {}
     for element, pair in raw.items():
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise FormatError(f"malformed maxLabeling entry {pair!r}")
+            raise FormatError(f"malformed maxLabeling entry {excerpt(pair)}")
         labeling[element] = (pair[0], pair[1])
     if "y0" not in data:
         raise FormatError('"y0" is required')

@@ -20,6 +20,7 @@ from .errors import (
     ForeignSet,
     FormatError,
     UnknownLabel,
+    excerpt,
 )
 
 Label = Any
@@ -33,16 +34,67 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 
 def _transitive_close(masks: list[int]) -> None:
-    # Warshall over bitmask rows, in place.
+    """Replace each row by its reflexive-transitive closure, in place.
+
+    Tarjan's strongly-connected-components search, iterative, in O(n + e)
+    row operations.  Components finish after every component they reach, so
+    a finished component's closed row is its members' bits OR the closed
+    rows of its direct successors outside it.  A row is overwritten only
+    when its component finishes, after its last read as a list of edges, so
+    cycles (preorders) close like any other relation.
+    """
     n = len(masks)
-    for i in range(n):
-        masks[i] |= 1 << i
-    for k in range(n):
-        bit = 1 << k
-        row = masks[k]
-        for i in range(n):
-            if masks[i] & bit:
-                masks[i] |= row
+    order = [0] * n  # visit number from 1; 0 while unvisited
+    low = [0] * n
+    finished = n + 1  # the order of a finished node: it never lowers a low-link
+    pending = list(masks)  # edges not yet followed
+    stack: list[int] = []
+    visits = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        visits += 1
+        order[root] = low[root] = visits
+        stack.append(root)
+        work = [root]
+        while work:
+            v = work[-1]
+            rest = pending[v]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                w = bit.bit_length() - 1
+                if not order[w]:
+                    pending[v] = rest
+                    visits += 1
+                    order[w] = low[w] = visits
+                    stack.append(w)
+                    work.append(w)
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1]]:
+                    low[work[-1]] = low[v]
+                if low[v] != order[v]:
+                    continue
+                w = stack.pop()
+                component, members = [w], 1 << w
+                while w != v:
+                    w = stack.pop()
+                    component.append(w)
+                    members |= 1 << w
+                row = members
+                for u in component:
+                    out = masks[u] & ~members
+                    while out:
+                        bit = out & -out
+                        out ^= bit
+                        row |= masks[bit.bit_length() - 1]
+                for u in component:
+                    masks[u] = row
+                    order[u] = finished
 
 
 def _order_violation(masks: list[int]) -> tuple[str, tuple[int, ...]] | None:
@@ -398,7 +450,7 @@ def poset_from_json(data: object) -> FinitePoset:
     pairs = []
     for item in covers:
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, str) for x in item)):
-            raise FormatError(f"malformed cover entry {item!r}")
+            raise FormatError(f"malformed cover entry {excerpt(item)}")
         pairs.append((item[0], item[1]))
     return build_poset(elements, pairs)
 

@@ -23,10 +23,11 @@ arbitrary Scott opens of the full domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as cartesian
 from typing import Callable, Iterable, Mapping
 
-from .errors import FormatError, NotCoveringMax, TooLarge
+from .errors import FormatError, NotCoveringMax, TooLarge, excerpt
 from .poset import FinitePoset, build_poset
 from .report import Report
 
@@ -72,11 +73,14 @@ class Selector:
     def from_mapping(cls, mapping: Mapping[int, int], default: int = 0) -> "Selector":
         return cls(tuple(mapping.items()), default)
 
+    @cached_property
+    def _table(self) -> dict[int, int]:
+        # built on first lookup; cached_property writes the instance __dict__,
+        # so it is neither a field nor part of ==, hash or repr
+        return dict(self.exceptions)
+
     def __call__(self, i: int) -> int:
-        for j, value in self.exceptions:
-            if j == i:
-                return value
-        return self.default
+        return self._table.get(i, self.default)
 
     def exception_map(self) -> dict[int, int]:
         return dict(self.exceptions)
@@ -175,11 +179,13 @@ class ThresholdRule:
     def from_mapping(cls, mapping: Mapping[int, int | None], default: int | None = 0) -> "ThresholdRule":
         return cls(default, tuple(mapping.items()))
 
+    @cached_property
+    def _table(self) -> dict[int, int | None]:
+        # see Selector._table
+        return dict(self.exceptions)
+
     def __call__(self, i: int) -> int | None:
-        for j, value in self.exceptions:
-            if j == i:
-                return value
-        return self.default
+        return self._table.get(i, self.default)
 
     def all_present(self) -> bool:
         if self.default is None:
@@ -578,7 +584,7 @@ def _nat_or_none(value, what: str):
         return None
     if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
         return value
-    raise FormatError(f"{what} must be a natural number or null, got {value!r}")
+    raise FormatError(f"{what} must be a natural number or null, got {excerpt(value)}")
 
 
 def open_to_json(open_set: SymbolicOpen) -> dict:
@@ -597,7 +603,7 @@ def open_to_json(open_set: SymbolicOpen) -> dict:
 
 def _parse_index(key: str) -> int:
     if not isinstance(key, str) or not key.isascii() or not key.isdigit():
-        raise FormatError(f"chain index {key!r} must be a base-10 natural number")
+        raise FormatError(f"chain index {excerpt(key)} must be a base-10 natural number")
     return int(key)
 
 
@@ -624,7 +630,7 @@ def open_from_json(data: object) -> SymbolicOpen:
     cylinders = []
     for entry in raw_cylinders:
         if not isinstance(entry, dict) or not isinstance(entry.get("conds", {}), dict):
-            raise FormatError(f"malformed extraPhi entry {entry!r}")
+            raise FormatError(f"malformed extraPhi entry {excerpt(entry)}")
         conds = {}
         for key, value in entry.get("conds", {}).items():
             minimum = _nat_or_none(value, f"cylinder minimum {key}")

@@ -26,7 +26,7 @@ DEFAULT_MAX_ELEMENTS = 20
 def _guard(p: FinitePoset, max_elements: int) -> None:
     if len(p) > max_elements:
         raise TooLarge(
-            f"poset has {len(p)} elements; exhaustive sweep bounded at {max_elements}"
+            f"poset has {len(p)} elements; input size bounded at {max_elements}"
         )
 
 

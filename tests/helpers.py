@@ -74,6 +74,21 @@ def oracle_posets() -> list[FinitePoset]:
     return posets
 
 
+def oracle_transitive_close(masks: list[int]) -> list[int]:
+    """The reflexive-transitive closure of the rows, by Warshall's n^2 row updates."""
+    masks = list(masks)
+    n = len(masks)
+    for i in range(n):
+        masks[i] |= 1 << i
+    for k in range(n):
+        bit = 1 << k
+        row = masks[k]
+        for i in range(n):
+            if masks[i] & bit:
+                masks[i] |= row
+    return masks
+
+
 def oracle_scott_opens(p: FinitePoset) -> Topology:
     """The upper sets, found by testing every subset."""
     opens = []

@@ -194,6 +194,21 @@ def test_finite_verbs_match_their_golden_stdout(capsys, golden):
     assert out == golden.read_text(encoding="utf-8")
 
 
+# golden/argv/<name>.out holds the stdout of `ordtop <argv>`; made by the same argv
+ARGV_GOLDEN = {
+    "lhat-cert_eval-bound-20": ["lhat-cert", "--eval-bound", "20"],
+    "truncate-l_2x3_L": ["truncate-l", "--width", "2", "--depth", "3", "--mode", "L"],
+    "truncate-l_2x3_Lhat": ["truncate-l", "--width", "2", "--depth", "3", "--mode", "Lhat"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGV_GOLDEN))
+def test_symbolic_verbs_match_their_golden_stdout(capsys, name):
+    code, out = run(capsys, *ARGV_GOLDEN[name])
+    assert code == 0
+    assert out == (DATA / "golden" / "argv" / f"{name}.out").read_text(encoding="utf-8")
+
+
 ARABIC_INDIC_THREE = "\u0663"
 
 
@@ -231,6 +246,30 @@ def test_malformed_documents_are_input_errors(capsys, tmp_path, verb, document):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+HUGE = list(range(100000))
+
+
+@pytest.mark.parametrize("verb,document", [
+    pytest.param("check", json.dumps({"elements": ["a"], "covers": [HUGE]}).encode(),
+                 id="cover-entry"),
+    pytest.param("factor", _edited("model_2x1", lambda d: d["maxLabeling"].update({"(x1,y)": HUGE})),
+                 id="max-labeling-entry"),
+    pytest.param("diagonal", _edited("family_uniform3", lambda d: d[0].update(extraPhi=[HUGE])),
+                 id="extra-phi-entry"),
+    pytest.param("diagonal", _edited("family_uniform3", lambda d: d[0]["thresholds"].update(
+        default=HUGE)), id="threshold-default"),
+])
+def test_oversized_entries_keep_stderr_short(capsys, tmp_path, verb, document):
+    path = tmp_path / "doc.json"
+    path.write_bytes(document)
+    code = main([verb, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert len(captured.err.encode()) < 300
 
 
 def test_a_broken_triple_order_is_a_failed_verification(capsys, monkeypatch):

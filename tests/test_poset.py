@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordtop import (
+    MODE_L,
+    MODE_LHAT,
     CycleDetected,
     DuplicateLabel,
     EmptySet,
@@ -22,11 +24,20 @@ from ordtop import (
     poset_to_json,
     product,
     to_dot,
+    truncate_domain,
 )
 from ordtop.generate import all_posets, random_poset
-from ordtop.poset import _order_violation
+from ordtop.poset import _order_violation, _transitive_close
 
-from helpers import antichain, chain, diamond, oracle_directed_families, oracle_posets, vshape
+from helpers import (
+    antichain,
+    chain,
+    diamond,
+    oracle_directed_families,
+    oracle_posets,
+    oracle_transitive_close,
+    vshape,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -306,3 +317,64 @@ def test_random_poset_has_maximal_elements(seed, n):
     assert maximal == frozenset(
         x for x in p.elements if p.up_set([x]) == frozenset({x})
     )
+
+
+def _relations(n: int, pairs):
+    """Every relation on n points whose pairs are drawn from ``pairs``, as rows."""
+    for choice in range(1 << len(pairs)):
+        masks = [0] * n
+        for bit, (i, j) in enumerate(pairs):
+            if choice >> bit & 1:
+                masks[i] |= 1 << j
+        yield masks
+
+
+def _agrees_with_warshall(masks: list[int]) -> list[int]:
+    closed = list(masks)
+    _transitive_close(closed)
+    assert closed == oracle_transitive_close(masks), masks
+    return closed
+
+
+def test_closure_matches_warshall_on_every_small_relation():
+    for n in range(4):
+        for masks in _relations(n, [(i, j) for i in range(n) for j in range(n)]):
+            _agrees_with_warshall(masks)
+    for masks in _relations(4, [(i, j) for i in range(4) for j in range(4) if i != j]):
+        _agrees_with_warshall(masks)
+
+
+def test_closure_matches_warshall_on_random_cyclic_relations():
+    rng = Random(1972)
+    cyclic = 0
+    for _ in range(500):
+        n = rng.randint(5, 40)
+        density = rng.uniform(0.0, 4.0 / n)
+        masks = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+        closed = _agrees_with_warshall(masks)
+        cyclic += _order_violation(closed) is not None
+    assert 0 < cyclic < 500
+
+
+@pytest.mark.parametrize("width,depth", [(2, 6), (3, 5)])
+@pytest.mark.parametrize("mode", [MODE_L, MODE_LHAT])
+def test_closure_matches_warshall_on_truncation_covers(width, depth, mode):
+    p, _ = truncate_domain(width, depth, mode)
+    masks = [0] * len(p)
+    for low, high in p.covers():
+        masks[p.index(low)] |= 1 << p.index(high)
+    assert _agrees_with_warshall(masks) == list(p._up)
+
+
+@pytest.mark.parametrize("covers,message", [
+    # a chain e0 < ... < e39 whose top is sent back below e35
+    pytest.param([(f"e{i}", f"e{i + 1}") for i in range(39)] + [("e39", "e35")],
+                 "'e35' and 'e36' sit below each other", id="chain-back-edge"),
+    # a three-cycle on high indices, entered from a low one
+    pytest.param([("e30", "e38"), ("e38", "e33"), ("e33", "e30"), ("e2", "e30")],
+                 "'e30' and 'e33' sit below each other", id="three-cycle"),
+])
+def test_cycles_at_high_indices_keep_their_message(covers, message):
+    with pytest.raises(CycleDetected) as info:
+        build_poset([f"e{i}" for i in range(40)], covers)
+    assert str(info.value) == message

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,6 +109,41 @@ def test_selector_rejects_bad_values():
         Selector.from_mapping({-1: 0})
     with pytest.raises(ValueError):
         Selector(default=-2)
+
+
+def _scan(rule, i):
+    # the definition: an exception for chain i, else the default
+    for j, value in rule.exceptions:
+        if j == i:
+            return value
+    return rule.default
+
+
+def test_lookups_match_a_scan_of_the_exceptions():
+    rng = Random(2003)
+    for _ in range(300):
+        chains = rng.sample(range(60), rng.randint(0, 20))
+        default = rng.randint(0, 3)
+        selector = Selector.from_mapping({i: rng.randint(0, 4) for i in chains}, default)
+        threshold_default = rng.choice([None, 0, 1, 2])
+        rule = ThresholdRule.from_mapping(
+            {i: rng.choice([None, 0, 1, 2, 3]) for i in chains}, threshold_default
+        )
+        for i in range(80):
+            assert selector(i) == _scan(selector, i)
+            assert rule(i) == _scan(rule, i)
+
+
+def test_lookup_tables_leave_value_semantics_alone():
+    selector, fresh = (Selector.from_mapping({3: 1, 7: 4}, default=2) for _ in range(2))
+    rule, fresh_rule = (ThresholdRule.from_mapping({0: None, 5: 3}, 1) for _ in range(2))
+    assert selector(7) == 4 and rule(0) is None
+    assert selector == fresh and hash(selector) == hash(fresh) and repr(selector) == repr(fresh)
+    assert rule == fresh_rule and hash(rule) == hash(fresh_rule) and repr(rule) == repr(fresh_rule)
+    table = selector.exception_map()
+    table[3] = 99
+    assert selector(3) == 1 and selector.exception_map() == {3: 1, 7: 4}
+    assert selector.exception_map() is not selector.exception_map()
 
 
 def test_mode_membership_and_maximality():
