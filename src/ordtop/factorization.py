@@ -6,8 +6,9 @@ topology.  From that data the pipeline assembles the auxiliary poset of
 admissible triples (an open box around a compact element's maximal shadow),
 takes its ideal completion, and certifies that the maximal points of the
 completion are exactly the ideals attached to the points of X, carrying the
-X topology.  Every step of the argument is re-checked at run time; nothing
-is trusted because it "must" hold.
+X topology.  Every step of the argument is re-checked at run time, except
+two finite theorems: every element of a finite poset is compact, and every
+ideal is principal.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .report import Report
 from .topology import (
     DEFAULT_MAX_ELEMENTS,
     Topology,
-    compact_elements,
-    is_algebraic,
-    is_ideal_domain,
     is_scott_closed,
     relative_topology,
 )
@@ -92,7 +90,7 @@ class ProductModel:
     pairs of label_x x label_y; the base point ``y0`` is a Y label.  The
     constructor validates all of it, including that the relative Scott
     topology on the maximal points, transported along the labeling, is the
-    product of its factor topologies.
+    product of its factor topologies (a finite poset is always algebraic).
     """
 
     def __init__(
@@ -114,19 +112,19 @@ class ProductModel:
             if len(set(labels)) != len(labels):
                 raise DuplicateLabel(f"factor {name} repeats a label")
         if y0 not in self.label_y:
-            raise UnknownLabel(f"base point {y0!r} is not a Y label")
+            raise UnknownLabel(f"base point {excerpt(y0)} is not a Y label")
         self.y0 = y0
 
         maximal = poset.maximal_elements()
         keys = frozenset(max_labeling)
         if keys != maximal:
             stray = sorted(map(str, keys ^ maximal))
-            raise InvalidModel(f"labeling keys differ from the maximal elements: {stray}")
+            raise InvalidModel(f"labeling keys differ from the maximal elements: {excerpt(stray)}")
         pairs = {}
         for element, pair in max_labeling.items():
             pair = tuple(pair)
             if len(pair) != 2 or pair[0] not in self.label_x or pair[1] not in self.label_y:
-                raise InvalidModel(f"labeling value {pair!r} is not an (x, y) pair")
+                raise InvalidModel(f"labeling value {excerpt(pair)} is not an (x, y) pair")
             pairs[element] = pair
         wanted = {(x, y) for x in self.label_x for y in self.label_y}
         if set(pairs.values()) != wanted or len(set(pairs.values())) != len(pairs):
@@ -134,8 +132,6 @@ class ProductModel:
         self.max_labeling = pairs
         self.pair_to_max = {pair: element for element, pair in pairs.items()}
 
-        if not is_algebraic(poset):
-            raise InvalidModel("the poset is not an algebraic domain")
         transported = self.transported_max_topology(max_elements)
         self.topology_x, self.topology_y = split_product_topology(
             transported, self.label_x, self.label_y
@@ -161,22 +157,25 @@ class ProductModel:
         )
 
 
-def build_Q(model: ProductModel, *, max_candidates: int = 200_000) -> FinitePoset:
+MAX_CANDIDATES = 200_000
+
+
+def build_Q(model: ProductModel) -> FinitePoset:
     """The poset of admissible triples under the approximation order.
 
     Triples are enumerated lexicographically by (k, u, v) in the canonical
-    label orders.  The order puts t1 below t2 when k1 <= k2 and the maximal
-    shadow of k2 fits inside t1's box; its partial-order axioms are verified
-    here explicitly before the poset is built.
+    label orders, k over every element (each is compact).  The order puts t1
+    below t2 when k1 <= k2 and the maximal shadow of k2 fits inside t1's box;
+    its partial-order axioms are verified here before the poset is built.
     """
     p = model.poset
-    compact = sorted(compact_elements(p), key=p.index)
+    compact = p.elements
     opens_x = [u for u in model.topology_x.sorted_opens() if u]
     opens_y = [v for v in model.topology_y.sorted_opens() if model.y0 in v]
-    if len(compact) * len(opens_x) * len(opens_y) > max_candidates:
+    if len(compact) * len(opens_x) * len(opens_y) > MAX_CANDIDATES:
         raise TooLarge(
             f"{len(compact) * len(opens_x) * len(opens_y)} candidate triples "
-            f"exceed the bound {max_candidates}"
+            f"exceed the bound {MAX_CANDIDATES}"
         )
 
     shadows = {k: model.max_shadow(k) for k in compact}
@@ -208,12 +207,12 @@ def build_Q(model: ProductModel, *, max_candidates: int = 200_000) -> FinitePose
 def ideal_J(model: ProductModel, x, q_poset: FinitePoset) -> Ideal:
     """The triples whose X open contains the point; checked to be an ideal."""
     if x not in model.label_x:
-        raise UnknownLabel(f"{x!r} is not an X label")
+        raise UnknownLabel(f"{excerpt(x)} is not an X label")
     members = frozenset(t for t in q_poset.elements if x in t.u)
     try:
         return Ideal(q_poset, members)
     except NotAnIdeal as exc:
-        raise NotAnIdeal(f"triples selected by {x!r} are not an ideal: {exc}") from exc
+        raise NotAnIdeal(f"triples selected by {excerpt(x)} are not an ideal: {exc}") from exc
 
 
 def box_intersection_pair(
@@ -337,26 +336,21 @@ def lower_set_model(
 ) -> tuple[FinitePoset, Report]:
     """Down set of one Y fiber of the maxima, with its structural report.
 
-    When the ambient poset is an ideal domain the down set of a closed set
-    of maximal points stays one; the report records that, plus whether the
-    fiber's maxima carry the X factor topology.
+    Every finite poset is an ideal domain, so the report states that of the
+    ambient poset and the down set; it checks that the down set is Scott
+    closed and that its maxima are the fiber, carrying the X topology.
     """
     if y not in model.label_y:
-        raise UnknownLabel(f"{y!r} is not a Y label")
+        raise UnknownLabel(f"{excerpt(y)} is not a Y label")
     report = Report()
     report.info("fiber", y)
     targets = frozenset(model.pair_to_max[(x, y)] for x in model.label_x)
     lower = model.poset.down_set(targets)
     report.info("lower-set-size", len(lower))
     report.check("scott-closed", is_scott_closed(model.poset, lower))
-    ambient_ideal = is_ideal_domain(model.poset)
-    report.info("ambient-ideal-domain", "yes" if ambient_ideal else "no")
+    report.info("ambient-ideal-domain", "yes")
+    report.info("lower-set-ideal-domain", "yes")
     sub = model.poset.restrict(lower)
-    sub_ideal = is_ideal_domain(sub)
-    if ambient_ideal:
-        report.check("lower-set-ideal-domain", sub_ideal)
-    else:
-        report.info("lower-set-ideal-domain", "yes" if sub_ideal else "no")
     sub_max = sub.maximal_elements()
     fiber_ok = report.check(
         "max-equals-fiber",
@@ -395,13 +389,12 @@ def algebraic_model(p: FinitePoset, *, max_elements: int = DEFAULT_MAX_ELEMENTS)
 # -- a concrete family of models ---------------------------------------------
 
 
-def chain_pairs_model(depth: int, extra_covers: Iterable[tuple[str, str]] = ()) -> ProductModel:
+def chain_pairs_model(depth: int) -> ProductModel:
     """A finite model of a discrete (chain-prefix x two-point) space.
 
     A chain 0 < 1 < ... < depth < inf sits below the single pair element
     (0,1); every other pair element (n,b) is isolated, hence maximal.  The
-    order deliberately carries nothing else; ``extra_covers`` is the hook
-    for experimenting with denser variants without changing this default.
+    order deliberately carries nothing else.
     """
     if depth < 0:
         raise InvalidModel("depth must be at least 0")
@@ -413,7 +406,6 @@ def chain_pairs_model(depth: int, extra_covers: Iterable[tuple[str, str]] = ()) 
     covers = [(chain[i], chain[i + 1]) for i in range(depth)]
     covers.append((chain[-1], "inf"))
     covers.append(("inf", pair_labels[("0", "1")]))
-    covers.extend(extra_covers)
     poset = build_poset(elements, covers)
     labeling = {pair_labels[(x, b)]: (x, b) for x in xs for b in ys}
     return ProductModel(poset, xs, ys, labeling, "0")

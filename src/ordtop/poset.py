@@ -130,7 +130,7 @@ class FinitePoset:
         index: dict[Label, int] = {}
         for pos, label in enumerate(self.elements):
             if label in index:
-                raise DuplicateLabel(f"duplicate element label {label!r}")
+                raise DuplicateLabel(f"duplicate element label {excerpt(label)}")
             index[label] = pos
         self._index = index
         self._up = tuple(up_masks)
@@ -144,14 +144,14 @@ class FinitePoset:
         seen: dict[Label, int] = {}
         for pos, label in enumerate(elements):
             if label in seen:
-                raise DuplicateLabel(f"duplicate element label {label!r}")
+                raise DuplicateLabel(f"duplicate element label {excerpt(label)}")
             seen[label] = pos
         masks = [0] * len(elements)
         for low, high in covers:
             if low not in seen:
-                raise UnknownLabel(f"cover mentions unknown label {low!r}")
+                raise UnknownLabel(f"cover mentions unknown label {excerpt(low)}")
             if high not in seen:
-                raise UnknownLabel(f"cover mentions unknown label {high!r}")
+                raise UnknownLabel(f"cover mentions unknown label {excerpt(high)}")
             masks[seen[low]] |= 1 << seen[high]
         _transitive_close(masks)
         return cls._checked(elements, masks)
@@ -166,7 +166,7 @@ class FinitePoset:
         masks = [0] * len(elements)
         for a, b in pairs:
             if a not in seen or b not in seen:
-                raise UnknownLabel(f"relation mentions unknown pair ({a!r}, {b!r})")
+                raise UnknownLabel(f"relation mentions unknown pair ({excerpt(a)}, {excerpt(b)})")
             masks[seen[a]] |= 1 << seen[b]
         return cls._checked(elements, masks)
 
@@ -175,7 +175,7 @@ class FinitePoset:
         violation = _order_violation(masks)
         if violation is not None:
             axiom, at = violation
-            names = [repr(elements[k]) for k in at]
+            names = [excerpt(elements[k]) for k in at]
             if axiom == "antisymmetric":
                 raise CycleDetected(f"{' and '.join(names)} sit below each other")
             raise ValueError(f"relation is not {axiom} at {', '.join(names)}")
@@ -196,7 +196,7 @@ class FinitePoset:
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownLabel(f"no element labeled {label!r}") from None
+            raise UnknownLabel(f"no element labeled {excerpt(label)}") from None
 
     def le(self, a: Label, b: Label) -> bool:
         return self._up[self.index(a)] >> self.index(b) & 1 == 1
@@ -227,7 +227,7 @@ class FinitePoset:
         for label in labels:
             pos = self._index.get(label)
             if pos is None:
-                raise ForeignSet(f"label {label!r} is not an element of this poset")
+                raise ForeignSet(f"label {excerpt(label)} is not an element of this poset")
             mask |= 1 << pos
         return mask
 
@@ -378,7 +378,7 @@ def _refined_colors(p: FinitePoset) -> list[int]:
 
 
 def find_order_isomorphism(p: FinitePoset, q: FinitePoset) -> dict[Label, Label] | None:
-    """A label bijection preserving order in both directions, or None."""
+    """A label bijection preserving order both ways, or None (backtracking; tests only)."""
     if len(p) != len(q):
         return None
     cp, cq = _refined_colors(p), _refined_colors(q)
@@ -460,7 +460,8 @@ def load_json(path: str) -> object:
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an over-long integer
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 

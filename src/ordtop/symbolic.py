@@ -602,9 +602,12 @@ def open_to_json(open_set: SymbolicOpen) -> dict:
 
 
 def _parse_index(key: str) -> int:
-    if not isinstance(key, str) or not key.isascii() or not key.isdigit():
-        raise FormatError(f"chain index {excerpt(key)} must be a base-10 natural number")
-    return int(key)
+    if isinstance(key, str) and key.isascii() and key.isdigit():
+        try:
+            return int(key)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise FormatError(f"chain index {excerpt(key)} must be a base-10 natural number")
 
 
 def open_from_json(data: object) -> SymbolicOpen:
@@ -618,7 +621,7 @@ def open_from_json(data: object) -> SymbolicOpen:
     if not isinstance(raw_exceptions, dict):
         raise FormatError('"exceptions" must be an object keyed by chain index')
     exceptions = {
-        _parse_index(key): _nat_or_none(value, f"threshold exception {key}")
+        _parse_index(key): _nat_or_none(value, f"threshold exception {excerpt(key)}")
         for key, value in raw_exceptions.items()
     }
     all_level1 = data.get("allPhiLevel1", False)
@@ -633,7 +636,7 @@ def open_from_json(data: object) -> SymbolicOpen:
             raise FormatError(f"malformed extraPhi entry {excerpt(entry)}")
         conds = {}
         for key, value in entry.get("conds", {}).items():
-            minimum = _nat_or_none(value, f"cylinder minimum {key}")
+            minimum = _nat_or_none(value, f"cylinder minimum {excerpt(key)}")
             if minimum is None:
                 raise FormatError("cylinder minimums cannot be null")
             conds[_parse_index(key)] = minimum

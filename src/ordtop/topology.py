@@ -215,7 +215,7 @@ def way_below(p: FinitePoset, x: Label, y: Label) -> bool:
 
 
 def compact_elements(p: FinitePoset) -> frozenset[Label]:
-    """Elements way below themselves."""
+    """Elements way below themselves (the definition; no default path calls it)."""
     return frozenset(x for x in p.elements if way_below(p, x, x))
 
 
@@ -223,7 +223,7 @@ def compact_elements(p: FinitePoset) -> frozenset[Label]:
 
 
 def is_continuous(p: FinitePoset) -> bool:
-    """Every element is the directed supremum of its approximants."""
+    """Every element is the directed supremum of its approximants (the definition; tests only)."""
     for x in p.elements:
         approx = frozenset(y for y in p.elements if way_below(p, y, x))
         if not p.is_directed(approx) or p.supremum(approx) != x:
@@ -232,7 +232,7 @@ def is_continuous(p: FinitePoset) -> bool:
 
 
 def is_algebraic(p: FinitePoset) -> bool:
-    """Every element is the directed supremum of its compact approximants."""
+    """Every element is the directed sup of compact approximants (the definition; tests only)."""
     compact = compact_elements(p)
     for x in p.elements:
         approx = frozenset(a for a in compact if p.le(a, x))
@@ -242,7 +242,7 @@ def is_algebraic(p: FinitePoset) -> bool:
 
 
 def is_ideal_domain(p: FinitePoset) -> bool:
-    """A continuous dcpo in which every element is compact or maximal."""
+    """A continuous dcpo whose elements are compact or maximal (the definition; tests only)."""
     if not is_continuous(p):
         return False
     compact = compact_elements(p)

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,9 @@ def test_size_guard_is_an_input_error(capsys, tmp_path):
     big.write_text(json.dumps({"elements": labels, "covers": covers}))
     code, _ = run(capsys, "topology", "--input", big)
     assert code == 2
+    big.write_text(json.dumps({"elements": labels[:21], "covers": covers[:20]}))
+    code, _ = run(capsys, "idl", "--input", big)
+    assert code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -192,6 +196,26 @@ def test_finite_verbs_match_their_golden_stdout(capsys, golden):
     code, out = run(capsys, verb, "--input", DATA / f"{stem}.json")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+# the definitions that the finite theorems stand in for; no verb may call them
+REFERENCES = ("is_continuous", "is_algebraic", "is_ideal_domain", "compact_elements",
+              "all_ideals", "find_order_isomorphism")
+THEOREM_VERBS = [g for g in GOLDEN if g.stem.partition("_")[0] in ("check", "idl", "factor",
+                                                                   "lower-model")]
+
+
+@pytest.mark.parametrize("golden", THEOREM_VERBS, ids=[g.stem for g in THEOREM_VERBS])
+def test_finite_verbs_state_theorems_without_the_definitions(capsys, monkeypatch, golden):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reference definition ran on a default path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "ordtop" or name.startswith("ordtop."):
+            for attr in REFERENCES:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    test_finite_verbs_match_their_golden_stdout(capsys, golden)
 
 
 # golden/argv/<name>.out holds the stdout of `ordtop <argv>`; made by the same argv
@@ -249,22 +273,42 @@ def test_malformed_documents_are_input_errors(capsys, tmp_path, verb, document):
 
 
 HUGE = list(range(100000))
+LONG = "L" * 200000
 
 
-@pytest.mark.parametrize("verb,document", [
-    pytest.param("check", json.dumps({"elements": ["a"], "covers": [HUGE]}).encode(),
+@pytest.mark.parametrize("argv,document", [
+    pytest.param(["check"], json.dumps({"elements": ["a"], "covers": [HUGE]}).encode(),
                  id="cover-entry"),
-    pytest.param("factor", _edited("model_2x1", lambda d: d["maxLabeling"].update({"(x1,y)": HUGE})),
-                 id="max-labeling-entry"),
-    pytest.param("diagonal", _edited("family_uniform3", lambda d: d[0].update(extraPhi=[HUGE])),
+    pytest.param(["factor"], _edited("model_2x1", lambda d: d["maxLabeling"].update(
+        {"(x1,y)": HUGE})), id="max-labeling-entry"),
+    pytest.param(["diagonal"], _edited("family_uniform3", lambda d: d[0].update(extraPhi=[HUGE])),
                  id="extra-phi-entry"),
-    pytest.param("diagonal", _edited("family_uniform3", lambda d: d[0]["thresholds"].update(
+    pytest.param(["diagonal"], _edited("family_uniform3", lambda d: d[0]["thresholds"].update(
         default=HUGE)), id="threshold-default"),
+    pytest.param(["check"], json.dumps({"elements": [LONG, LONG], "covers": []}).encode(),
+                 id="duplicate-label"),
+    pytest.param(["check"], json.dumps({"elements": ["a"], "covers": [["a", LONG]]}).encode(),
+                 id="unknown-cover-label"),
+    pytest.param(["factor"], _edited("model_2x1", lambda d: d["maxLabeling"].update(
+        {"(x1,y)": [LONG, "y"]})), id="max-labeling-value"),
+    pytest.param(["factor"], _edited("model_2x1", lambda d: d["maxLabeling"].update(
+        {LONG: ["x1", "y"]})), id="max-labeling-key"),
+    pytest.param(["factor"], _edited("model_2x1", lambda d: d.update(y0=LONG)), id="base-point"),
+    pytest.param(["lower-model", "--y0", LONG], _edited("model_2x1", lambda d: None),
+                 id="y0-flag"),
+    pytest.param(["diagonal"], _edited("family_uniform3", lambda d: d[0]["thresholds"].update(
+        exceptions={"1" * 4000: -1})), id="threshold-exception-key"),
+    pytest.param(["diagonal"], _edited("family_uniform3", lambda d: d[0]["thresholds"].update(
+        exceptions={"1" * 200000: 1})), id="chain-index-past-the-digit-limit"),
+    pytest.param(["diagonal"], _edited("family_uniform3", lambda d: d[0].update(
+        extraPhi=[{"conds": {LONG: -1}, "levels": [1]}])), id="cylinder-minimum-key"),
+    pytest.param(["check"], b'{"elements": [], "covers": [], "n": ' + b"1" * 5000 + b"}",
+                 id="integer-past-the-digit-limit"),
 ])
-def test_oversized_entries_keep_stderr_short(capsys, tmp_path, verb, document):
+def test_oversized_entries_keep_stderr_short(capsys, tmp_path, argv, document):
     path = tmp_path / "doc.json"
     path.write_bytes(document)
-    code = main([verb, "--input", str(path)])
+    code = main([argv[0], "--input", str(path), *argv[1:]])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")

@@ -343,7 +343,9 @@ def test_lower_set_models_of_both_fibers():
 
 
 def test_lower_set_model_with_extra_covers():
-    m = chain_pairs_model(1, extra_covers=[("0", "(1,0)")])
+    base = chain_pairs_model(1)
+    poset = build_poset(base.poset.elements, base.poset.covers() + (("0", "(1,0)"),))
+    m = ProductModel(poset, base.label_x, base.label_y, base.max_labeling, base.y0)
     sub, report = lower_set_model(m, "0")
     assert report.ok
     assert "0" in sub.elements

@@ -1,22 +1,15 @@
-import json
-from types import SimpleNamespace
-
 import pytest
 
-import ordtop.ideals
 from ordtop import (
     Ideal,
     NotAnIdeal,
     UnknownLabel,
-    VerificationFailed,
     all_ideals,
     compact_elements,
     find_order_isomorphism,
     idl_poset,
-    poset_to_json,
     principal_ideal,
 )
-from ordtop.cli import main
 from ordtop.generate import all_posets
 
 from helpers import antichain, chain, diamond, oracle_all_ideals, oracle_posets, vshape
@@ -35,6 +28,17 @@ def test_all_ideals_match_the_subset_sweep():
             oracle_all_ideals(p),
             key=lambda m: (len(m), sorted(p.index(e) for e in m)),
         ), p.covers()
+
+
+def test_completion_lists_every_ideal_in_the_order_of_all_ideals():
+    for p in oracle_posets():
+        completion, embedding = idl_poset(p)
+        swept = sorted(oracle_all_ideals(p), key=lambda m: (len(m), sorted(p.index(e) for e in m)))
+        assert list(completion.elements) == [i.members for i in all_ideals(p)] == swept, p.covers()
+        for a in completion.elements:
+            for b in completion.elements:
+                assert completion.le(a, b) == (a <= b)
+        assert embedding == {e: p.down_set([e]) for e in p.elements}
 
 
 def test_diamond_has_four_ideals():
@@ -92,17 +96,3 @@ def test_completion_embedding_preserves_and_reflects_order():
 def test_completion_elements_are_compact():
     completion, _ = idl_poset(diamond())
     assert compact_elements(completion) == frozenset(completion.elements)
-
-
-def test_completion_with_a_non_principal_ideal_fails_verification(monkeypatch, tmp_path, capsys):
-    p = antichain(2)
-    # {a0, a1} is a lower set that no single element generates
-    family = [SimpleNamespace(members=m) for m in
-              (frozenset({"a0"}), frozenset({"a1"}), frozenset({"a0", "a1"}))]
-    monkeypatch.setattr(ordtop.ideals, "all_ideals", lambda base, max_elements: family)
-    with pytest.raises(VerificationFailed, match="not principal"):
-        idl_poset(p)
-    path = tmp_path / "antichain.json"
-    path.write_text(json.dumps(poset_to_json(p)))
-    assert main(["idl", "--input", str(path)]) == 1
-    assert "not principal" in capsys.readouterr().err

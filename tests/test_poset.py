@@ -1,7 +1,9 @@
 import json
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,12 +24,13 @@ from ordtop import (
     load_poset,
     poset_from_json,
     poset_to_json,
+    principal_ideal,
     product,
     to_dot,
     truncate_domain,
 )
 from ordtop.generate import all_posets, random_poset
-from ordtop.poset import _order_violation, _transitive_close
+from ordtop.poset import _iter_bits, _order_violation, _transitive_close
 
 from helpers import (
     antichain,
@@ -75,6 +78,23 @@ def test_unknown_label():
 def test_foreign_set():
     with pytest.raises(ForeignSet):
         chain(2).up_set(["c0", "nope"])
+
+
+def test_messages_cut_long_labels_short():
+    long = "L" * 200000
+    p = chain(2)
+    calls = [
+        (UnknownLabel, lambda: p.index(long)),
+        (ForeignSet, lambda: p.mask_of([long])),
+        (UnknownLabel, lambda: principal_ideal(p, long)),
+        (UnknownLabel, lambda: FinitePoset.from_relation(["a"], [("a", long)])),
+        (DuplicateLabel, lambda: FinitePoset([long, long], [1, 2])),
+        (CycleDetected, lambda: build_poset([long, "b"], [(long, "b"), ("b", long)])),
+    ]
+    for error, call in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert len(str(info.value)) < 300
 
 
 def test_up_and_down_sets():
@@ -378,3 +398,59 @@ def test_cycles_at_high_indices_keep_their_message(covers, message):
     with pytest.raises(CycleDetected) as info:
         build_poset([f"e{i}" for i in range(40)], covers)
     assert str(info.value) == message
+
+
+# -- networkx as a second oracle ------------------------------------------------
+
+
+def _digraph(p: FinitePoset, edges) -> nx.DiGraph:
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(p)))
+    g.add_edges_from(edges)
+    return g
+
+
+def _hasse(p: FinitePoset) -> nx.DiGraph:
+    return _digraph(p, ((p.index(a), p.index(b)) for a, b in p.covers()))
+
+
+def test_covers_and_maxima_match_the_networkx_reduction():
+    for p in oracle_posets():
+        n = len(p)
+        strict = _digraph(p, ((i, j) for i in range(n) for j in _iter_bits(p._up[i]) if i != j))
+        reduction = nx.transitive_reduction(strict)
+        assert set(reduction.edges) == set(_hasse(p).edges), p.covers()
+        sinks = {p.elements[i] for i in reduction.nodes if reduction.out_degree(i) == 0}
+        assert p.maximal_elements() == sinks, p.covers()
+
+
+def test_closure_matches_the_networkx_closure_of_the_covers():
+    for p in oracle_posets():
+        hasse = _hasse(p)
+        masks = [sum(1 << j for j in hasse.successors(i)) for i in range(len(p))]
+        _transitive_close(masks)
+        closure = nx.transitive_closure_dag(hasse)
+        assert masks == [1 << i | sum(1 << j for j in closure.successors(i))
+                         for i in range(len(p))], p.covers()
+
+
+def test_isomorphism_search_matches_networkx_on_hasse_diagrams():
+    # each poset against every other of its size, and against a shuffled copy
+    rng = Random(1966)
+    by_size: dict[int, list[FinitePoset]] = {}
+    for p in oracle_posets():
+        by_size.setdefault(len(p), []).append(p)
+    pairs = [pair for posets in by_size.values() for pair in combinations(posets, 2)]
+    for p in oracle_posets():
+        shuffled = list(p.elements)
+        rng.shuffle(shuffled)
+        pairs.append((p, build_poset(shuffled, p.covers())))
+    found = 0
+    for p, q in pairs:
+        iso = find_order_isomorphism(p, q)
+        assert (iso is not None) == nx.is_isomorphic(_hasse(p), _hasse(q)), (p.covers(), q.covers())
+        if iso is not None:
+            found += 1
+            assert sorted(iso.values(), key=q.index) == list(q.elements)
+            assert all(p.le(a, b) == q.le(iso[a], iso[b]) for a in p.elements for b in p.elements)
+    assert found >= len(oracle_posets())

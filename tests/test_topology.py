@@ -144,15 +144,16 @@ def test_way_below_coincides_with_the_order_when_finite():
 
 
 def test_every_element_of_a_finite_poset_is_compact():
-    for p in all_posets(4):
+    for p in oracle_posets():
         assert compact_elements(p) == frozenset(p.elements)
+        assert all(oracle_way_below(p, x, x) for x in p.elements), p.covers()
 
 
 def test_finite_posets_are_continuous_algebraic_ideal_domains():
-    for p in all_posets(4):
-        assert is_continuous(p)
-        assert is_algebraic(p)
-        assert is_ideal_domain(p)
+    for p in oracle_posets():
+        assert is_continuous(p), p.covers()
+        assert is_algebraic(p), p.covers()
+        assert is_ideal_domain(p), p.covers()
 
 
 def test_bounded_completeness_examples():
@@ -192,9 +193,12 @@ def test_relative_topology_traces_every_oracle_open():
 
 
 def test_relative_topology_on_maxima_is_discrete():
-    for p in [diamond(), vshape(), chain(4), antichain(3)]:
-        rel = relative_topology(p, p.maximal_elements())
-        assert rel.is_discrete
+    for p in oracle_posets():
+        maximal = p.maximal_elements()
+        rel = relative_topology(p, maximal)
+        assert rel.is_discrete, p.covers()
+        traces = {u & maximal for u in oracle_scott_opens(p).opens}
+        assert traces == set(_subsets(maximal)), p.covers()
 
 
 def test_relative_topology_keeps_ambient_traces():
