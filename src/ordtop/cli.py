@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import add, and_, itemgetter, rshift
+from typing import Iterator, Sequence
 
 from .errors import (
     CycleDetected,
@@ -25,10 +27,11 @@ from .errors import (
     TooLarge,
     UnknownLabel,
     VerificationFailed,
+    excerpt,
 )
-from .factorization import factor_model, lower_set_model, model_from_json
+from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
 from .ideals import idl_poset
-from .poset import label_text, load_json, load_poset, poset_to_json, to_dot
+from .poset import _mirror, label_text, load_json, load_poset, poset_to_json, to_dot
 from .symbolic import (
     MODE_L,
     MODE_LHAT,
@@ -40,6 +43,7 @@ from .symbolic import (
 )
 from .topology import (
     DEFAULT_MAX_ELEMENTS,
+    Topology,
     is_bounded_complete,
     relative_topology,
     scott_opens,
@@ -68,10 +72,27 @@ def _yn(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _render_set(labels: Iterable, order: Sequence) -> str:
-    position = {e: i for i, e in enumerate(order)}
-    inner = ",".join(label_text(e) for e in sorted(labels, key=position.__getitem__))
-    return "{" + inner + "}"
+def _set_texts(points: Sequence, masks: Sequence[int]) -> Iterator[str]:
+    """The points of each mask as ``a,b``, in position order.
+
+    A mask holds position i at bit n - 1 - i, as ``Topology.open_masks``
+    does.  Each 8-bit chunk is looked up in a table of the texts its points
+    can spell (each with a leading comma), built once from each point's
+    ``label_text``, and the chunks are joined from the lowest positions up.
+    The per-mask work is ``map`` over ``operator`` functions, so no Python
+    bytecode runs per mask.
+    """
+    n = len(points)
+    texts: Iterator[str] = repeat("", len(masks))
+    for shift in reversed(range(0, n, 8)):
+        # bit b of the chunk holds position n - 1 - shift - b, so its higher bits print first
+        table = [""]
+        for b in range(min(8, n - shift)):
+            text = "," + label_text(points[n - 1 - shift - b])
+            table += [text + rest for rest in table]
+        chunk = map(and_, map(rshift, masks, repeat(shift)), repeat(255))
+        texts = map(add, texts, map(table.__getitem__, chunk))
+    return map(itemgetter(slice(1, None)), texts)
 
 
 def _witness_text(selector: Selector) -> str:
@@ -93,17 +114,23 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"compact-count: {len(p)}")
     maximal = p.maximal_elements()
     print(f"max-count: {len(maximal)}")
-    print(f"maximal: {_render_set(maximal, p.elements)}")
+    [text] = _set_texts(p.elements, [_mirror(p.mask_of(maximal), len(p))])
+    print(f"maximal: {{{text}}}")
     return 0
+
+
+def _print_opens(topology: Topology) -> None:
+    """One ``open: {...}`` line per open, in the canonical order, in one write."""
+    texts = _set_texts(topology.space, topology.open_masks)
+    sys.stdout.write("open: {" + "}\nopen: {".join(texts) + "}\n")
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
     p = load_poset(args.input)
     topology = scott_opens(p, args.max_elements)
     print(f"elements: {len(p)}")
-    print(f"open-count: {len(topology.opens)}")
-    for u in topology.sorted_opens():
-        print(f"open: {_render_set(u, topology.space)}")
+    print(f"open-count: {len(topology.open_masks)}")
+    _print_opens(topology)
     return 0
 
 
@@ -112,10 +139,9 @@ def cmd_maxspace(args: argparse.Namespace) -> int:
     maximal = p.maximal_elements()
     rel = relative_topology(p, maximal, args.max_elements)
     print(f"max-count: {len(rel.space)}")
-    print(f"open-count: {len(rel.opens)}")
+    print(f"open-count: {len(rel.open_masks)}")
     print(f"discrete: {_yn(rel.is_discrete)}")
-    for u in rel.sorted_opens():
-        print(f"open: {_render_set(u, rel.space)}")
+    _print_opens(rel)
     return 0
 
 
@@ -126,8 +152,9 @@ def cmd_idl(args: argparse.Namespace) -> int:
     print(f"ideal-count: {len(completion)}")
     # every ideal is principal, and down(a) <= down(b) exactly when a <= b
     print("isomorphic-to-base: yes")
-    for e in p.elements:
-        print(f"principal {label_text(e)}: {_render_set(embedding[e], p.elements)}")
+    masks = [_mirror(p.mask_of(embedding[e]), len(p)) for e in p.elements]
+    for e, text in zip(p.elements, _set_texts(p.elements, masks)):
+        print(f"principal {label_text(e)}: {{{text}}}")
     return 0
 
 
@@ -142,9 +169,19 @@ def cmd_factor(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _y_label(model: ProductModel, text: str):
+    """The one Y label whose ``label_text`` is the flag's text; labels need not be strings."""
+    named = [y for y in model.label_y if label_text(y) == text]
+    if not named:
+        raise UnknownLabel(f"{excerpt(text)} is not a Y label")
+    if len(named) > 1:
+        raise UnknownLabel(f"{excerpt(text)} names {len(named)} Y labels")
+    return named[0]
+
+
 def cmd_lower_model(args: argparse.Namespace) -> int:
     model = model_from_json(load_json(args.input), max_elements=args.max_elements)
-    fiber = model.y0 if args.y0 is None else args.y0
+    fiber = model.y0 if args.y0 is None else _y_label(model, args.y0)
     sub, report = lower_set_model(model, fiber, max_elements=args.max_elements)
     print(report.render())
     print(f"verified: {_yn(report.ok)}")

@@ -33,6 +33,11 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mirror(mask: int, n: int) -> int:
+    """The mask over n positions with bit i moved to bit n - 1 - i."""
+    return sum(1 << (n - 1 - i) for i in _iter_bits(mask))
+
+
 def _transitive_close(masks: list[int]) -> None:
     """Replace each row by its reflexive-transitive closure, in place.
 

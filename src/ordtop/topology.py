@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ForeignSet, TooLarge
-from .poset import FinitePoset, Label, _iter_bits, _order_violation
+from .poset import FinitePoset, Label, _iter_bits, _mirror, _order_violation
 
 DEFAULT_MAX_ELEMENTS = 20
 
@@ -35,9 +35,9 @@ class Topology:
 
     ``space`` fixes the point order used everywhere; ``around[i]`` is a
     bitmask over those positions holding the smallest open around
-    ``space[i]``.  The opens are the unions of these rows, built on first
-    use.  ``validate`` checks that the rows nest; ``from_opens`` is the way
-    in for an explicit open family.
+    ``space[i]``.  The opens are the unions of these rows, listed on first
+    use as ``open_masks``.  ``validate`` checks that the rows nest;
+    ``from_opens`` is the way in for an explicit open family.
     """
 
     def __init__(self, space: Iterable, around: Iterable[int]):
@@ -93,13 +93,33 @@ class Topology:
         return Topology(space, around)
 
     @cached_property
+    def open_masks(self) -> tuple[int, ...]:
+        """Every open as a mask, in the canonical order: by size, then by sorted positions.
+
+        Here position i sits at bit n - 1 - i, so the rows are mirrored once
+        each before their unions are taken.  Of two opens of one size, the one
+        holding the lowest differing position comes first, and that is the
+        larger integer: each size class is a plain descending sort.
+        """
+        n = len(self.space)
+        by_size: list[list[int]] = [[] for _ in range(n + 1)]
+        for mask in _union_closure(_mirror(row, n) for row in self.around):
+            by_size[mask.bit_count()].append(mask)
+        ordered: list[int] = []
+        for same in by_size:
+            same.sort(reverse=True)
+            ordered += same
+        return tuple(ordered)
+
+    @cached_property
     def opens(self) -> frozenset[frozenset]:
         """Every open set: the unions of the smallest opens."""
-        return frozenset(self.labels_of(mask) for mask in _union_closure(self.around))
+        return frozenset(self.sorted_opens())
 
     def sorted_opens(self) -> list[frozenset]:
-        """Opens ordered by size then point positions; the canonical order."""
-        return sorted(self.opens, key=lambda u: (len(u), tuple(sorted(self._pos[x] for x in u))))
+        """The opens as label sets, in the canonical order of ``open_masks``."""
+        backwards = self.space[::-1]
+        return [frozenset(backwards[b] for b in _iter_bits(mask)) for mask in self.open_masks]
 
     def validate(self) -> None:
         """Raise ValueError unless the rows nest: they must form a preorder."""

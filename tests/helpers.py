@@ -13,6 +13,7 @@ from ordtop import (
 )
 from ordtop.generate import all_posets, random_poset
 from ordtop.poset import _iter_bits
+from ordtop.topology import _union_closure
 
 
 def chain(n: int) -> FinitePoset:
@@ -36,6 +37,14 @@ def vshape() -> FinitePoset:
     return build_poset(
         ["a", "b", "t1", "t2"],
         [("a", "t1"), ("a", "t2"), ("b", "t1"), ("b", "t2")],
+    )
+
+
+def numeric_poset() -> FinitePoset:
+    """Ten numeric points whose texts sort apart from their positions ("10" < "100" < "2")."""
+    return build_poset(
+        [10, 9, 100, 2, 30, 2.5, 1, 20, 0, 11],
+        [(10, 9), (9, 100), (2, 30), (2.5, 1), (0, 11), (0, 20), (1, 20)],
     )
 
 
@@ -96,6 +105,13 @@ def oracle_scott_opens(p: FinitePoset) -> Topology:
         if all(p._up[i] & ~mask == 0 for i in _iter_bits(mask)):
             opens.append(p.labels_of(mask))
     return Topology.from_opens(p.elements, opens)
+
+
+def oracle_sorted_opens(topology: Topology) -> list[frozenset]:
+    """The unions of the smallest opens as label sets, sorted by size, then sorted positions."""
+    pos = {pt: i for i, pt in enumerate(topology.space)}
+    opens = {topology.labels_of(mask) for mask in _union_closure(topology.around)}
+    return sorted(opens, key=lambda u: (len(u), tuple(sorted(pos[x] for x in u))))
 
 
 @lru_cache(maxsize=None)

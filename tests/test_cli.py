@@ -1,11 +1,14 @@
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
 
-from ordtop import ProductModel
-from ordtop.cli import main
+from ordtop import ProductModel, Topology, label_text, relative_topology, scott_opens
+from ordtop.cli import _set_texts, main
+
+from helpers import antichain, chain, numeric_poset, oracle_posets, oracle_sorted_opens
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = sorted((DATA / "golden").glob("*.out"))
@@ -73,6 +76,48 @@ def test_lower_model_defaults_to_the_base_point(capsys):
 def test_lower_model_unknown_fiber_is_an_input_error(capsys):
     code, _ = run(capsys, "lower-model", "--input", DATA / "model_2x1.json", "--y0", "zzz")
     assert code == 2
+
+
+def _numeric_fibers(*labels):
+    # model_3x2 with its Y labels y1, y2 renamed to the given JSON values
+    def edit(d):
+        rename = dict(zip(d["labelY"], labels))
+        d["labelY"] = list(labels)
+        d["maxLabeling"] = {k: [x, rename[y]] for k, (x, y) in d["maxLabeling"].items()}
+        d["y0"] = rename[d["y0"]]
+    return _edited("model_3x2", edit)
+
+
+def _lower_model(capsys, tmp_path, document, *flags):
+    path = tmp_path / "model.json"
+    path.write_bytes(document)
+    code = main(["lower-model", "--input", str(path), *flags])
+    return code, capsys.readouterr()
+
+
+def test_lower_model_names_a_numeric_fiber_by_its_text(capsys, tmp_path):
+    document = _numeric_fibers(7, 8)
+    code, captured = _lower_model(capsys, tmp_path, document, "--y0", "8")
+    assert code == 0
+    assert "fiber: 8" in captured.out and "verified: yes" in captured.out
+    # the base point 7, named by the flag or taken by default
+    flagged = _lower_model(capsys, tmp_path, document, "--y0", "7")
+    assert flagged == _lower_model(capsys, tmp_path, document)
+    assert flagged[0] == 0
+
+
+def test_lower_model_flag_matching_no_fiber_is_an_input_error(capsys, tmp_path):
+    code, captured = _lower_model(capsys, tmp_path, _numeric_fibers(7, 8), "--y0", "9")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: '9' is not a Y label\n"
+
+
+def test_lower_model_flag_matching_two_fibers_is_an_input_error(capsys, tmp_path):
+    code, captured = _lower_model(capsys, tmp_path, _numeric_fibers(7, "7"), "--y0", "7")
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: '7' names 2 Y labels\n"
 
 
 def test_diagonal_prints_the_witness(capsys):
@@ -196,6 +241,41 @@ def test_finite_verbs_match_their_golden_stdout(capsys, golden):
     code, out = run(capsys, verb, "--input", DATA / f"{stem}.json")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+LISTING_VERBS = [g for g in GOLDEN if g.stem.partition("_")[0] in ("topology", "maxspace")]
+
+
+@pytest.mark.parametrize("golden", LISTING_VERBS, ids=[g.stem for g in LISTING_VERBS])
+def test_listing_verbs_never_build_the_label_set_family(capsys, monkeypatch, golden):
+    def refuse(self):
+        raise AssertionError("Topology.opens built on a listing path")
+
+    spied = cached_property(refuse)
+    spied.__set_name__(Topology, "opens")
+    monkeypatch.setattr(Topology, "opens", spied)
+    test_finite_verbs_match_their_golden_stdout(capsys, golden)
+
+
+CHUNK_EDGES = (0, 1, 7, 8, 9, 15, 16, 17)  # around the 8-bit chunks of the text tables
+LISTINGS = {
+    "oracle-posets": lambda: [t for p in oracle_posets()
+                              for t in (scott_opens(p), relative_topology(p, p.maximal_elements()))],
+    **{f"discrete-{n}": (lambda n=n: [scott_opens(antichain(n))]) for n in CHUNK_EDGES},
+    **{f"chain-{n}": (lambda n=n: [scott_opens(chain(n))]) for n in CHUNK_EDGES},
+    "numeric-labels": lambda: [scott_opens(numeric_poset()),
+                               relative_topology(numeric_poset(), [100, 2.5, 20, 11, 30])],
+}
+
+
+@pytest.mark.parametrize("name", list(LISTINGS))
+def test_open_listings_match_the_frozenset_sort(name):
+    # no two opens share a text here, so equal texts mean the same opens in the same order
+    for t in LISTINGS[name]():
+        position = {pt: i for i, pt in enumerate(t.space)}
+        texts = [",".join(label_text(x) for x in sorted(u, key=position.__getitem__))
+                 for u in oracle_sorted_opens(t)]
+        assert list(_set_texts(t.space, t.open_masks)) == texts, t.around
 
 
 # the definitions that the finite theorems stand in for; no verb may call them

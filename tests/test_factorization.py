@@ -164,16 +164,17 @@ def test_factor_topologies_of_a_discrete_model_are_discrete():
 
 
 def test_factor_pipeline_lists_opens_only_on_the_factor_spaces(monkeypatch):
+    # every open family is listed through Topology.open_masks
     listed = []
-    build = Topology.opens.func
+    build = Topology.open_masks.func
 
     def spy(self):
         listed.append(len(self.space))
         return build(self)
 
     spied = cached_property(spy)
-    spied.__set_name__(Topology, "opens")
-    monkeypatch.setattr(Topology, "opens", spied)
+    spied.__set_name__(Topology, "open_masks")
+    monkeypatch.setattr(Topology, "open_masks", spied)
     m = discrete_model(5, 3)
     assert factor_model(m)[2].ok
     assert lower_set_model(m, "y0")[1].ok

@@ -30,7 +30,7 @@ from ordtop import (
     truncate_domain,
 )
 from ordtop.generate import all_posets, random_poset
-from ordtop.poset import _iter_bits, _order_violation, _transitive_close
+from ordtop.poset import _dot_quote, _iter_bits, _order_violation, _transitive_close
 
 from helpers import (
     antichain,
@@ -454,3 +454,17 @@ def test_isomorphism_search_matches_networkx_on_hasse_diagrams():
             assert sorted(iso.values(), key=q.index) == list(q.elements)
             assert all(p.le(a, b) == q.le(iso[a], iso[b]) for a in p.elements for b in p.elements)
     assert found >= len(oracle_posets())
+
+
+def test_dot_edges_match_the_networkx_reduction():
+    # the strict order from le(), not from covers(), reduced by networkx
+    for p in oracle_posets():
+        strict = nx.DiGraph()
+        strict.add_nodes_from(p.elements)
+        strict.add_edges_from((a, b) for a in p.elements for b in p.elements if p.lt(a, b))
+        expected = {f"  {_dot_quote(label_text(a))} -> {_dot_quote(label_text(b))};"
+                    for a, b in nx.transitive_reduction(strict).edges}
+        lines = to_dot(p).splitlines()
+        edges = [line for line in lines if " -> " in line]
+        assert len(edges) == len(expected) and set(edges) == expected, p.covers()
+        assert lines[2:2 + len(p)] == [f"  {_dot_quote(label_text(x))};" for x in p.elements]

@@ -28,12 +28,14 @@ from helpers import (
     antichain,
     chain,
     diamond,
+    numeric_poset,
     oracle_is_bounded_complete,
     oracle_is_gdelta,
     oracle_is_scott_closed,
     oracle_is_scott_open,
     oracle_posets,
     oracle_scott_opens,
+    oracle_sorted_opens,
     oracle_way_below,
     vshape,
 )
@@ -222,6 +224,23 @@ def test_from_opens_rebuilds_the_smallest_opens():
     for p in oracle_posets():
         t = scott_opens(p)
         assert Topology.from_opens(t.space, t.opens) == t, p.covers()
+
+
+def test_open_masks_hold_position_i_at_bit_n_minus_1_minus_i():
+    t = scott_opens(chain(3))  # c0 < c1 < c2
+    assert t.open_masks == (0b000, 0b001, 0b011, 0b111)
+    assert t.sorted_opens() == [frozenset(), frozenset({"c2"}), frozenset({"c1", "c2"}),
+                                frozenset({"c0", "c1", "c2"})]
+
+
+def test_sorted_opens_match_the_frozenset_sort():
+    topologies = [t for p in [*oracle_posets(), numeric_poset()]
+                  for t in (scott_opens(p), relative_topology(p, p.maximal_elements()))]
+    topologies += [scott_opens(antichain(n)) for n in (0, 1, 7, 8, 9)]
+    for t in topologies:
+        expected = oracle_sorted_opens(t)
+        assert t.sorted_opens() == expected, t.around
+        assert t.opens == frozenset(expected), t.around
 
 
 def test_gdelta_matches_the_meet_of_opens():
