@@ -81,7 +81,6 @@ from .symbolic import (
     validate_open,
 )
 from .topology import (
-    DEFAULT_MAX_ELEMENTS,
     Topology,
     compact_elements,
     is_algebraic,
@@ -106,7 +105,7 @@ __all__ = [
     "FinitePoset", "build_poset", "product", "find_order_isomorphism",
     "label_text", "poset_to_json", "poset_from_json", "load_poset", "to_dot",
     "all_posets", "random_poset",
-    "Topology", "DEFAULT_MAX_ELEMENTS", "is_upper_set", "is_scott_open",
+    "Topology", "is_upper_set", "is_scott_open",
     "is_scott_closed", "scott_opens", "relative_topology", "way_below",
     "compact_elements", "is_continuous", "is_algebraic", "is_ideal_domain",
     "is_bounded_complete", "is_gdelta",

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
 from .ideals import idl_poset
-from .poset import _mirror, label_text, load_json, load_poset, poset_to_json, to_dot
+from .poset import FinitePoset, _mirror, label_text, load_json, load_poset, poset_to_json, to_dot
 from .symbolic import (
     MODE_L,
     MODE_LHAT,
@@ -41,13 +41,7 @@ from .symbolic import (
     gdelta_certificate_lhat,
     truncate_domain,
 )
-from .topology import (
-    DEFAULT_MAX_ELEMENTS,
-    Topology,
-    is_bounded_complete,
-    relative_topology,
-    scott_opens,
-)
+from .topology import Topology, is_bounded_complete, relative_topology, scott_opens
 
 INPUT_ERRORS = (
     FormatError,
@@ -95,6 +89,18 @@ def _set_texts(points: Sequence, masks: Sequence[int]) -> Iterator[str]:
     return map(itemgetter(slice(1, None)), texts)
 
 
+def _bounded(p: FinitePoset, args: argparse.Namespace) -> FinitePoset:
+    """The input poset, held to ``--max-elements``: the one size bound of the finite verbs.
+
+    Derived posets need none: a triple poset that passes its order check has
+    at most one triple per element, so it, its completion and a lower set are
+    no larger than the input.
+    """
+    if len(p) > args.max_elements:
+        raise TooLarge(f"poset has {len(p)} elements; input size bounded at {args.max_elements}")
+    return p
+
+
 def _witness_text(selector: Selector) -> str:
     if not selector.exceptions:
         return "(default everywhere)"
@@ -102,7 +108,7 @@ def _witness_text(selector: Selector) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    p = load_poset(args.input)
+    p = _bounded(load_poset(args.input), args)
     print(f"elements: {len(p)}")
     # a nonempty finite directed set holds its supremum as its greatest element
     print("dcpo: yes")
@@ -110,7 +116,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print("continuous: yes")
     print("algebraic: yes")
     print("ideal-domain: yes")
-    print(f"bounded-complete: {_yn(is_bounded_complete(p, args.max_elements))}")
+    print(f"bounded-complete: {_yn(is_bounded_complete(p))}")
     print(f"compact-count: {len(p)}")
     maximal = p.maximal_elements()
     print(f"max-count: {len(maximal)}")
@@ -126,8 +132,8 @@ def _print_opens(topology: Topology) -> None:
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
-    p = load_poset(args.input)
-    topology = scott_opens(p, args.max_elements)
+    p = _bounded(load_poset(args.input), args)
+    topology = scott_opens(p)
     print(f"elements: {len(p)}")
     print(f"open-count: {len(topology.open_masks)}")
     _print_opens(topology)
@@ -135,9 +141,9 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 
 def cmd_maxspace(args: argparse.Namespace) -> int:
-    p = load_poset(args.input)
+    p = _bounded(load_poset(args.input), args)
     maximal = p.maximal_elements()
-    rel = relative_topology(p, maximal, args.max_elements)
+    rel = relative_topology(p, maximal)
     print(f"max-count: {len(rel.space)}")
     print(f"open-count: {len(rel.open_masks)}")
     print(f"discrete: {_yn(rel.is_discrete)}")
@@ -146,8 +152,8 @@ def cmd_maxspace(args: argparse.Namespace) -> int:
 
 
 def cmd_idl(args: argparse.Namespace) -> int:
-    p = load_poset(args.input)
-    completion, embedding = idl_poset(p, args.max_elements)
+    p = _bounded(load_poset(args.input), args)
+    completion, embedding = idl_poset(p)
     print(f"base-elements: {len(p)}")
     print(f"ideal-count: {len(completion)}")
     # every ideal is principal, and down(a) <= down(b) exactly when a <= b
@@ -159,8 +165,9 @@ def cmd_idl(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
-    model = model_from_json(load_json(args.input), max_elements=args.max_elements)
-    completion, point_map, report = factor_model(model, max_elements=args.max_elements)
+    model = model_from_json(load_json(args.input))
+    _bounded(model.poset, args)
+    completion, point_map, report = factor_model(model)
     print(report.render())
     for x in model.label_x:
         print(f"ideal-size {label_text(x)}: {len(point_map[x])}")
@@ -180,9 +187,10 @@ def _y_label(model: ProductModel, text: str):
 
 
 def cmd_lower_model(args: argparse.Namespace) -> int:
-    model = model_from_json(load_json(args.input), max_elements=args.max_elements)
+    model = model_from_json(load_json(args.input))
+    _bounded(model.poset, args)
     fiber = model.y0 if args.y0 is None else _y_label(model, args.y0)
-    sub, report = lower_set_model(model, fiber, max_elements=args.max_elements)
+    sub, report = lower_set_model(model, fiber)
     print(report.render())
     print(f"verified: {_yn(report.ok)}")
     return 0 if report.ok else 1
@@ -243,8 +251,8 @@ def _add_input(sub: argparse.ArgumentParser, what: str) -> None:
     sub.add_argument("--input", required=True, help=f"path to a {what} file")
 
 
-def _add_bound(sub: argparse.ArgumentParser, default: int = DEFAULT_MAX_ELEMENTS) -> None:
-    sub.add_argument("--max-elements", type=int, default=default,
+def _add_bound(sub: argparse.ArgumentParser, default: int = 20) -> None:
+    sub.add_argument("--max-elements", type=_at_least(0), default=default,
                      help=f"input size bound, in poset elements (default {default})")
 
 

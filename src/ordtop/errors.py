@@ -40,7 +40,12 @@ class EmptySet(OrdtopError):
 
 
 class TooLarge(OrdtopError):
-    """An input holds more elements than the configured size bound."""
+    """An input exceeds a size bound.
+
+    The CLI holds each finite verb's input poset to ``--max-elements``; in the
+    library only ``truncate_domain`` (elements to build) and ``build_Q``
+    (candidate triples) bound their work.
+    """
 
 
 class InvalidModel(OrdtopError):

@@ -31,12 +31,7 @@ from .ideals import Ideal, idl_poset
 from .poset import (FinitePoset, Label, _order_violation, build_poset, label_text,
                     poset_from_json, poset_to_json)
 from .report import Report
-from .topology import (
-    DEFAULT_MAX_ELEMENTS,
-    Topology,
-    is_scott_closed,
-    relative_topology,
-)
+from .topology import Topology, is_scott_closed, relative_topology
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,6 @@ class ProductModel:
         label_y: Iterable,
         max_labeling: Mapping[Label, tuple],
         y0,
-        *,
-        max_elements: int = DEFAULT_MAX_ELEMENTS,
     ):
         self.poset = poset
         self.label_x = tuple(label_x)
@@ -132,14 +125,14 @@ class ProductModel:
         self.max_labeling = pairs
         self.pair_to_max = {pair: element for element, pair in pairs.items()}
 
-        transported = self.transported_max_topology(max_elements)
+        transported = self.transported_max_topology()
         self.topology_x, self.topology_y = split_product_topology(
             transported, self.label_x, self.label_y
         )
 
-    def transported_max_topology(self, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Topology:
+    def transported_max_topology(self) -> Topology:
         """Relative Scott topology on the maxima, renamed to label pairs."""
-        rel = relative_topology(self.poset, self.poset.maximal_elements(), max_elements)
+        rel = relative_topology(self.poset, self.poset.maximal_elements())
         space = [(x, y) for x in self.label_x for y in self.label_y]
         return rel.renamed(self.max_labeling, space)
 
@@ -246,8 +239,6 @@ def verify_claims(
     q_poset: FinitePoset,
     completion: FinitePoset,
     selected: Mapping[object, Ideal],
-    *,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> Report:
     """Re-check every claim of the factorization on concrete data.
 
@@ -296,7 +287,7 @@ def verify_claims(
     # maxima: pull the relative topology back along it.  The map is
     # continuous when each X row lies inside its pulled-back row, and open
     # when the reverse holds.
-    rel = relative_topology(completion, maximal_ideals, max_elements)
+    rel = relative_topology(completion, maximal_ideals)
     if report.ok:
         tx = model.topology_x
         pulled = rel.renamed({s: x for x, s in selected_sets.items()}, tx.space)
@@ -315,25 +306,20 @@ def verify_claims(
     return report
 
 
-def factor_model(
-    model: ProductModel, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> tuple[FinitePoset, dict, Report]:
+def factor_model(model: ProductModel) -> tuple[FinitePoset, dict, Report]:
     """Domain model of the X factor: completion, point map, and certificate."""
     q_poset = build_Q(model)
-    completion, _embedding = idl_poset(q_poset, max_elements)
+    completion, _embedding = idl_poset(q_poset)
     try:
         selected = {x: ideal_J(model, x, q_poset) for x in model.label_x}
     except NotAnIdeal as exc:
         raise VerificationFailed(f"claim-selected-are-ideals does not hold: {exc}") from exc
-    report = verify_claims(model, q_poset, completion, selected,
-                           max_elements=max_elements)
+    report = verify_claims(model, q_poset, completion, selected)
     point_map = {x: frozenset(selected[x].members) for x in model.label_x}
     return completion, point_map, report
 
 
-def lower_set_model(
-    model: ProductModel, y, *, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> tuple[FinitePoset, Report]:
+def lower_set_model(model: ProductModel, y) -> tuple[FinitePoset, Report]:
     """Down set of one Y fiber of the maxima, with its structural report.
 
     Every finite poset is an ideal domain, so the report states that of the
@@ -358,7 +344,7 @@ def lower_set_model(
         sorted(map(str, sub_max ^ targets)) or None,
     )
     if fiber_ok:
-        rel = relative_topology(sub, sub_max, max_elements)
+        rel = relative_topology(sub, sub_max)
         first = {e: model.max_labeling[e][0] for e in sub_max}
         renamed = rel.renamed(first, model.label_x)
         report.check("max-homeomorphic-to-factor", renamed == model.topology_x)
@@ -367,20 +353,20 @@ def lower_set_model(
     return sub, report
 
 
-def algebraic_model(p: FinitePoset, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FinitePoset:
+def algebraic_model(p: FinitePoset) -> FinitePoset:
     """An algebraic domain with the same maximal point space.
 
     The ideal completion always works; the homeomorphism between the two
     maximal point spaces is verified here rather than assumed.
     """
-    completion, embedding = idl_poset(p, max_elements)
+    completion, embedding = idl_poset(p)
     maximal = p.maximal_elements()
     comp_max = completion.maximal_elements()
     sent = {e: embedding[e] for e in maximal}
     if frozenset(sent.values()) != comp_max or len(set(sent.values())) != len(maximal):
         raise VerificationFailed("maximal points do not biject with maximal ideals")
-    rel_p = relative_topology(p, maximal, max_elements)
-    rel_c = relative_topology(completion, comp_max, max_elements)
+    rel_p = relative_topology(p, maximal)
+    rel_c = relative_topology(completion, comp_max)
     if rel_p.renamed(sent, rel_c.space) != rel_c:
         raise VerificationFailed("maximal point topologies do not correspond")
     return completion
@@ -426,7 +412,7 @@ def model_to_json(model: ProductModel) -> dict:
     }
 
 
-def model_from_json(data: object, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> ProductModel:
+def model_from_json(data: object) -> ProductModel:
     if not isinstance(data, dict):
         raise FormatError("model file must hold a JSON object")
     poset = poset_from_json(data.get("poset"))
@@ -446,5 +432,4 @@ def model_from_json(data: object, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -
         labeling[element] = (pair[0], pair[1])
     if "y0" not in data:
         raise FormatError('"y0" is required')
-    return ProductModel(poset, label_x, label_y, labeling, data["y0"],
-                        max_elements=max_elements)
+    return ProductModel(poset, label_x, label_y, labeling, data["y0"])

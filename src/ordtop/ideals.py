@@ -6,7 +6,7 @@ from typing import Iterable
 
 from .errors import NotAnIdeal, UnknownLabel, excerpt
 from .poset import FinitePoset, Label, _iter_bits
-from .topology import DEFAULT_MAX_ELEMENTS, _guard, _union_closure
+from .topology import _union_closure
 
 
 class Ideal:
@@ -50,7 +50,7 @@ def principal_ideal(base: FinitePoset, point: Label) -> Ideal:
     return Ideal(base, base.down_set([point]))
 
 
-def all_ideals(base: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[Ideal]:
+def all_ideals(base: FinitePoset) -> list[Ideal]:
     """Every ideal, found by filtering the lower sets for directedness.
 
     The definition, kept as the reference the tests compare ``idl_poset``
@@ -58,7 +58,6 @@ def all_ideals(base: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> l
     unions of principal down-sets: every lower set is the union of the
     down-sets of its members.
     """
-    _guard(base, max_elements)
     out = [
         Ideal(base, base.labels_of(mask))
         for mask in _union_closure(base._down)
@@ -69,16 +68,13 @@ def all_ideals(base: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> l
     return out
 
 
-def idl_poset(
-    base: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS
-) -> tuple[FinitePoset, dict[Label, frozenset]]:
+def idl_poset(base: FinitePoset) -> tuple[FinitePoset, dict[Label, frozenset]]:
     """The ideal completion, ordered by inclusion, plus the principal embedding.
 
     A finite directed set holds its supremum, so every ideal is principal:
     the elements are the down-sets of the base elements (frozensets of base
     labels) sorted as ``all_ideals`` sorts them, ordered as the base, in O(n^2).
     """
-    _guard(base, max_elements)
     down = base._down
     order = sorted(range(len(base)),
                    key=lambda i: (down[i].bit_count(), tuple(_iter_bits(down[i]))))

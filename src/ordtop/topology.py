@@ -15,19 +15,11 @@ the test suite.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import ForeignSet, TooLarge
+from .errors import ForeignSet
 from .poset import FinitePoset, Label, _iter_bits, _mirror, _order_violation
-
-DEFAULT_MAX_ELEMENTS = 20
-
-
-def _guard(p: FinitePoset, max_elements: int) -> None:
-    if len(p) > max_elements:
-        raise TooLarge(
-            f"poset has {len(p)} elements; input size bounded at {max_elements}"
-        )
 
 
 class Topology:
@@ -195,28 +187,22 @@ def is_scott_closed(p: FinitePoset, members: Iterable[Label]) -> bool:
     return all(p._down[i] & ~mask == 0 for i in _iter_bits(mask))
 
 
-def scott_opens(p: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Topology:
+def scott_opens(p: FinitePoset) -> Topology:
     """The whole Scott topology.
 
     The opens are the upper sets, so the smallest open around an element is
     its principal up-set.
     """
-    _guard(p, max_elements)
     return Topology(p.elements, p._up)
 
 
-def relative_topology(
-    p: FinitePoset,
-    subspace: Iterable[Label],
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> Topology:
+def relative_topology(p: FinitePoset, subspace: Iterable[Label]) -> Topology:
     """Scott opens of ``p`` traced onto a subset of its elements.
 
     The smallest open around a subspace point is the trace of its principal
     up-set, which is the up-set in the restricted order.
     """
     sub = p.restrict(subspace)
-    _guard(p, max_elements)
     return Topology(sub.elements, sub._up)
 
 
@@ -270,24 +256,20 @@ def is_ideal_domain(p: FinitePoset) -> bool:
     return all(x in compact or x in maximal for x in p.elements)
 
 
-def is_bounded_complete(p: FinitePoset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> bool:
+def is_bounded_complete(p: FinitePoset) -> bool:
     """Every subset with an upper bound has a least one.
 
     The empty subset counts: any element bounds it, so a nonempty bounded
-    complete poset must have a bottom.  The check runs over the distinct
-    bound sets rather than the subsets: the upper bounds of a subset are
-    the meet of its members' up-sets, so the bound sets are exactly the
-    intersections of up-sets, the whole poset (the empty meet) included.
-    They are enumerated as complements of unions of complements.
+    complete poset must have a bottom.  A finite bounded subset folds into
+    joins of bounded pairs, so past the bottom it suffices that every pair
+    with a common upper bound has a join.  The upper bounds of a pair are
+    the meet of its two up-sets, and they have a least member exactly when
+    that meet is itself some element's up-set: O(n^2) row operations.
     """
-    _guard(p, max_elements)
-    up = p._up
-    full = (1 << len(p)) - 1
-    for gaps in _union_closure(full ^ row for row in up):
-        ub = full ^ gaps
-        if ub and not any(ub & ~up[u] == 0 for u in _iter_bits(ub)):
-            return False
-    return True
+    rows = set(p._up)
+    if rows and (1 << len(p)) - 1 not in rows:
+        return False
+    return all(not a & b or (a & b) in rows for a, b in combinations(p._up, 2))
 
 
 # -- countable intersections in a finite setting ------------------------------

@@ -40,6 +40,19 @@ def vshape() -> FinitePoset:
     )
 
 
+def crown(n: int, rooted: bool = False) -> FinitePoset:
+    """Bottoms b_i below every top c_j with i != j, under one root if asked.
+
+    From n = 4 on, two bottoms have n - 2 minimal upper bounds and no join.
+    """
+    bottoms = [f"b{i}" for i in range(n)]
+    tops = [f"c{j}" for j in range(n)]
+    covers = [(b, c) for i, b in enumerate(bottoms) for j, c in enumerate(tops) if i != j]
+    if rooted:
+        return build_poset(["root"] + bottoms + tops, [("root", b) for b in bottoms] + covers)
+    return build_poset(bottoms + tops, covers)
+
+
 def numeric_poset() -> FinitePoset:
     """Ten numeric points whose texts sort apart from their positions ("10" < "100" < "2")."""
     return build_poset(

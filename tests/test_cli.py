@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from ordtop import ProductModel, Topology, label_text, relative_topology, scott_opens
+from ordtop import ProductModel, Topology, label_text, model_to_json, relative_topology, scott_opens
 from ordtop.cli import _set_texts, main
 
-from helpers import antichain, chain, numeric_poset, oracle_posets, oracle_sorted_opens
+from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_posets,
+                     oracle_sorted_opens)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = sorted((DATA / "golden").glob("*.out"))
@@ -201,16 +202,26 @@ def test_cycle_is_an_input_error(capsys, tmp_path):
     assert code == 2
 
 
-def test_size_guard_is_an_input_error(capsys, tmp_path):
-    labels = [f"e{i}" for i in range(25)]
-    covers = [[labels[i], labels[i + 1]] for i in range(24)]
+@pytest.mark.parametrize("verb,kind", [
+    ("check", "chain"), ("topology", "chain"), ("maxspace", "chain"), ("idl", "chain"),
+    ("factor", "model"), ("lower-model", "model"),
+])
+def test_size_guard_is_an_input_error(capsys, tmp_path, verb, kind):
+    # 21 input elements: a chain, or the maxima of a discrete 7x3 model
+    if kind == "chain":
+        labels = [f"e{i}" for i in range(21)]
+        document = {"elements": labels, "covers": [list(pair) for pair in zip(labels, labels[1:])]}
+    else:
+        document = model_to_json(discrete_model(7, 3))
     big = tmp_path / "big.json"
-    big.write_text(json.dumps({"elements": labels, "covers": covers}))
-    code, _ = run(capsys, "topology", "--input", big)
+    big.write_text(json.dumps(document))
+    code = main([verb, "--input", str(big)])
+    captured = capsys.readouterr()
     assert code == 2
-    big.write_text(json.dumps({"elements": labels[:21], "covers": covers[:20]}))
-    code, _ = run(capsys, "idl", "--input", big)
-    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: poset has 21 elements; input size bounded at 20\n"
+    code, _ = run(capsys, verb, "--input", big, "--max-elements", "21")
+    assert code == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -218,6 +229,7 @@ def test_size_guard_is_an_input_error(capsys, tmp_path):
     ["truncate-l", "--width", "0", "--depth", "1"],
     ["truncate-l", "--width", "1", "--depth", "-1"],
     ["diagonal", "--input", str(DATA / "family_uniform3.json"), "--offset", "-5"],
+    ["check", "--input", str(DATA / "diamond.json"), "--max-elements", "-3"],
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as info:

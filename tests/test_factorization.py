@@ -273,8 +273,8 @@ def test_verification_rejects_a_non_discrete_maximal_space(monkeypatch):
     q, completion, selected = _pipeline(m)
     honest = factorization.relative_topology
 
-    def indiscrete(p, subspace, max_elements):
-        rel = honest(p, subspace, max_elements)
+    def indiscrete(p, subspace):
+        rel = honest(p, subspace)
         return Topology(rel.space, [(1 << len(rel.space)) - 1] * len(rel.space))
 
     monkeypatch.setattr(factorization, "relative_topology", indiscrete)

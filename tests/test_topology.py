@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from ordtop import (
     ForeignSet,
-    TooLarge,
     Topology,
-    all_ideals,
     compact_elements,
     is_algebraic,
     is_bounded_complete,
     is_continuous,
     is_gdelta,
+    idl_poset,
     is_ideal_domain,
     is_scott_closed,
     is_scott_open,
@@ -27,6 +26,7 @@ from ordtop.generate import all_posets, random_poset
 from helpers import (
     antichain,
     chain,
+    crown,
     diamond,
     numeric_poset,
     oracle_is_bounded_complete,
@@ -167,6 +167,15 @@ def test_bounded_completeness_examples():
     assert is_bounded_complete(antichain(1))
 
 
+def test_bounded_completeness_on_crowns():
+    # unrooted, the empty subset has no join; rooted, two bottoms lose theirs from n = 4
+    for n in range(2, 6):
+        for p, verdict in ((crown(n), False), (crown(n, rooted=True), n <= 3)):
+            assert is_bounded_complete(p) == oracle_is_bounded_complete(p) == verdict
+    # 61 elements with 2^30 distinct bound sets: only a pairwise test answers at this size
+    assert not is_bounded_complete(crown(30, rooted=True))
+
+
 def test_scott_opens_match_the_subset_sweep():
     for p in oracle_posets():
         fast, slow = scott_opens(p), oracle_scott_opens(p)
@@ -275,22 +284,24 @@ def test_points_are_separated_in_the_maximal_subspace():
                 assert frozenset.intersection(*around) == frozenset({m})
 
 
-def test_size_guard():
-    with pytest.raises(TooLarge):
-        scott_opens(chain(21))
-    with pytest.raises(TooLarge):
-        is_bounded_complete(chain(25))
-    assert is_scott_open(chain(25), [f"c{i}" for i in range(5, 25)])
+def test_no_library_size_bound_on_a_long_chain():
+    # the CLI bounds its input once; the library answers at any size
+    p = chain(40)
+    assert len(scott_opens(p).open_masks) == 41
+    assert relative_topology(p, p.maximal_elements()).space == ("c39",)
+    assert is_bounded_complete(p)
+    completion, _ = idl_poset(p)
+    assert len(completion) == 40
+    assert is_scott_open(p, [f"c{i}" for i in range(5, 40)])
 
 
-def test_enumerators_trip_the_size_guard_at_the_same_size():
-    # the guard bounds the poset, not the answer: chain(20) has 21 opens
-    enumerators = [scott_opens, is_bounded_complete, all_ideals,
-                   lambda p: relative_topology(p, p.maximal_elements())]
-    for enumerate_family in enumerators:
-        enumerate_family(chain(20))
-        with pytest.raises(TooLarge):
-            enumerate_family(chain(21))
+def test_no_library_size_bound_on_a_wide_crown():
+    p = crown(30)
+    assert scott_opens(p).around == p._up
+    assert relative_topology(p, p.maximal_elements()).is_discrete
+    assert not is_bounded_complete(p)
+    completion, _ = idl_poset(p)
+    assert len(completion) == 60
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6), st.data())
