@@ -23,8 +23,9 @@ arbitrary Scott opens of the full domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import product as cartesian
+from functools import cached_property, partial
+from itertools import product as cartesian, repeat
+from operator import is_not
 from typing import Callable, Iterable, Mapping
 
 from .errors import FormatError, NotCoveringMax, TooLarge, excerpt
@@ -187,14 +188,16 @@ class ThresholdRule:
     def __call__(self, i: int) -> int | None:
         return self._table.get(i, self.default)
 
+    def over(self, chains: Iterable[int]) -> list[int | None]:
+        """The thresholds of many chains at once, read without a Python loop."""
+        return list(map(self._table.get, chains, repeat(self.default)))
+
     def all_present(self) -> bool:
-        if self.default is None:
-            return False
-        return all(value is not None for _, value in self.exceptions)
+        return self.default is not None and None not in self._table.values()
 
     def somewhere_zero(self) -> bool:
         # a zero threshold admits every selector point by upward closure
-        return self.default == 0 or any(value == 0 for _, value in self.exceptions)
+        return self.default == 0 or 0 in self._table.values()
 
 
 @dataclass(frozen=True)
@@ -251,15 +254,34 @@ class SymbolicOpen:
 def _forced(thresholds: ThresholdRule, selector: Selector) -> bool:
     """Does some chain's threshold sit at or below the selector's pick?
 
-    Only finitely many chains escape the two defaults, so the comparison
-    reduces to the exception indices plus one default-vs-default check.
+    The chains split three ways.  Infinitely many escape both exception
+    lists, so one default-against-default comparison decides them.  The
+    chains of the shorter list are looked up one at a time.  A chain only
+    the longer list names meets the shorter side's default, so one scan of
+    the longer list, skipping the chains the shorter list decided, settles
+    the rest.  A call returns after the default test or the shorter list
+    when either forces, and never costs more than one pass over each list.
     """
-    indices = {i for i, _ in thresholds.exceptions} | {i for i, _ in selector.exceptions}
-    for i in indices:
+    t_default, s_default = thresholds.default, selector.default
+    if t_default is not None and s_default >= t_default:
+        return True
+    if len(thresholds.exceptions) <= len(selector.exceptions):
+        for i, t in thresholds.exceptions:
+            if t is not None and selector(i) >= t:
+                return True
+        decided = thresholds._table
+        return t_default is not None and any(
+            s >= t_default and i not in decided for i, s in selector.exceptions
+        )
+    for i, s in selector.exceptions:
         t = thresholds(i)
-        if t is not None and selector(i) >= t:
+        if t is not None and s >= t:
             return True
-    return thresholds.default is not None and selector.default >= thresholds.default
+    decided = selector._table
+    return any(
+        t is not None and t <= s_default and i not in decided
+        for i, t in thresholds.exceptions
+    )
 
 
 def symbolic_member(open_set: SymbolicOpen, point: LPoint) -> bool:
@@ -448,6 +470,9 @@ def cutoff_open(k: int) -> SymbolicOpen:
     return SymbolicOpen(thresholds, False, (keep_selectors,))
 
 
+_present = partial(is_not, None)
+
+
 def gdelta_certificate_lhat(bound: int) -> Report:
     """Certify, up to a bound, that the maxima of Lhat form a Gdelta set.
 
@@ -456,28 +481,41 @@ def gdelta_certificate_lhat(bound: int) -> Report:
     cutoff at max(i, n); chain tops and sampled level-0 selector points
     survive every evaluated cutoff.  The index rule is recorded as a
     structural note since no finite run can visit every chain point.
+
+    The chain points are decided a cutoff at a time from one batch read of
+    its thresholds on chains 0..bound.  Cutoff k answers for its row, the
+    points (k, n) with n <= k, which are all excluded when t(k) is absent
+    or above k, and for its column, the points (i, k) with i < k, which
+    are all excluded when no present threshold on chains 0..k-1 is at or
+    below k.  A failing check names its first witness: the first chain
+    point in (i, n) order, the first (cutoff, chain) for the tops and the
+    first (cutoff, sample) for the selector points.
     """
     if bound < 0:
         raise ValueError("bound must be a natural number")
     report = Report()
     report.info("mode", MODE_LHAT)
     report.info("bound", bound)
-    family = [cutoff_open(k) for k in range(bound + 1)]
+    chains = range(bound + 1)
+    family = [cutoff_open(k) for k in chains]
     for k, open_set in enumerate(family):
         report.check(
             f"cutoff {k} valid-and-covering",
             validate_open(open_set, MODE_LHAT) and contains_max(open_set, MODE_LHAT),
         )
 
-    excluded = 0
-    failure = None
-    for i in range(bound + 1):
-        for n in range(bound + 1):
-            k = max(i, n)
-            if symbolic_member(family[k], ChainPoint(i, n)):
-                failure = (i, n)
-            else:
-                excluded += 1
+    failures = []
+    top_failure = None
+    for k, open_set in enumerate(family):
+        row = open_set.thresholds.over(chains)
+        if row[k] is not None and row[k] <= k:
+            failures.append((k, row[k]))
+        if min(filter(_present, row[:k]), default=k + 1) <= k:
+            first = next(i for i, t in enumerate(row[:k]) if t is not None and t <= k)
+            failures.append((first, k))
+        if top_failure is None and None in row:
+            top_failure = (k, row.index(None))
+    failure = min(failures, default=None)
     report.info("chain-points-checked", (bound + 1) ** 2)
     report.check("non-maximal-chain-points-excluded", failure is None, failure)
     report.info(
@@ -486,23 +524,24 @@ def gdelta_certificate_lhat(bound: int) -> Report:
         "so the intersection of all cutoffs holds no chain point",
     )
 
-    tops_ok = all(
-        symbolic_member(family[k], ChainTop(i))
-        for i in range(bound + 1)
-        for k in range(bound + 1)
-    )
-    report.check("chain-tops-in-every-cutoff", tops_ok)
+    report.check("chain-tops-in-every-cutoff", top_failure is None, top_failure)
     samples = [
         Selector(),
         Selector.from_mapping({0: bound}),
         Selector.from_mapping({j: j for j in range(min(bound, 5))}, default=1),
     ]
-    selectors_ok = all(
-        symbolic_member(family[k], SelectorPoint(s, 0))
-        for s in samples
-        for k in range(bound + 1)
+    selector_failure = next(
+        (
+            (k, m)
+            for k, open_set in enumerate(family)
+            for m, s in enumerate(samples)
+            if not symbolic_member(open_set, SelectorPoint(s, 0))
+        ),
+        None,
     )
-    report.check("selector-points-in-every-cutoff", selectors_ok)
+    report.check(
+        "selector-points-in-every-cutoff", selector_failure is None, selector_failure
+    )
     report.check("intersection-equals-max-at-bound", report.ok)
     return report
 

@@ -4,13 +4,23 @@ from functools import lru_cache
 from random import Random
 
 from ordtop import (
+    MODE_LHAT,
+    ChainPoint,
+    ChainTop,
     FinitePoset,
     InvalidModel,
     NotAProductTopology,
     ProductModel,
+    Report,
+    Selector,
+    ThresholdRule,
     Topology,
     build_poset,
+    contains_max,
+    symbolic_member,
+    validate_open,
 )
+from ordtop import symbolic
 from ordtop.generate import all_posets, random_poset
 from ordtop.poset import _iter_bits
 from ordtop.topology import _union_closure
@@ -229,3 +239,69 @@ def oracle_is_gdelta(topology: Topology, subset) -> bool:
         if target <= u:
             meet &= u
     return meet == target
+
+
+# -- symbolic oracles ------------------------------------------------------------
+#
+# The symbolic checkers decide from exception lists and batch reads; these
+# decide point by point, straight from the threshold reading.
+
+
+def oracle_forced(thresholds: ThresholdRule, selector: Selector) -> bool:
+    """Some chain's threshold is at or below the pick: every exception chain, then the defaults."""
+    indices = {i for i, _ in thresholds.exceptions} | {i for i, _ in selector.exceptions}
+    for i in indices:
+        t = thresholds(i)
+        if t is not None and selector(i) >= t:
+            return True
+    return thresholds.default is not None and selector.default >= thresholds.default
+
+
+def oracle_gdelta_certificate_lhat(bound: int) -> Report:
+    """The Lhat certificate with one membership query per chain point, top and sample.
+
+    A level-0 selector point is a member when it is forced or a cylinder
+    grants level 0; forcing is decided by ``oracle_forced``.
+    """
+    report = Report()
+    report.info("mode", MODE_LHAT)
+    report.info("bound", bound)
+    family = [symbolic.cutoff_open(k) for k in range(bound + 1)]
+    for k, open_set in enumerate(family):
+        report.check(
+            f"cutoff {k} valid-and-covering",
+            validate_open(open_set, MODE_LHAT) and contains_max(open_set, MODE_LHAT),
+        )
+    failure = next(
+        ((i, n) for i in range(bound + 1) for n in range(bound + 1)
+         if symbolic_member(family[max(i, n)], ChainPoint(i, n))),
+        None,
+    )
+    report.info("chain-points-checked", (bound + 1) ** 2)
+    report.check("non-maximal-chain-points-excluded", failure is None, failure)
+    report.info(
+        "structural-rule",
+        "chain point (i,n) is excluded by the cutoff at index max(i,n), "
+        "so the intersection of all cutoffs holds no chain point",
+    )
+    top_failure = next(
+        ((k, i) for k in range(bound + 1) for i in range(bound + 1)
+         if not symbolic_member(family[k], ChainTop(i))),
+        None,
+    )
+    report.check("chain-tops-in-every-cutoff", top_failure is None, top_failure)
+    samples = [
+        Selector(),
+        Selector.from_mapping({0: bound}),
+        Selector.from_mapping({j: j for j in range(min(bound, 5))}, default=1),
+    ]
+    selector_failure = next(
+        ((k, m) for k in range(bound + 1) for m, s in enumerate(samples)
+         if not (oracle_forced(family[k].thresholds, s)
+                 or any(0 in c.levels and c.matches(s) for c in family[k].cylinders))),
+        None,
+    )
+    report.check("selector-points-in-every-cutoff", selector_failure is None, selector_failure)
+    report.check("intersection-equals-max-at-bound", report.ok)
+    return report
+

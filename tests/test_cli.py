@@ -1,9 +1,14 @@
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
+from io import StringIO
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordtop import ProductModel, Topology, label_text, model_to_json, relative_topology, scott_opens
 from ordtop.cli import _set_texts, main
@@ -313,6 +318,7 @@ def test_finite_verbs_state_theorems_without_the_definitions(capsys, monkeypatch
 # golden/argv/<name>.out holds the stdout of `ordtop <argv>`; made by the same argv
 ARGV_GOLDEN = {
     "lhat-cert_eval-bound-20": ["lhat-cert", "--eval-bound", "20"],
+    "lhat-cert_eval-bound-150": ["lhat-cert", "--eval-bound", "150"],
     "truncate-l_2x3_L": ["truncate-l", "--width", "2", "--depth", "3", "--mode", "L"],
     "truncate-l_2x3_Lhat": ["truncate-l", "--width", "2", "--depth", "3", "--mode", "Lhat"],
 }
@@ -406,6 +412,112 @@ def test_oversized_entries_keep_stderr_short(capsys, tmp_path, argv, document):
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
     assert len(captured.err.encode()) < 300
+
+
+# -- the family input contract, fuzzed ----------------------------------------------
+
+_nat = st.integers(0, 30)
+_index = _nat.map(str)
+_cylinders = st.fixed_dictionaries({
+    "conds": st.dictionaries(_index, _nat, max_size=3),
+    "levels": st.lists(st.sampled_from([0, 1]), max_size=2, unique=True),
+})
+_members = st.fixed_dictionaries({
+    "thresholds": st.fixed_dictionaries({
+        "default": st.none() | _nat,
+        "exceptions": st.dictionaries(_index, st.none() | _nat, max_size=4),
+    }),
+    "allPhiLevel1": st.booleans(),
+    "extraPhi": st.lists(_cylinders, max_size=2),
+})
+_families = st.lists(_members, min_size=1, max_size=5)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_not_natural = (st.integers(-10**6, -1) | st.booleans() | st.floats(allow_nan=False)
+                | st.text(max_size=4) | st.lists(_nat, max_size=2))
+_non_digit_keys = st.text(max_size=6).filter(lambda key: not (key.isascii() and key.isdigit()))
+_bad_levels = (st.integers(-5, 5).filter(lambda lv: lv not in (0, 1)) | st.booleans()
+               | st.sampled_from([0.0, 1.0, "0", "1", None]))
+
+
+def _wrong_type(kind: type):
+    return _json_values.filter(lambda value: not isinstance(value, kind))
+
+
+@st.composite
+def _malformed_families(draw):
+    """A well-formed family with exactly one fault drawn into it."""
+    family = draw(_families)
+    member = draw(st.sampled_from(family))
+    thresholds = member["thresholds"]
+    cylinder = draw(_cylinders)
+    fault = draw(st.sampled_from([
+        "document", "member", "thresholds", "exceptions", "all-level1", "extra-phi",
+        "cylinder", "conds", "levels", "threshold-default", "threshold-exception",
+        "cylinder-minimum", "exception-key", "cond-key", "level",
+    ]))
+    if fault == "document":
+        return draw(_wrong_type(list) | st.just([]))
+    if fault == "member":
+        family[family.index(member)] = draw(_wrong_type(dict))
+    elif fault == "thresholds":
+        member["thresholds"] = draw(_wrong_type(dict))
+    elif fault == "exceptions":
+        thresholds["exceptions"] = draw(_wrong_type(dict))
+    elif fault == "all-level1":
+        member["allPhiLevel1"] = draw(_wrong_type(bool))
+    elif fault == "extra-phi":
+        member["extraPhi"] = draw(_wrong_type(list))
+    elif fault == "cylinder":
+        member["extraPhi"].append(draw(_wrong_type(dict)))
+    elif fault == "threshold-default":
+        thresholds["default"] = draw(_not_natural)
+    elif fault == "threshold-exception":
+        thresholds["exceptions"][draw(_index)] = draw(_not_natural)
+    elif fault == "exception-key":
+        thresholds["exceptions"][draw(_non_digit_keys)] = draw(st.none() | _nat)
+    else:
+        if fault == "conds":
+            cylinder["conds"] = draw(_wrong_type(dict))
+        elif fault == "levels":
+            cylinder["levels"] = draw(_wrong_type(list))
+        elif fault == "cylinder-minimum":
+            cylinder["conds"][draw(_index)] = draw(_not_natural | st.none())
+        elif fault == "cond-key":
+            cylinder["conds"][draw(_non_digit_keys)] = draw(_nat)
+        else:
+            cylinder["levels"].insert(draw(st.integers(0, 2)), draw(_bad_levels))
+        member["extraPhi"].append(cylinder)
+    return family
+
+
+def _diagonal(document) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    with TemporaryDirectory() as directory:
+        path = Path(directory) / "family.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["diagonal", "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.data())
+def test_diagonal_keeps_its_input_contract(malformed, data):
+    document = data.draw(_malformed_families() if malformed else _families)
+    code, out, err = _diagonal(document)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert len(err.encode()) < 300
+    if malformed:
+        assert code == 2 and out == "" and err.startswith("error: ")
+    else:
+        assert code in (0, 1)
 
 
 def test_a_broken_triple_order_is_a_failed_verification(capsys, monkeypatch):

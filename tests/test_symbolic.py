@@ -33,10 +33,13 @@ from ordtop import (
     symbolic_member,
     truncate_domain,
     truncation_members,
+    symbolic,
     validate_open,
 )
+from ordtop.cli import main
+from ordtop.symbolic import _forced
 
-from helpers import oracle_is_scott_open
+from helpers import oracle_forced, oracle_gdelta_certificate_lhat, oracle_is_scott_open
 
 
 def uniform_family(size: int) -> OpenFamily:
@@ -138,12 +141,38 @@ def test_lookup_tables_leave_value_semantics_alone():
     selector, fresh = (Selector.from_mapping({3: 1, 7: 4}, default=2) for _ in range(2))
     rule, fresh_rule = (ThresholdRule.from_mapping({0: None, 5: 3}, 1) for _ in range(2))
     assert selector(7) == 4 and rule(0) is None
+    # each side is the longer list once, so _forced reads both lookup tables
+    assert not _forced(ThresholdRule(9), selector)
+    assert not _forced(rule, Selector(default=0))
+    assert "_table" in vars(selector).keys() & vars(rule).keys()
     assert selector == fresh and hash(selector) == hash(fresh) and repr(selector) == repr(fresh)
     assert rule == fresh_rule and hash(rule) == hash(fresh_rule) and repr(rule) == repr(fresh_rule)
     table = selector.exception_map()
     table[3] = 99
     assert selector(3) == 1 and selector.exception_map() == {3: 1, 7: 4}
     assert selector.exception_map() is not selector.exception_map()
+
+
+def _random_exceptions(rng, length, values):
+    return {i: rng.choice(values) for i in rng.sample(range(3 * length + 5), length)}
+
+
+def test_forcing_matches_the_exception_scan():
+    rng = Random(2009)
+    for trial in range(4000):
+        # one side short (possibly empty), the other up to 40 long, either way round
+        short, long = rng.randint(0, 3), rng.choice([0, 1, rng.randint(2, 40)])
+        t_len, s_len = (short, long) if trial % 2 else (long, short)
+        rule = ThresholdRule.from_mapping(
+            _random_exceptions(rng, t_len, [None, 0, 1, 2, 3, 4, 5, 6]),
+            rng.choice([None, 0, 1, 2, 3, 5, 7]),
+        )
+        selector = Selector.from_mapping(
+            _random_exceptions(rng, s_len, [0, 1, 2, 3, 4, 5, 6]), rng.randint(0, 6)
+        )
+        expected = oracle_forced(rule, selector)
+        assert _forced(rule, selector) == expected, (rule, selector)
+        assert _forced(rule, selector) == expected  # again, with the views cached
 
 
 def test_mode_membership_and_maximality():
@@ -323,6 +352,71 @@ def test_certificate_report_is_complete():
     assert sum(1 for k in keys if k.startswith("cutoff ")) == 7
     with pytest.raises(ValueError):
         gdelta_certificate_lhat(-1)
+
+
+def _cutoff_with(thresholds: ThresholdRule) -> SymbolicOpen:
+    return SymbolicOpen(thresholds, False, (Cylinder((), frozenset({0})),))
+
+
+def _excluding_too_little(k):
+    # threshold k admits chain point (k, k), and at k = 0 everything
+    return _cutoff_with(ThresholdRule(0, tuple((i, k) for i in range(k + 1))))
+
+
+def _excluding_too_little_below(k):
+    # only the column, from k = 3 on: chains below k get threshold k, which admits (i, k)
+    if k < 3:
+        return cutoff_open(k)
+    return _cutoff_with(ThresholdRule(0, tuple((i, k) for i in range(k)) + ((k, k + 1),)))
+
+
+def _dropping_a_chain(k):
+    # from k = 2 on, chain 2k+1 is missing, and with it its top
+    exceptions = {i: k + 1 for i in range(k + 1)}
+    if k >= 2:
+        exceptions[2 * k + 1] = None
+    return _cutoff_with(ThresholdRule.from_mapping(exceptions))
+
+
+def _losing_the_selectors(k):
+    # from k = 3 on, no cylinder and no zero threshold keep the default selector
+    if k < 3:
+        return cutoff_open(k)
+    return SymbolicOpen(ThresholdRule(1, tuple((i, k + 1) for i in range(k + 1))))
+
+
+MUTANTS = {"excluding-too-little": _excluding_too_little,
+           "excluding-too-little-below": _excluding_too_little_below,
+           "dropping-a-chain": _dropping_a_chain,
+           "losing-the-selectors": _losing_the_selectors}
+
+
+def test_certificate_matches_the_point_by_point_oracle():
+    for bound in range(61):
+        assert gdelta_certificate_lhat(bound).render() == oracle_gdelta_certificate_lhat(bound).render()
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_mutated_cutoffs_fail_as_the_oracle_does(monkeypatch, mutant):
+    monkeypatch.setattr(symbolic, "cutoff_open", MUTANTS[mutant])
+    for bound in range(13):
+        report = gdelta_certificate_lhat(bound)
+        assert report.render() == oracle_gdelta_certificate_lhat(bound).render(), bound
+    assert not report.ok
+
+
+@pytest.mark.parametrize("mutant,line", [
+    ("excluding-too-little", "non-maximal-chain-points-excluded: no [(0, 0)]"),
+    ("excluding-too-little-below", "non-maximal-chain-points-excluded: no [(0, 3)]"),
+    ("dropping-a-chain", "chain-tops-in-every-cutoff: no [(2, 5)]"),
+    ("losing-the-selectors", "selector-points-in-every-cutoff: no [(3, 0)]"),
+])
+def test_failed_certificates_name_their_first_witness(capsys, monkeypatch, mutant, line):
+    monkeypatch.setattr(symbolic, "cutoff_open", MUTANTS[mutant])
+    assert main(["lhat-cert", "--eval-bound", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert line in lines
+    assert lines[-1] == "verified: no"
 
 
 # -- truncations ----------------------------------------------------------------------
