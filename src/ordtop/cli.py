@@ -8,7 +8,6 @@ checks pass, 1 when a verification fails, 2 when the input is unusable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import repeat
 from operator import add, and_, itemgetter, rshift
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
 from .ideals import idl_poset
-from .poset import FinitePoset, _mirror, label_text, load_json, load_poset, poset_to_json, to_dot
+from .poset import FinitePoset, _mirror, label_text, load_json, load_poset, poset_json_text, to_dot
 from .symbolic import (
     MODE_L,
     MODE_LHAT,
@@ -216,7 +215,7 @@ def cmd_lhat_cert(args: argparse.Namespace) -> int:
 def cmd_truncate(args: argparse.Namespace) -> int:
     p, _ = truncate_domain(args.width, args.depth, args.mode,
                            max_elements=args.max_elements)
-    print(json.dumps(poset_to_json(p), indent=2))
+    print(poset_json_text(p))
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
 from .errors import (
@@ -302,14 +303,28 @@ class FinitePoset:
     # -- derived structure ---------------------------------------------------
 
     def covers(self) -> tuple[tuple[Label, Label], ...]:
-        """Transitive reduction as (lower, upper) pairs in element order."""
-        out = []
-        for i in range(len(self)):
-            strict_up = self._up[i] & ~(1 << i)
-            for j in _iter_bits(strict_up):
-                between = strict_up & self._down[j] & ~(1 << j)
-                if between == 0:
-                    out.append((self.elements[i], self.elements[j]))
+        """Transitive reduction as (lower, upper) pairs in element order.
+
+        The upper covers of i are the minimal members of its strict up-set.
+        A walk visits the lowest member j still in play, adds j's strict
+        up-set to what lies above a visited member, and drops j's whole
+        up-set from play.  Only a member strictly below a cover could drop
+        it, so every cover is visited, and every other member lies above
+        some cover, so the covers are the strict up-set minus what lies
+        above.  Each element costs one row operation per member its walk
+        visits, not one per related pair, plus one per cover; no down-set
+        is read.
+        """
+        up, elements, out = self._up, self.elements, []
+        for i, row in enumerate(up):
+            strict = row ^ 1 << i
+            rest, above = strict, 0
+            while rest:
+                low = rest & -rest
+                reach = up[low.bit_length() - 1]
+                rest &= ~reach
+                above |= reach ^ low
+            out += [(elements[i], elements[j]) for j in _iter_bits(strict & ~above)]
         return tuple(out)
 
     def restrict(self, labels: Iterable[Label]) -> "FinitePoset":
@@ -433,12 +448,16 @@ def label_text(label: Label) -> str:
     return str(label)
 
 
-def poset_to_json(p: FinitePoset) -> dict:
+def _string_labels(p: FinitePoset) -> tuple[str, ...]:
     for label in p.elements:
         if not isinstance(label, str):
             raise FormatError("only string-labeled posets can be serialized")
+    return p.elements
+
+
+def poset_to_json(p: FinitePoset) -> dict:
     return {
-        "elements": list(p.elements),
+        "elements": list(_string_labels(p)),
         "covers": [[a, b] for a, b in p.covers()],
     }
 
@@ -487,3 +506,27 @@ def to_dot(p: FinitePoset) -> str:
         lines.append(f"  {_dot_quote(label_text(low))} -> {_dot_quote(label_text(high))};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _json_array(items: list[str]) -> str:
+    """Encoded items as a top-level array value, laid out as by ``json.dumps(indent=2)``."""
+    if not items:
+        return "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+def poset_json_text(p: FinitePoset) -> str:
+    """``json.dumps(poset_to_json(p), indent=2)``, written directly.
+
+    ``json.dumps`` with an indent always runs the encoder written in Python,
+    a few calls per value.  The layout here is fixed, so each label is
+    encoded once by the C string encoder and the document is joined from
+    those pieces.
+    """
+    labels = _string_labels(p)
+    encoded = dict(zip(labels, map(encode_basestring_ascii, labels)))
+    covers = [f"[\n      {encoded[a]},\n      {encoded[b]}\n    ]" for a, b in p.covers()]
+    return (
+        '{\n  "elements": ' + _json_array(list(encoded.values()))
+        + ',\n  "covers": ' + _json_array(covers) + "\n}"
+    )

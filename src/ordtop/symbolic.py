@@ -579,30 +579,25 @@ def truncate_domain(
     if count > max_elements:
         raise TooLarge(f"truncation would hold {count} elements, bound is {max_elements}")
 
+    chains = [[chain_label(i, n) for n in range(depth)] for i in range(width)]
     elements: list[str] = []
     points: dict[str, LPoint] = {}
     covers: list[tuple[str, str]] = []
-    for i in range(width):
-        for n in range(depth):
-            label = chain_label(i, n)
-            elements.append(label)
-            points[label] = ChainPoint(i, n)
-            if n + 1 < depth:
-                covers.append((label, chain_label(i, n + 1)))
+    for i, column in enumerate(chains):
         top = top_label(i)
+        elements += column
         elements.append(top)
+        points.update(zip(column, map(ChainPoint, repeat(i), range(depth))))
         points[top] = ChainTop(i)
-        covers.append((chain_label(i, depth - 1), top))
+        covers += zip(column, column[1:] + [top])
     for values in cartesian(range(depth), repeat=width):
-        selector = Selector.from_mapping({i: v for i, v in enumerate(values)})
-        for level in levels:
-            label = selector_label(values, level)
-            elements.append(label)
-            points[label] = SelectorPoint(selector, level)
-        for i, v in enumerate(values):
-            covers.append((chain_label(i, v), selector_label(values, 0)))
-        if len(levels) == 2:
-            covers.append((selector_label(values, 0), selector_label(values, 1)))
+        selector = Selector(tuple(enumerate(values)))
+        labels = [selector_label(values, level) for level in levels]
+        elements += labels
+        points.update(zip(labels, map(SelectorPoint, repeat(selector), levels)))
+        covers += zip(map(list.__getitem__, chains, values), repeat(labels[0]))
+        if len(labels) == 2:
+            covers.append((labels[0], labels[1]))
     return build_poset(elements, covers), points
 
 
@@ -649,6 +644,17 @@ def _parse_index(key: str) -> int:
     raise FormatError(f"chain index {excerpt(key)} must be a base-10 natural number")
 
 
+def _new_index(key: str, seen: Mapping[int, object]) -> int:
+    """The chain index a key spells; FormatError when ``seen`` already holds that index.
+
+    "1" and "01" spell one index, and a document that gives both is ambiguous.
+    """
+    index = _parse_index(key)
+    if index in seen:
+        raise FormatError(f"chain index {excerpt(index)} is given twice (again as {excerpt(key)})")
+    return index
+
+
 def open_from_json(data: object) -> SymbolicOpen:
     if not isinstance(data, dict):
         raise FormatError("symbolic open must be a JSON object")
@@ -659,10 +665,11 @@ def open_from_json(data: object) -> SymbolicOpen:
     raw_exceptions = raw_thresholds.get("exceptions", {})
     if not isinstance(raw_exceptions, dict):
         raise FormatError('"exceptions" must be an object keyed by chain index')
-    exceptions = {
-        _parse_index(key): _nat_or_none(value, f"threshold exception {excerpt(key)}")
-        for key, value in raw_exceptions.items()
-    }
+    exceptions: dict[int, int | None] = {}
+    for key, value in raw_exceptions.items():
+        exceptions[_new_index(key, exceptions)] = _nat_or_none(
+            value, f"threshold exception {excerpt(key)}"
+        )
     all_level1 = data.get("allPhiLevel1", False)
     if not isinstance(all_level1, bool):
         raise FormatError('"allPhiLevel1" must be a boolean')
@@ -678,7 +685,7 @@ def open_from_json(data: object) -> SymbolicOpen:
             minimum = _nat_or_none(value, f"cylinder minimum {excerpt(key)}")
             if minimum is None:
                 raise FormatError("cylinder minimums cannot be null")
-            conds[_parse_index(key)] = minimum
+            conds[_new_index(key, conds)] = minimum
         levels = entry.get("levels", [])
         if not isinstance(levels, list) or not all(type(lv) is int and lv in (0, 1) for lv in levels):
             raise FormatError('"levels" must be an array over {0, 1}')

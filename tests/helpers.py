@@ -121,6 +121,18 @@ def oracle_transitive_close(masks: list[int]) -> list[int]:
     return masks
 
 
+def oracle_covers(p: FinitePoset) -> tuple:
+    """The transitive reduction, testing every related pair for a member strictly between."""
+    out = []
+    for i in range(len(p)):
+        strict_up = p._up[i] & ~(1 << i)
+        for j in _iter_bits(strict_up):
+            between = strict_up & p._down[j] & ~(1 << j)
+            if between == 0:
+                out.append((p.elements[i], p.elements[j]))
+    return tuple(out)
+
+
 def oracle_scott_opens(p: FinitePoset) -> Topology:
     """The upper sets, found by testing every subset."""
     opens = []

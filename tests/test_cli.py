@@ -370,6 +370,24 @@ def test_malformed_documents_are_input_errors(capsys, tmp_path, verb, document):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("member", [
+    pytest.param({"thresholds": {"default": 0, "exceptions": {"1": 5, "01": None}},
+                  "allPhiLevel1": True}, id="threshold-exceptions"),
+    pytest.param({"thresholds": {"default": 0, "exceptions": {}}, "allPhiLevel1": True,
+                  "extraPhi": [{"conds": {"1": 2, "01": 0}, "levels": [1]}]},
+                 id="cylinder-conds"),
+])
+def test_two_spellings_of_one_chain_index_are_refused(capsys, tmp_path, member):
+    # read silently, the later spelling would win: exit 1 for the thresholds, 0 for the conds
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps([member]))
+    code = main(["diagonal", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: chain index 1 is given twice (again as '01')\n"
+
+
 HUGE = list(range(100000))
 LONG = "L" * 200000
 
@@ -398,6 +416,8 @@ LONG = "L" * 200000
         exceptions={"1" * 4000: -1})), id="threshold-exception-key"),
     pytest.param(["diagonal"], _edited("family_uniform3", lambda d: d[0]["thresholds"].update(
         exceptions={"1" * 200000: 1})), id="chain-index-past-the-digit-limit"),
+    pytest.param(["diagonal"], _edited("family_uniform3", lambda d: d[0]["thresholds"].update(
+        exceptions={"1" * 4000: 1, "0" + "1" * 4000: 2})), id="aliased-chain-index"),
     pytest.param(["diagonal"], _edited("family_uniform3", lambda d: d[0].update(
         extraPhi=[{"conds": {LONG: -1}, "levels": [1]}])), id="cylinder-minimum-key"),
     pytest.param(["check"], b'{"elements": [], "covers": [], "n": ' + b"1" * 5000 + b"}",

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 from random import Random
 
@@ -30,12 +30,19 @@ from ordtop import (
     truncate_domain,
 )
 from ordtop.generate import all_posets, random_poset
-from ordtop.poset import _dot_quote, _iter_bits, _order_violation, _transitive_close
+from ordtop.poset import (
+    _dot_quote,
+    _iter_bits,
+    _order_violation,
+    _transitive_close,
+    poset_json_text,
+)
 
 from helpers import (
     antichain,
     chain,
     diamond,
+    oracle_covers,
     oracle_directed_families,
     oracle_posets,
     oracle_transitive_close,
@@ -231,6 +238,26 @@ def test_json_round_trip():
 def test_json_requires_string_labels():
     with pytest.raises(FormatError):
         poset_to_json(product(chain(2), chain(2)))
+    with pytest.raises(FormatError):
+        poset_json_text(product(chain(2), chain(2)))
+
+
+AWKWARD_LABELS = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\u00e9",
+                  "\u2203x\u2200y", "\U0001d4ab", "\ud800", "", "'single'", "/"]
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(FinitePoset((), ()), id="empty"),
+    pytest.param(antichain(3), id="no-covers"),
+    pytest.param(chain(1), id="one-element"),
+    pytest.param(diamond(), id="diamond"),
+    pytest.param(build_poset(AWKWARD_LABELS, list(zip(AWKWARD_LABELS, AWKWARD_LABELS[1:4]))),
+                 id="awkward-labels"),
+    pytest.param(build_poset(AWKWARD_LABELS, []), id="awkward-labels-no-covers"),
+    pytest.param(truncate_domain(2, 3, MODE_L)[0], id="truncation"),
+])
+def test_json_text_is_the_indented_json_dump(p):
+    assert poset_json_text(p) == json.dumps(poset_to_json(p), indent=2)
 
 
 @pytest.mark.parametrize(
@@ -422,6 +449,32 @@ def test_covers_and_maxima_match_the_networkx_reduction():
         assert set(reduction.edges) == set(_hasse(p).edges), p.covers()
         sinks = {p.elements[i] for i in reduction.nodes if reduction.out_degree(i) == 0}
         assert p.maximal_elements() == sinks, p.covers()
+
+
+def _relabeled(p: FinitePoset, order) -> FinitePoset:
+    """The same order with its elements listed in the given index order."""
+    elements = [p.elements[i] for i in order]
+    return FinitePoset.from_relation(elements, ((p.elements[i], p.elements[j]) for i, j in p.leq))
+
+
+def test_covers_match_the_pairwise_oracle():
+    # the generators and truncations list every element after the ones below it, and
+    # then the walk visits covers only; relabeled copies make it visit non-covers too
+    rng = Random(4096)
+    posets = [_relabeled(p, order) for n in range(6) for p in all_posets(n)
+              for order in permutations(range(n))]
+    for _ in range(150):
+        p = random_poset(rng.randint(1, 40), rng)
+        order = list(range(len(p)))
+        rng.shuffle(order)
+        posets += [p, _relabeled(p, order), _relabeled(p, order[::-1])]
+    for width in range(1, 4):
+        for depth in range(1, 5):
+            for mode in (MODE_L, MODE_LHAT):
+                p, _ = truncate_domain(width, depth, mode)
+                posets += [p, _relabeled(p, range(len(p) - 1, -1, -1))]
+    for p in posets:
+        assert p.covers() == oracle_covers(p), p.elements
 
 
 def test_closure_matches_the_networkx_closure_of_the_covers():

@@ -1,3 +1,4 @@
+from itertools import product as cartesian
 from random import Random
 
 import pytest
@@ -451,11 +452,31 @@ def test_truncation_maximal_elements_follow_the_mode():
     )
 
 
+def _reference_truncation(width: int, depth: int, mode: str) -> dict:
+    """Label to point, in element order: each chain then its top, then every selector's levels."""
+    levels = (0, 1) if mode == MODE_L else (0,)
+    points = {}
+    for i in range(width):
+        for n in range(depth):
+            points[f"({i},{n})"] = ChainPoint(i, n)
+        points[f"({i},inf)"] = ChainTop(i)
+    for values in cartesian(range(depth), repeat=width):
+        selector = Selector.from_mapping({i: v for i, v in enumerate(values)})
+        for level in levels:
+            name = "s[" + ",".join(str(v) for v in values) + f"]@{level}"
+            points[name] = SelectorPoint(selector, level)
+    return points
+
+
 def test_truncation_order_matches_the_symbolic_order():
-    t, points = truncate_domain(2, 2, MODE_L)
-    for a in t.elements:
-        for b in t.elements:
-            assert t.le(a, b) == l_leq(points[a], points[b]), (a, b)
+    for (width, depth), mode in cartesian([(2, 2), (3, 3), (2, 4)], [MODE_L, MODE_LHAT]):
+        t, points = truncate_domain(width, depth, mode)
+        reference = _reference_truncation(width, depth, mode)
+        assert t.elements == tuple(reference)
+        assert list(points.items()) == list(reference.items())
+        for a in t.elements:
+            for b in t.elements:
+                assert t.le(a, b) == l_leq(points[a], points[b]), (width, depth, mode, a, b)
 
 
 def test_truncation_guard_and_argument_checks():
