@@ -78,6 +78,7 @@ from .symbolic import (
     symbolic_member,
     truncate_domain,
     truncation_members,
+    truncation_poset,
     validate_open,
 )
 from .topology import (
@@ -120,5 +121,6 @@ __all__ = [
     "l_leq", "in_mode", "is_maximal", "symbolic_member", "validate_open",
     "contains_max", "OpenFamily", "diagonal_witness", "cutoff_open",
     "gdelta_certificate_lhat", "truncate_domain", "truncation_members",
+    "truncation_poset",
     "open_to_json", "open_from_json", "family_to_json", "family_from_json",
 ]

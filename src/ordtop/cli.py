@@ -38,7 +38,7 @@ from .symbolic import (
     diagonal_witness,
     family_from_json,
     gdelta_certificate_lhat,
-    truncate_domain,
+    truncation_poset,
 )
 from .topology import Topology, is_bounded_complete, relative_topology, scott_opens
 
@@ -213,9 +213,11 @@ def cmd_lhat_cert(args: argparse.Namespace) -> int:
 
 
 def cmd_truncate(args: argparse.Namespace) -> int:
-    p, _ = truncate_domain(args.width, args.depth, args.mode,
-                           max_elements=args.max_elements)
-    print(poset_json_text(p))
+    levels = 2 if args.mode == MODE_L else 1
+    count = args.width * (args.depth + 1) + args.depth ** args.width * levels
+    if count > args.max_elements:
+        raise TooLarge(f"truncation would hold {count} elements, bound is {args.max_elements}")
+    print(poset_json_text(truncation_poset(args.width, args.depth, args.mode)))
     return 0
 
 

@@ -42,9 +42,9 @@ class EmptySet(OrdtopError):
 class TooLarge(OrdtopError):
     """An input exceeds a size bound.
 
-    The CLI holds each finite verb's input poset to ``--max-elements``; in the
-    library only ``truncate_domain`` (elements to build) and ``build_Q``
-    (candidate triples) bound their work.
+    The CLI holds each finite verb's input poset, and the truncation it is
+    asked to build, to ``--max-elements``; in the library only ``build_Q``
+    (candidate triples) bounds its work.
     """
 
 

@@ -39,15 +39,17 @@ def _mirror(mask: int, n: int) -> int:
     return sum(1 << (n - 1 - i) for i in _iter_bits(mask))
 
 
-def _transitive_close(masks: list[int]) -> None:
-    """Replace each row by its reflexive-transitive closure, in place.
+def _transitive_close(masks: list[int]) -> tuple[int, int] | None:
+    """Replace each row by its reflexive-transitive closure, in place; return a cycle.
 
     Tarjan's strongly-connected-components search, iterative, in O(n + e)
     row operations.  Components finish after every component they reach, so
     a finished component's closed row is its members' bits OR the closed
     rows of its direct successors outside it.  A row is overwritten only
     when its component finishes, after its last read as a list of edges, so
-    cycles (preorders) close like any other relation.
+    cycles (preorders) close like any other relation.  Returns the pair
+    ``_order_violation`` reports on the closed rows: None, or the least index
+    i in a component of two or more and the least other member j of it.
     """
     n = len(masks)
     order = [0] * n  # visit number from 1; 0 while unvisited
@@ -56,6 +58,7 @@ def _transitive_close(masks: list[int]) -> None:
     pending = list(masks)  # edges not yet followed
     stack: list[int] = []
     visits = 0
+    cycle = None
     for root in range(n):
         if order[root]:
             continue
@@ -101,6 +104,10 @@ def _transitive_close(masks: list[int]) -> None:
                 for u in component:
                     masks[u] = row
                     order[u] = finished
+                if len(component) > 1:
+                    i, j = sorted(component)[:2]
+                    cycle = min(cycle, (i, j)) if cycle else (i, j)
+    return cycle
 
 
 def _order_violation(masks: list[int]) -> tuple[str, tuple[int, ...]] | None:
@@ -121,6 +128,10 @@ def _order_violation(masks: list[int]) -> tuple[str, tuple[int, ...]] | None:
             if above >> i & 1 and cycle is None:
                 cycle = "antisymmetric", (i, j)
     return cycle
+
+
+def _cycle_detected(elements: tuple[Label, ...], at: tuple[int, ...]) -> CycleDetected:
+    return CycleDetected(" and ".join(excerpt(elements[k]) for k in at) + " sit below each other")
 
 
 class FinitePoset:
@@ -145,7 +156,7 @@ class FinitePoset:
 
     @classmethod
     def from_covers(cls, elements: Iterable[Label], covers: Iterable[tuple[Label, Label]]) -> "FinitePoset":
-        """Close a cover (or any generating) relation and validate antisymmetry."""
+        """Close a cover (or any generating) relation; the closing pass reports any cycle."""
         elements = tuple(elements)
         seen: dict[Label, int] = {}
         for pos, label in enumerate(elements):
@@ -159,8 +170,10 @@ class FinitePoset:
             if high not in seen:
                 raise UnknownLabel(f"cover mentions unknown label {excerpt(high)}")
             masks[seen[low]] |= 1 << seen[high]
-        _transitive_close(masks)
-        return cls._checked(elements, masks)
+        cycle = _transitive_close(masks)
+        if cycle is not None:
+            raise _cycle_detected(elements, cycle)
+        return cls(elements, masks)
 
     @classmethod
     def from_relation(cls, elements: Iterable[Label], pairs: Iterable[tuple[Label, Label]]) -> "FinitePoset":
@@ -174,17 +187,13 @@ class FinitePoset:
             if a not in seen or b not in seen:
                 raise UnknownLabel(f"relation mentions unknown pair ({excerpt(a)}, {excerpt(b)})")
             masks[seen[a]] |= 1 << seen[b]
-        return cls._checked(elements, masks)
-
-    @classmethod
-    def _checked(cls, elements: tuple[Label, ...], masks: list[int]) -> "FinitePoset":
         violation = _order_violation(masks)
         if violation is not None:
             axiom, at = violation
-            names = [excerpt(elements[k]) for k in at]
             if axiom == "antisymmetric":
-                raise CycleDetected(f"{' and '.join(names)} sit below each other")
-            raise ValueError(f"relation is not {axiom} at {', '.join(names)}")
+                raise _cycle_detected(elements, at)
+            names = ", ".join(excerpt(elements[k]) for k in at)
+            raise ValueError(f"relation is not {axiom} at {names}")
         return cls(elements, masks)
 
     # -- basic queries ----------------------------------------------------

@@ -28,7 +28,7 @@ from itertools import product as cartesian, repeat
 from operator import is_not
 from typing import Callable, Iterable, Mapping
 
-from .errors import FormatError, NotCoveringMax, TooLarge, excerpt
+from .errors import FormatError, NotCoveringMax, excerpt
 from .poset import FinitePoset, build_poset
 from .report import Report
 
@@ -561,44 +561,46 @@ def selector_label(values: tuple[int, ...], level: int) -> str:
     return "s[" + ",".join(map(str, values)) + f"]@{level}"
 
 
-def truncate_domain(
-    width: int, depth: int, mode: str, *, max_elements: int = 5000
-) -> tuple[FinitePoset, dict[str, LPoint]]:
-    """A finite prefix of the mode's domain, with a map back to its points.
+def truncation_poset(width: int, depth: int, mode: str) -> FinitePoset:
+    """A finite prefix of the mode's domain.
 
     Keeps ``width`` chains, each with positions below ``depth`` plus its
     top, and every selector over those positions (level 1 only in L mode).
-    The point map sends each element label to the symbolic point it stands
-    for, so symbolic membership can be replayed concretely.
     """
     _check_mode(mode)
     if width < 1 or depth < 1:
         raise ValueError("width and depth must be at least 1")
     levels = (0, 1) if mode == MODE_L else (0,)
-    count = width * (depth + 1) + (depth ** width) * len(levels)
-    if count > max_elements:
-        raise TooLarge(f"truncation would hold {count} elements, bound is {max_elements}")
-
     chains = [[chain_label(i, n) for n in range(depth)] for i in range(width)]
     elements: list[str] = []
-    points: dict[str, LPoint] = {}
     covers: list[tuple[str, str]] = []
     for i, column in enumerate(chains):
         top = top_label(i)
         elements += column
         elements.append(top)
-        points.update(zip(column, map(ChainPoint, repeat(i), range(depth))))
-        points[top] = ChainTop(i)
         covers += zip(column, column[1:] + [top])
     for values in cartesian(range(depth), repeat=width):
-        selector = Selector(tuple(enumerate(values)))
         labels = [selector_label(values, level) for level in levels]
         elements += labels
-        points.update(zip(labels, map(SelectorPoint, repeat(selector), levels)))
         covers += zip(map(list.__getitem__, chains, values), repeat(labels[0]))
         if len(labels) == 2:
             covers.append((labels[0], labels[1]))
-    return build_poset(elements, covers), points
+    return build_poset(elements, covers)
+
+
+def truncate_domain(width: int, depth: int, mode: str) -> tuple[FinitePoset, dict[str, LPoint]]:
+    """``truncation_poset`` and the symbolic point of each label, for replaying membership.
+
+    The points are made in element order, so no label is built twice.
+    """
+    poset = truncation_poset(width, depth, mode)
+    levels = (0, 1) if mode == MODE_L else (0,)
+    points: list[LPoint] = []
+    for i in range(width):
+        points += [*map(ChainPoint, repeat(i), range(depth)), ChainTop(i)]
+    for values in cartesian(range(depth), repeat=width):
+        points += map(SelectorPoint, repeat(Selector(tuple(enumerate(values)))), levels)
+    return poset, dict(zip(poset.elements, points))
 
 
 def truncation_members(

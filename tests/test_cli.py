@@ -229,6 +229,18 @@ def test_size_guard_is_an_input_error(capsys, tmp_path, verb, kind):
     assert code == 0
 
 
+def test_truncation_guard_is_an_input_error(capsys):
+    # 4 chains of 5 points and 4^4 selectors at two levels: 532 elements
+    code = main(["truncate-l", "--width", "4", "--depth", "4", "--max-elements", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: truncation would hold 532 elements, bound is 100\n"
+    code, out = run(capsys, "truncate-l", "--width", 4, "--depth", 4, "--max-elements", 532)
+    assert code == 0
+    assert len(json.loads(out)["elements"]) == 532
+
+
 @pytest.mark.parametrize("argv", [
     ["lhat-cert", "--eval-bound", "-1"],
     ["truncate-l", "--width", "0", "--depth", "1"],

@@ -1,4 +1,5 @@
 import json
+import sys
 from itertools import combinations, permutations
 from pathlib import Path
 from random import Random
@@ -29,6 +30,7 @@ from ordtop import (
     to_dot,
     truncate_domain,
 )
+from ordtop.cli import main
 from ordtop.generate import all_posets, random_poset
 from ordtop.poset import (
     _dot_quote,
@@ -378,8 +380,10 @@ def _relations(n: int, pairs):
 
 def _agrees_with_warshall(masks: list[int]) -> list[int]:
     closed = list(masks)
-    _transitive_close(closed)
+    cycle = _transitive_close(closed)
     assert closed == oracle_transitive_close(masks), masks
+    # the closing pass reports the antisymmetry witness the definitional check finds
+    assert _order_violation(closed) == (None if cycle is None else ("antisymmetric", cycle)), masks
     return closed
 
 
@@ -411,6 +415,47 @@ def test_closure_matches_warshall_on_truncation_covers(width, depth, mode):
     for low, high in p.covers():
         masks[p.index(low)] |= 1 << p.index(high)
     assert _agrees_with_warshall(masks) == list(p._up)
+
+
+def test_posets_closed_from_covers_satisfy_the_order_axioms():
+    for p in oracle_posets():
+        q = build_poset(p.elements, p.covers())
+        assert q == p, p.covers()
+        assert _order_violation(q._up) is None, p.covers()
+    for width, depth in ((2, 6), (3, 5)):
+        for mode in (MODE_L, MODE_LHAT):
+            assert _order_violation(truncate_domain(width, depth, mode)[0]._up) is None
+
+
+def _patch_ordtop(monkeypatch, attr, replacement):
+    """Replace ``attr`` on every ``ordtop`` module that has it, imported names included."""
+    for name, module in list(sys.modules.items()):
+        if (name == "ordtop" or name.startswith("ordtop.")) and hasattr(module, attr):
+            monkeypatch.setattr(module, attr, replacement)
+
+
+def test_closing_builds_never_recheck_the_order_axioms(monkeypatch, capsys):
+    calls = []
+
+    def spy(masks):
+        calls.append(len(masks))
+        return _order_violation(masks)
+
+    def refuse(*args):
+        raise AssertionError("truncate-l built the point map")
+
+    _patch_ordtop(monkeypatch, "_order_violation", spy)
+    build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    with pytest.raises(CycleDetected):
+        build_poset(["a", "b"], [("a", "b"), ("b", "a")])
+    truncate_domain(2, 3, MODE_LHAT)
+    _patch_ordtop(monkeypatch, "truncate_domain", refuse)
+    assert main(["truncate-l", "--width", "2", "--depth", "3"]) == 0
+    golden = DATA / "golden" / "argv" / "truncate-l_2x3_L.out"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert calls == []
+    FinitePoset.from_relation(["a", "b"], [("a", "a"), ("b", "b")])
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("covers,message", [

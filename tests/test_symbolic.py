@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ordtop
 from ordtop import (
     MODE_L,
     MODE_LHAT,
@@ -18,7 +19,6 @@ from ordtop import (
     SelectorPoint,
     SymbolicOpen,
     ThresholdRule,
-    TooLarge,
     contains_max,
     cutoff_open,
     diagonal_witness,
@@ -34,6 +34,7 @@ from ordtop import (
     symbolic_member,
     truncate_domain,
     truncation_members,
+    truncation_poset,
     symbolic,
     validate_open,
 )
@@ -479,13 +480,24 @@ def test_truncation_order_matches_the_symbolic_order():
                 assert t.le(a, b) == l_leq(points[a], points[b]), (width, depth, mode, a, b)
 
 
+def test_point_map_rides_on_the_truncation_poset():
+    for (width, depth), mode in cartesian([(2, 2), (3, 3), (2, 4)], [MODE_L, MODE_LHAT]):
+        t, points = truncate_domain(width, depth, mode)
+        p = truncation_poset(width, depth, mode)
+        assert t.elements == p.elements and t._up == p._up
+        assert list(points.items()) == list(_reference_truncation(width, depth, mode).items())
+    assert "truncation_poset" in ordtop.__all__
+
+
 def test_truncation_guard_and_argument_checks():
-    with pytest.raises(TooLarge):
-        truncate_domain(4, 4, MODE_L, max_elements=100)
-    with pytest.raises(ValueError):
-        truncate_domain(0, 2, MODE_L)
-    with pytest.raises(ValueError):
-        truncate_domain(2, 2, "nope")
+    # the size bound is the CLI's (test_truncation_guard_is_an_input_error)
+    for build in (truncate_domain, truncation_poset):
+        with pytest.raises(ValueError):
+            build(0, 2, MODE_L)
+        with pytest.raises(ValueError):
+            build(2, 0, MODE_LHAT)
+        with pytest.raises(ValueError):
+            build(2, 2, "nope")
 
 
 def test_truncation_members_are_scott_open():
