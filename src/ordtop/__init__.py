@@ -27,7 +27,6 @@ from .factorization import (
     ProductModel,
     QTriple,
     algebraic_model,
-    box_intersection_pair,
     build_Q,
     chain_pairs_model,
     covering_intersection,
@@ -113,7 +112,7 @@ __all__ = [
     "Ideal", "principal_ideal", "all_ideals", "idl_poset",
     "Report",
     "QTriple", "ProductModel", "split_product_topology",
-    "build_Q", "ideal_J", "box_intersection_pair", "covering_intersection",
+    "build_Q", "ideal_J", "covering_intersection",
     "verify_claims", "factor_model", "lower_set_model", "algebraic_model",
     "chain_pairs_model", "model_to_json", "model_from_json",
     "MODE_L", "MODE_LHAT", "Selector", "ChainPoint", "ChainTop",

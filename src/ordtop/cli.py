@@ -91,9 +91,9 @@ def _set_texts(points: Sequence, masks: Sequence[int]) -> Iterator[str]:
 def _bounded(p: FinitePoset, args: argparse.Namespace) -> FinitePoset:
     """The input poset, held to ``--max-elements``: the one size bound of the finite verbs.
 
-    Derived posets need none: a triple poset that passes its order check has
-    at most one triple per element, so it, its completion and a lower set are
-    no larger than the input.
+    Derived posets need none: the triple poset has at most one triple per
+    element by construction, so it, its completion and a lower set are no
+    larger than the input.
     """
     if len(p) > args.max_elements:
         raise TooLarge(f"poset has {len(p)} elements; input size bounded at {args.max_elements}")
@@ -212,11 +212,27 @@ def cmd_lhat_cert(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _truncation_size(width: int, depth: int, levels: int) -> int | None:
+    """Elements of a truncation, or None past ``sys.maxsize``, more than any sequence holds.
+
+    The ``depth ** width`` selectors are multiplied out one factor at a time
+    and given up once they pass that cap, so a huge flag costs at most about
+    64 multiplications and the count stays short enough to print.
+    """
+    size = levels
+    for _ in range(width if depth > 1 else 0):
+        size *= depth
+        if size > sys.maxsize:
+            return None
+    size += width * (depth + 1)
+    return size if size <= sys.maxsize else None
+
+
 def cmd_truncate(args: argparse.Namespace) -> int:
-    levels = 2 if args.mode == MODE_L else 1
-    count = args.width * (args.depth + 1) + args.depth ** args.width * levels
-    if count > args.max_elements:
-        raise TooLarge(f"truncation would hold {count} elements, bound is {args.max_elements}")
+    count = _truncation_size(args.width, args.depth, 2 if args.mode == MODE_L else 1)
+    if count is None or count > args.max_elements:
+        held = f"more than {sys.maxsize}" if count is None else count
+        raise TooLarge(f"truncation would hold {held} elements, bound is {args.max_elements}")
     print(poset_json_text(truncation_poset(args.width, args.depth, args.mode)))
     return 0
 

@@ -43,8 +43,8 @@ class TooLarge(OrdtopError):
     """An input exceeds a size bound.
 
     The CLI holds each finite verb's input poset, and the truncation it is
-    asked to build, to ``--max-elements``; in the library only ``build_Q``
-    (candidate triples) bounds its work.
+    asked to build, to ``--max-elements``; no library function bounds its
+    work.
     """
 
 

@@ -1,13 +1,14 @@
 """Recovering a domain model of one factor of a finite product space.
 
-Starting point: an algebraic domain whose maximal points are labeled, via a
-bijection, by the pairs of a product X x Y carrying the relative Scott
-topology.  From that data the pipeline assembles the auxiliary poset of
-admissible triples (an open box around a compact element's maximal shadow),
-takes its ideal completion, and certifies that the maximal points of the
-completion are exactly the ideals attached to the points of X, carrying the
-X topology.  Every step of the argument is re-checked at run time, except
-two finite theorems: every element of a finite poset is compact, and every
+Starting point: an algebraic domain P whose maximal points are labeled, via
+a bijection, by the pairs of a product X x Y carrying the relative Scott
+topology.  The auxiliary poset Q of admissible triples is P restricted to
+its open-box elements: those whose maximal shadow is an open box U x V
+around the base point y0, each relabelled as the triple (U, V, k).  The
+pipeline takes the ideal completion of Q and certifies that its maximal
+points are exactly the ideals attached to the points of X, carrying the X
+topology.  Every step of the argument is re-checked at run time, except two
+finite theorems: every element of a finite poset is compact, and every
 ideal is principal.
 """
 
@@ -22,7 +23,6 @@ from .errors import (
     InvalidModel,
     NotAnIdeal,
     NotAProductTopology,
-    TooLarge,
     UnknownLabel,
     VerificationFailed,
     excerpt,
@@ -36,10 +36,10 @@ from .topology import Topology, is_scott_closed, relative_topology
 
 @dataclass(frozen=True)
 class QTriple:
-    """An admissible triple: open box u x v inside a compact element's shadow.
+    """An admissible triple: an element k of P whose maximal shadow is the open box u x v.
 
     ``u`` is a nonempty open set of X labels, ``v`` an open set of Y labels
-    containing the base point, ``k`` a compact element of the model poset.
+    containing the base point; ``build_Q`` makes one triple per such element.
     """
 
     u: frozenset
@@ -150,51 +150,26 @@ class ProductModel:
         )
 
 
-MAX_CANDIDATES = 200_000
-
-
 def build_Q(model: ProductModel) -> FinitePoset:
-    """The poset of admissible triples under the approximation order.
+    """The triple poset: P restricted to its open-box elements, relabelled as triples.
 
-    Triples are enumerated lexicographically by (k, u, v) in the canonical
-    label orders, k over every element (each is compact).  The order puts t1
-    below t2 when k1 <= k2 and the maximal shadow of k2 fits inside t1's box;
-    its partial-order axioms are verified here before the poset is built.
+    An element k is kept when its maximal shadow is a box U x V with U
+    nonempty, U open in X, V open in Y and y0 in V; its triple is (U, V, k),
+    listed in the order of the model's elements.  The approximation
+    order puts t1 below t2 when k1 <= k2 and shadow(k2) fits inside t1's
+    box.  Here that box is shadow(k1), which holds shadow(k2) whenever
+    k1 <= k2, so the order is P's own, restricted.
     """
-    p = model.poset
-    compact = p.elements
-    opens_x = [u for u in model.topology_x.sorted_opens() if u]
-    opens_y = [v for v in model.topology_y.sorted_opens() if model.y0 in v]
-    if len(compact) * len(opens_x) * len(opens_y) > MAX_CANDIDATES:
-        raise TooLarge(
-            f"{len(compact) * len(opens_x) * len(opens_y)} candidate triples "
-            f"exceed the bound {MAX_CANDIDATES}"
-        )
-
-    shadows = {k: model.max_shadow(k) for k in compact}
-    triples: list[QTriple] = []
-    boxes: list[frozenset] = []
-    for k in compact:
-        shadow = shadows[k]
-        for u in opens_x:
-            for v in opens_y:
-                box = frozenset((x, y) for x in u for y in v)
-                if box <= shadow:
-                    triples.append(QTriple(u, v, k))
-                    boxes.append(box)
-
-    rows = [
-        sum(1 << j for j, t2 in enumerate(triples)
-            if p.le(t1.k, t2.k) and shadows[t2.k] <= box)
-        for t1, box in zip(triples, boxes)
-    ]
-    violation = _order_violation(rows)
-    if violation is not None:
-        axiom, at = violation
-        raise VerificationFailed(
-            f"triple order is not {axiom} at {', '.join(str(triples[i]) for i in at)}"
-        )
-    return FinitePoset(triples, rows)
+    triples = {}
+    for k in model.poset.elements:
+        shadow = model.max_shadow(k)
+        u = frozenset(x for x, _ in shadow)
+        v = frozenset(y for _, y in shadow)
+        if (u and len(shadow) == len(u) * len(v) and model.y0 in v
+                and model.topology_x.is_open(u) and model.topology_y.is_open(v)):
+            triples[k] = QTriple(u, v, k)
+    kept = model.poset.restrict(triples)
+    return FinitePoset([triples[k] for k in kept.elements], kept._up)
 
 
 def ideal_J(model: ProductModel, x, q_poset: FinitePoset) -> Ideal:
@@ -206,23 +181,6 @@ def ideal_J(model: ProductModel, x, q_poset: FinitePoset) -> Ideal:
         return Ideal(q_poset, members)
     except NotAnIdeal as exc:
         raise NotAnIdeal(f"triples selected by {excerpt(x)} are not an ideal: {exc}") from exc
-
-
-def box_intersection_pair(
-    model: ProductModel, members: Iterable[QTriple]
-) -> tuple[frozenset, frozenset]:
-    """Both descriptions of the core of a set of triples, as pair sets.
-
-    First: the intersection of the open boxes.  Second: the intersection of
-    the maximal shadows.  For an ideal of the triple poset the two agree.
-    """
-    members = list(members)
-    pairs = frozenset((x, y) for x in model.label_x for y in model.label_y)
-    box_core, shadow_core = pairs, pairs
-    for t in members:
-        box_core &= frozenset((x, y) for x in t.u for y in t.v)
-        shadow_core &= model.max_shadow(t.k)
-    return box_core, shadow_core
 
 
 def covering_intersection(model: ProductModel, q_poset: FinitePoset, x) -> frozenset:

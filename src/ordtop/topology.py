@@ -74,6 +74,11 @@ class Topology:
         """The meet of all opens around a point, itself open."""
         return self.labels_of(self.around[self._pos[point]])
 
+    def is_open(self, points: Iterable) -> bool:
+        """Whether a set of points holds the smallest open around each of them."""
+        mask = sum(1 << self._pos[pt] for pt in set(points))
+        return all(self.around[i] & ~mask == 0 for i in _iter_bits(mask))
+
     def renamed(self, name: Mapping, space: Iterable) -> "Topology":
         """The subspace on the points ``name`` maps, renamed along it onto ``space``."""
         space = tuple(space)
@@ -286,4 +291,4 @@ def is_gdelta(topology: Topology, subset: Iterable) -> bool:
     target = frozenset(subset)
     if not target <= frozenset(topology.space):
         raise ForeignSet("subset leaves the topology's space")
-    return all(topology.smallest_open(x) <= target for x in target)
+    return topology.is_open(target)

@@ -11,10 +11,12 @@ from ordtop import (
     InvalidModel,
     NotAProductTopology,
     ProductModel,
+    QTriple,
     Report,
     Selector,
     ThresholdRule,
     Topology,
+    VerificationFailed,
     build_poset,
     contains_max,
     symbolic_member,
@@ -22,7 +24,7 @@ from ordtop import (
 )
 from ordtop import symbolic
 from ordtop.generate import all_posets, random_poset
-from ordtop.poset import _iter_bits
+from ordtop.poset import _iter_bits, _order_violation
 from ordtop.topology import _union_closure
 
 
@@ -241,6 +243,59 @@ def oracle_split_product_topology(topology: Topology, xs, ys) -> tuple[Topology,
                     f"open containing ({x}, {y}) holds no open box around it"
                 )
     return Topology.from_opens(xs, tx_opens), Topology.from_opens(ys, ty_opens)
+
+
+def oracle_boxes(model: ProductModel) -> list[tuple[QTriple, frozenset]]:
+    """Every triple whose open box fits inside its element's shadow, with that box.
+
+    U ranges over the nonempty X opens and V over the Y opens holding y0, both
+    listed in the canonical order, and the triples run in (k, U, V) order.
+    """
+    opens_x = [u for u in model.topology_x.sorted_opens() if u]
+    opens_y = [v for v in model.topology_y.sorted_opens() if model.y0 in v]
+    out = []
+    for k in model.poset.elements:
+        shadow = model.max_shadow(k)
+        for u in opens_x:
+            for v in opens_y:
+                box = frozenset((x, y) for x in u for y in v)
+                if box <= shadow:
+                    out.append((QTriple(u, v, k), box))
+    return out
+
+
+def oracle_build_Q(model: ProductModel) -> FinitePoset:
+    """The triple poset by enumeration, under the shadow order, with its axioms checked.
+
+    t1 sits below t2 when k1 <= k2 and shadow(k2) fits inside t1's box.  A
+    box strictly inside its shadow is below no triple, not even itself, so
+    VerificationFailed names the first triple where an axiom fails.
+    """
+    boxes = oracle_boxes(model)
+    p = model.poset
+    shadows = {k: model.max_shadow(k) for k in p.elements}
+    rows = [
+        sum(1 << j for j, (t2, _) in enumerate(boxes)
+            if p.le(t1.k, t2.k) and shadows[t2.k] <= box)
+        for t1, box in boxes
+    ]
+    violation = _order_violation(rows)
+    if violation is not None:
+        axiom, at = violation
+        raise VerificationFailed(
+            f"triple order is not {axiom} at {', '.join(str(boxes[i][0]) for i in at)}"
+        )
+    return FinitePoset([t for t, _ in boxes], rows)
+
+
+def oracle_box_order_Q(model: ProductModel) -> FinitePoset:
+    """Every enumerated triple, ordered by comparing boxes: k1 <= k2 and box2 inside box1."""
+    boxes = oracle_boxes(model)
+    rows = [
+        sum(1 << j for j, (t2, box2) in enumerate(boxes) if model.poset.le(t1.k, t2.k) and box2 <= box1)
+        for t1, box1 in boxes
+    ]
+    return FinitePoset([t for t, _ in boxes], rows)
 
 
 def oracle_is_gdelta(topology: Topology, subset) -> bool:

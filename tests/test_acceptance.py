@@ -24,7 +24,6 @@ from ordtop import (
     SymbolicOpen,
     ThresholdRule,
     Cylinder,
-    box_intersection_pair,
     build_Q,
     build_poset,
     chain_pairs_model,
@@ -36,7 +35,6 @@ from ordtop import (
     find_order_isomorphism,
     gdelta_certificate_lhat,
     idl_poset,
-    ideal_J,
     is_gdelta,
     is_ideal_domain,
     is_maximal,
@@ -203,11 +201,10 @@ def test_acceptance_4_factor_laws(record):
         _, _, report = factor_model(model)
         if not report.ok:
             ok = False
-        for x in model.label_x:
-            members = ideal_J(model, x, q).members
-            box_core, shadow_core = box_intersection_pair(model, members)
-            if box_core != shadow_core:
+        for t in q.elements:
+            if frozenset((x, y) for x in t.u for y in t.v) != model.max_shadow(t.k):
                 ok = False
+        for x in model.label_x:
             if covering_intersection(model, q, x) != frozenset({x}):
                 ok = False
     record(4, "factor laws", ok, f"{len(models)} models")

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordtop import ProductModel, Topology, label_text, model_to_json, relative_topology, scott_opens
+from ordtop import (ProductModel, Topology, chain_pairs_model, label_text, model_to_json,
+                    relative_topology, scott_opens)
 from ordtop.cli import _set_texts, main
 
 from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_posets,
@@ -239,6 +240,19 @@ def test_truncation_guard_is_an_input_error(capsys):
     code, out = run(capsys, "truncate-l", "--width", 4, "--depth", 4, "--max-elements", 532)
     assert code == 0
     assert len(json.loads(out)["elements"]) == 532
+
+
+@pytest.mark.parametrize("width,depth", [(5000, 10), (3000, 10), (10**30, 1), (1, 10**30)],
+                         ids=["width-5000", "width-3000", "huge-width", "huge-depth"])
+def test_truncation_guard_needs_no_full_power(capsys, width, depth):
+    # 10^5000 selectors: the count is refused before its 5000 digits are formed
+    code = main(["truncate-l", "--width", str(width), "--depth", str(depth)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: truncation would hold more than ")
+    assert "Traceback" not in captured.err
+    assert len(captured.err.encode()) < 300
 
 
 @pytest.mark.parametrize("argv", [
@@ -528,13 +542,13 @@ def _malformed_families(draw):
     return family
 
 
-def _diagonal(document) -> tuple[int, str, str]:
+def _run_document(verb: str, document) -> tuple[int, str, str]:
     out, err = StringIO(), StringIO()
     with TemporaryDirectory() as directory:
-        path = Path(directory) / "family.json"
+        path = Path(directory) / "input.json"
         path.write_text(json.dumps(document), encoding="utf-8")
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["diagonal", "--input", str(path)])
+            code = main([verb, "--input", str(path)])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -542,7 +556,7 @@ def _diagonal(document) -> tuple[int, str, str]:
 @given(st.booleans(), st.data())
 def test_diagonal_keeps_its_input_contract(malformed, data):
     document = data.draw(_malformed_families() if malformed else _families)
-    code, out, err = _diagonal(document)
+    code, out, err = _run_document("diagonal", document)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert len(err.encode()) < 300
@@ -552,9 +566,74 @@ def test_diagonal_keeps_its_input_contract(malformed, data):
         assert code in (0, 1)
 
 
-def test_a_broken_triple_order_is_a_failed_verification(capsys, monkeypatch):
-    # every compact element claims every pair, so boxes smaller than the
-    # whole space sit below no triple, not even themselves
+# -- the model input contract, fuzzed -----------------------------------------------
+
+
+@st.composite
+def _models(draw):
+    """A well-formed product model: labelled maxima above extra elements, each below some maximum."""
+    xs = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    ys = [f"y{j}" for j in range(draw(st.integers(1, 2)))]
+    labeling = {f"({x},{y})": [x, y] for x in xs for y in ys}
+    # at least two elements, so that a cycle can be drawn in
+    extras = [f"e{i}" for i in range(draw(st.integers(len(labeling) == 1, 6)))]
+    covers = []
+    for i, low in enumerate(extras):
+        above = extras[i + 1:] + list(labeling)
+        highs = draw(st.lists(st.sampled_from(above), min_size=1, max_size=3, unique=True))
+        covers += [[low, high] for high in highs]
+    elements = draw(st.permutations(extras + list(labeling)))
+    return {"poset": {"elements": elements, "covers": covers}, "labelX": xs, "labelY": ys,
+            "maxLabeling": labeling, "y0": draw(st.sampled_from(ys))}
+
+
+@st.composite
+def _malformed_models(draw):
+    """A well-formed model with exactly one fault drawn into it."""
+    model = draw(_models())
+    labeling = model["maxLabeling"]
+    fault = draw(st.sampled_from(["document", "missing-key", "label-x", "pair", "y0",
+                                  "bijection", "cycle"]))
+    if fault == "document":
+        return draw(_wrong_type(dict))
+    if fault == "missing-key":
+        del model[draw(st.sampled_from(sorted(model)))]
+    elif fault == "label-x":
+        model["labelX"] = draw(_wrong_type(list))
+    elif fault == "pair":
+        not_a_pair = st.lists(_json_values, max_size=4).filter(lambda pair: len(pair) != 2)
+        labeling[draw(st.sampled_from(sorted(labeling)))] = draw(_wrong_type(list) | not_a_pair)
+    elif fault == "y0":
+        model["y0"] = draw(_json_values.filter(lambda y: y not in model["labelY"]))
+    elif fault == "bijection":
+        keys = draw(st.permutations(sorted(labeling)))
+        if len(keys) > 1 and draw(st.booleans()):
+            labeling[keys[0]] = labeling[keys[1]]
+        else:
+            del labeling[keys[0]]
+    else:
+        low, high = draw(st.permutations(model["poset"]["elements"]))[:2]
+        model["poset"]["covers"] += [[low, high], [high, low]]
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.data())
+def test_model_verbs_keep_their_input_contract(malformed, data):
+    document = data.draw(_malformed_models() if malformed else _models())
+    for verb in ("factor", "lower-model"):
+        code, out, err = _run_document(verb, document)
+        assert "Traceback" not in err
+        assert len(err.encode()) < 300
+        if malformed:
+            assert code == 2 and out == "" and err.startswith("error: ")
+        else:
+            assert code == 0 and out.endswith("verified: yes\n")
+
+
+def test_an_all_pairs_shadow_fails_as_an_undirected_ideal(capsys, monkeypatch):
+    # every element claims every pair, so every element is a triple and
+    # J(x) is all of the poset, whose two maxima have no upper bound
     def everything(model, k):
         return frozenset((x, y) for x in model.label_x for y in model.label_y)
 
@@ -563,5 +642,54 @@ def test_a_broken_triple_order_is_a_failed_verification(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "triple order is not reflexive" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err == ("error: claim-selected-are-ideals does not hold: triples selected "
+                            "by 'x1' are not an ideal: members are not directed\n")
+
+
+SPLIT_MODEL = {
+    # b lies below both maxima, so its shadow is the two-pair box {x0,x1} x {y0}
+    "poset": {"elements": ["b", "a", "d"], "covers": [["b", "a"], ["b", "d"]]},
+    "labelX": ["x0", "x1"], "labelY": ["y0"],
+    "maxLabeling": {"a": ["x0", "y0"], "d": ["x1", "y0"]}, "y0": "y0",
+}
+
+
+def test_an_element_below_two_maxima_is_one_triple(capsys, tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(SPLIT_MODEL))
+    code = main(["factor", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out == (
+        "q-count: 3\n"
+        "claim-partial-order: yes\n"
+        "claim-selected-are-ideals: yes\n"
+        "claim-max-ideals-are-selected: yes\n"
+        "claim-selected-are-maximal: yes\n"
+        "claim-max-point-bijection: yes\n"
+        "claim-map-continuous: yes\n"
+        "claim-map-open: yes\n"
+        "topology-transport-exact: yes\n"
+        "max-count: 2\n"
+        "ideal-size x0: 2\n"
+        "ideal-size x1: 2\n"
+        "completion-elements: 3\n"
+        "verified: yes\n"
+    )
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(lambda: discrete_model(20, 1), id="discrete20x1"),
+    pytest.param(lambda: discrete_model(40, 5), id="discrete40x5"),
+    pytest.param(lambda: chain_pairs_model(50), id="chainpairs50"),
+])
+@pytest.mark.parametrize("verb", ["factor", "lower-model"])
+def test_factor_verbs_cost_no_open_listing(capsys, tmp_path, verb, model):
+    # 2^20 X opens, or 2^40 x 2^4, would have to be listed to enumerate the triples
+    m = model()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(m)))
+    code, out = run(capsys, verb, "--input", path, "--max-elements", len(m.poset))
+    assert code == 0
+    assert out.endswith("verified: yes\n")

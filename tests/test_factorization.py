@@ -1,4 +1,5 @@
 from functools import cached_property
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -16,7 +17,6 @@ from ordtop import (
     UnknownLabel,
     VerificationFailed,
     algebraic_model,
-    box_intersection_pair,
     build_Q,
     build_poset,
     chain_pairs_model,
@@ -42,6 +42,9 @@ from helpers import (
     chain,
     diamond,
     discrete_model,
+    oracle_box_order_Q,
+    oracle_build_Q,
+    oracle_posets,
     oracle_split_product_topology,
     rooted_model,
     vshape,
@@ -164,7 +167,8 @@ def test_factor_topologies_of_a_discrete_model_are_discrete():
 
 
 def test_factor_pipeline_lists_opens_only_on_the_factor_spaces(monkeypatch):
-    # every open family is listed through Topology.open_masks
+    # every open family is listed through Topology.open_masks, and the
+    # pipeline reads smallest opens only: it lists no open at all
     listed = []
     build = Topology.open_masks.func
 
@@ -178,7 +182,7 @@ def test_factor_pipeline_lists_opens_only_on_the_factor_spaces(monkeypatch):
     m = discrete_model(5, 3)
     assert factor_model(m)[2].ok
     assert lower_set_model(m, "y0")[1].ok
-    assert sorted(set(listed)) == [3, 5]
+    assert listed == []
 
 
 def test_triple_poset_of_the_rooted_model_is_two_chains():
@@ -301,24 +305,67 @@ def test_factor_model_on_the_rooted_model():
     assert {len(s) for s in point_map.values()} == {2}
 
 
-def test_core_descriptions_agree_on_selected_ideals():
-    # the box meet and the shadow meet of an ideal name the same pair set
-    for m in [rooted_model(), discrete_model(2, 2), chain_pairs_model(1)]:
-        q = build_Q(m)
-        for x in m.label_x:
-            members = ideal_J(m, x, q).members
-            box_core, shadow_core = box_intersection_pair(m, members)
-            assert box_core == shadow_core
-            assert box_core == frozenset(
-                (x, y) for y in m.label_y if (x, y) in box_core
-            )
-
-
 def test_covering_intersection_isolates_the_point():
     for m in [rooted_model(), discrete_model(3, 2), chain_pairs_model(2)]:
         q = build_Q(m)
         for x in m.label_x:
             assert covering_intersection(m, q, x) == frozenset({x})
+
+
+def _labelled_models(p):
+    """p with its maxima labelled by X x Y in every way, for each factoring of their count.
+
+    The factor topologies are discrete, so renaming Y labels gives nothing
+    new: the base point stays the first Y label.
+    """
+    maxima = [e for e in p.elements if e in p.maximal_elements()]
+    for nx in range(1, len(maxima) + 1):
+        if len(maxima) % nx == 0:
+            xs = [f"x{i}" for i in range(nx)]
+            ys = [f"y{j}" for j in range(len(maxima) // nx)]
+            for pairs in permutations([(x, y) for x in xs for y in ys]):
+                yield ProductModel(p, xs, ys, dict(zip(maxima, pairs)), ys[0])
+
+
+def _random_model(rng):
+    """1-3 x 1-2 labelled maxima under up to six extra elements, each below some maximum."""
+    xs = [f"x{i}" for i in range(rng.randint(1, 3))]
+    ys = [f"y{j}" for j in range(rng.randint(1, 2))]
+    labeling = {f"({x},{y})": (x, y) for x in xs for y in ys}
+    extras = [f"e{i}" for i in range(rng.randint(0, 6))]
+    covers = []
+    for i, e in enumerate(extras):
+        above = extras[i + 1:] + list(labeling)
+        covers += [(e, h) for h in rng.sample(above, rng.randint(1, min(3, len(above))))]
+    elements = extras + list(labeling)
+    rng.shuffle(elements)
+    return ProductModel(build_poset(elements, covers), xs, ys, labeling, rng.choice(ys))
+
+
+def test_triple_poset_matches_both_enumerations():
+    # the enumeration gives the same Q wherever its shadow order is one, and
+    # ordering its triples by comparing boxes gives a Q whose claims hold too
+    rng = Random(11)
+    models = [m for p in oracle_posets() if len(p) <= 5 for m in _labelled_models(p)]
+    models += [_random_model(rng) for _ in range(300)]
+    enumerated = multi_pair = 0
+    for m in models:
+        q = build_Q(m)
+        assert factor_model(m)[2].ok
+        try:
+            oracle = oracle_build_Q(m)
+        except VerificationFailed:
+            oracle = None
+        if oracle is not None:
+            enumerated += 1
+            assert oracle.elements == q.elements and oracle._up == q._up
+        boxes = oracle_box_order_Q(m)
+        completion, _ = idl_poset(boxes)
+        selected = {x: ideal_J(m, x, boxes) for x in m.label_x}
+        assert verify_claims(m, boxes, completion, selected).ok
+        multi_pair += any(len(m.max_shadow(k)) > 1 for k in m.poset.elements)
+    assert 0 < enumerated < len(models)
+    assert multi_pair > len(models) // 3
 
 
 def test_chain_pairs_model_shape():
