@@ -14,6 +14,7 @@ from .errors import (
     EmptySet,
     ForeignSet,
     FormatError,
+    InputError,
     InvalidModel,
     NotAnIdeal,
     NotAProductTopology,
@@ -99,9 +100,10 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "OrdtopError", "FormatError", "DuplicateLabel", "UnknownLabel",
-    "CycleDetected", "ForeignSet", "EmptySet", "TooLarge", "InvalidModel",
-    "NotAProductTopology", "NotAnIdeal", "NotCoveringMax", "VerificationFailed",
+    "OrdtopError", "InputError", "VerificationFailed",
+    "FormatError", "DuplicateLabel", "UnknownLabel", "CycleDetected", "ForeignSet",
+    "EmptySet", "TooLarge", "InvalidModel",
+    "NotAProductTopology", "NotAnIdeal", "NotCoveringMax",
     "FinitePoset", "build_poset", "product", "find_order_isomorphism",
     "label_text", "poset_to_json", "poset_from_json", "load_poset", "to_dot",
     "all_posets", "random_poset",

@@ -2,7 +2,9 @@
 
 Every verb prints stable ``key: value`` lines (or a JSON / DOT document for
 the export verbs) so runs can be diffed.  Exit codes: 0 when the requested
-checks pass, 1 when a verification fails, 2 when the input is unusable.
+checks pass; otherwise the error's base class decides, 1 for a
+``VerificationFailed`` (a claim does not hold) and 2 for an ``InputError``
+or ``OSError`` (the input is unusable).
 """
 
 from __future__ import annotations
@@ -13,21 +15,7 @@ from itertools import repeat
 from operator import add, and_, itemgetter, rshift
 from typing import Iterator, Sequence
 
-from .errors import (
-    CycleDetected,
-    DuplicateLabel,
-    EmptySet,
-    ForeignSet,
-    FormatError,
-    InvalidModel,
-    NotAnIdeal,
-    NotAProductTopology,
-    NotCoveringMax,
-    TooLarge,
-    UnknownLabel,
-    VerificationFailed,
-    excerpt,
-)
+from .errors import InputError, TooLarge, UnknownLabel, VerificationFailed, excerpt
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
 from .ideals import idl_poset
 from .poset import FinitePoset, _mirror, label_text, load_json, load_poset, poset_json_text, to_dot
@@ -41,24 +29,6 @@ from .symbolic import (
     truncation_poset,
 )
 from .topology import Topology, is_bounded_complete, relative_topology, scott_opens
-
-INPUT_ERRORS = (
-    FormatError,
-    DuplicateLabel,
-    UnknownLabel,
-    CycleDetected,
-    ForeignSet,
-    EmptySet,
-    TooLarge,
-    InvalidModel,
-    OSError,
-)
-VERIFICATION_ERRORS = (
-    VerificationFailed,
-    NotAnIdeal,
-    NotCoveringMax,
-    NotAProductTopology,
-)
 
 
 def _yn(value: bool) -> str:
@@ -232,7 +202,8 @@ def cmd_truncate(args: argparse.Namespace) -> int:
     count = _truncation_size(args.width, args.depth, 2 if args.mode == MODE_L else 1)
     if count is None or count > args.max_elements:
         held = f"more than {sys.maxsize}" if count is None else count
-        raise TooLarge(f"truncation would hold {held} elements, bound is {args.max_elements}")
+        bound = excerpt(args.max_elements)
+        raise TooLarge(f"truncation would hold {held} elements, bound is {bound}")
     print(poset_json_text(truncation_poset(args.width, args.depth, args.mode)))
     return 0
 
@@ -256,9 +227,9 @@ def _at_least(low: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {excerpt(value)}")
         return value
 
     return parse
@@ -342,10 +313,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VERIFICATION_ERRORS as exc:
+    except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from .errors import (
     excerpt,
 )
 from .ideals import Ideal, idl_poset
-from .poset import (FinitePoset, Label, _order_violation, build_poset, label_text,
+from .poset import (FinitePoset, Label, _iter_bits, _order_violation, build_poset, label_text,
                     poset_from_json, poset_to_json)
 from .report import Report
 from .topology import Topology, is_scott_closed, relative_topology
@@ -137,11 +137,10 @@ class ProductModel:
         return rel.renamed(self.max_labeling, space)
 
     def max_shadow(self, k: Label) -> frozenset:
-        """Pairs labeling the maximal elements above an element."""
-        maximal = self.poset.maximal_elements()
-        return frozenset(
-            self.max_labeling[e] for e in self.poset.up_set([k]) if e in maximal
-        )
+        """Pairs labeling the maximal elements above an element: one row operation."""
+        poset, labeling = self.poset, self.max_labeling
+        return frozenset(labeling[poset.elements[i]]
+                         for i in _iter_bits(poset._up[poset.index(k)] & poset._max_mask))
 
     def __repr__(self) -> str:
         return (
@@ -180,7 +179,8 @@ def ideal_J(model: ProductModel, x, q_poset: FinitePoset) -> Ideal:
     try:
         return Ideal(q_poset, members)
     except NotAnIdeal as exc:
-        raise NotAnIdeal(f"triples selected by {excerpt(x)} are not an ideal: {exc}") from exc
+        raise NotAnIdeal(f"claim-selected-are-ideals does not hold: triples selected by "
+                         f"{excerpt(x)} are not an ideal: {exc}") from exc
 
 
 def covering_intersection(model: ProductModel, q_poset: FinitePoset, x) -> frozenset:
@@ -268,10 +268,7 @@ def factor_model(model: ProductModel) -> tuple[FinitePoset, dict, Report]:
     """Domain model of the X factor: completion, point map, and certificate."""
     q_poset = build_Q(model)
     completion, _embedding = idl_poset(q_poset)
-    try:
-        selected = {x: ideal_J(model, x, q_poset) for x in model.label_x}
-    except NotAnIdeal as exc:
-        raise VerificationFailed(f"claim-selected-are-ideals does not hold: {exc}") from exc
+    selected = {x: ideal_J(model, x, q_poset) for x in model.label_x}
     report = verify_claims(model, q_poset, completion, selected)
     point_map = {x: frozenset(selected[x].members) for x in model.label_x}
     return completion, point_map, report

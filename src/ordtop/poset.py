@@ -130,6 +130,17 @@ def _order_violation(masks: list[int]) -> tuple[str, tuple[int, ...]] | None:
     return cycle
 
 
+def _label_index(elements: tuple[Label, ...], where: str | None = None) -> dict[Label, int]:
+    """Each label's position; DuplicateLabel names the first repeat, or says ``where`` it is."""
+    index = {label: pos for pos, label in enumerate(elements)}
+    if len(index) != len(elements):
+        seen: set[Label] = set()
+        # set.add returns None, so this stops at the first label already seen
+        repeat = next(label for label in elements if label in seen or seen.add(label))
+        raise DuplicateLabel(f"duplicate element label {where or excerpt(repeat)}")
+    return index
+
+
 def _cycle_detected(elements: tuple[Label, ...], at: tuple[int, ...]) -> CycleDetected:
     return CycleDetected(" and ".join(excerpt(elements[k]) for k in at) + " sit below each other")
 
@@ -144,25 +155,23 @@ class FinitePoset:
 
     def __init__(self, elements: Iterable[Label], up_masks: Iterable[int]):
         self.elements = tuple(elements)
-        index: dict[Label, int] = {}
-        for pos, label in enumerate(self.elements):
-            if label in index:
-                raise DuplicateLabel(f"duplicate element label {excerpt(label)}")
-            index[label] = pos
-        self._index = index
+        self._index = _label_index(self.elements)
         self._up = tuple(up_masks)
         if len(self._up) != len(self.elements):
             raise ValueError("one up-mask per element required")
 
     @classmethod
+    def _indexed(cls, elements: tuple, index: dict, masks: list[int]) -> "FinitePoset":
+        """The poset on rows built against the labels' checked index, which is kept, not rebuilt."""
+        p = cls.__new__(cls)
+        p.elements, p._index, p._up = elements, index, tuple(masks)
+        return p
+
+    @classmethod
     def from_covers(cls, elements: Iterable[Label], covers: Iterable[tuple[Label, Label]]) -> "FinitePoset":
         """Close a cover (or any generating) relation; the closing pass reports any cycle."""
         elements = tuple(elements)
-        seen: dict[Label, int] = {}
-        for pos, label in enumerate(elements):
-            if label in seen:
-                raise DuplicateLabel(f"duplicate element label {excerpt(label)}")
-            seen[label] = pos
+        seen = _label_index(elements)
         masks = [0] * len(elements)
         for low, high in covers:
             if low not in seen:
@@ -173,15 +182,13 @@ class FinitePoset:
         cycle = _transitive_close(masks)
         if cycle is not None:
             raise _cycle_detected(elements, cycle)
-        return cls(elements, masks)
+        return cls._indexed(elements, seen, masks)
 
     @classmethod
     def from_relation(cls, elements: Iterable[Label], pairs: Iterable[tuple[Label, Label]]) -> "FinitePoset":
         """Build from a relation that must already be reflexive and transitive."""
         elements = tuple(elements)
-        seen = {label: pos for pos, label in enumerate(elements)}
-        if len(seen) != len(elements):
-            raise DuplicateLabel("duplicate element label in relation")
+        seen = _label_index(elements, "in relation")
         masks = [0] * len(elements)
         for a, b in pairs:
             if a not in seen or b not in seen:
@@ -194,7 +201,7 @@ class FinitePoset:
                 raise _cycle_detected(elements, at)
             names = ", ".join(excerpt(elements[k]) for k in at)
             raise ValueError(f"relation is not {axiom} at {names}")
-        return cls(elements, masks)
+        return cls._indexed(elements, seen, masks)
 
     # -- basic queries ----------------------------------------------------
 

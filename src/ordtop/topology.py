@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import ForeignSet
+from .errors import ForeignSet, excerpt
 from .poset import FinitePoset, Label, _iter_bits, _mirror, _order_violation
 
 
@@ -70,13 +70,19 @@ class Topology:
     def labels_of(self, mask: int) -> frozenset:
         return frozenset(self.space[i] for i in _iter_bits(mask))
 
+    def _position(self, point) -> int:
+        pos = self._pos.get(point)
+        if pos is None:
+            raise ForeignSet(f"point {excerpt(point)} is not in this topology's space")
+        return pos
+
     def smallest_open(self, point) -> frozenset:
         """The meet of all opens around a point, itself open."""
-        return self.labels_of(self.around[self._pos[point]])
+        return self.labels_of(self.around[self._position(point)])
 
     def is_open(self, points: Iterable) -> bool:
         """Whether a set of points holds the smallest open around each of them."""
-        mask = sum(1 << self._pos[pt] for pt in set(points))
+        mask = sum(1 << self._position(pt) for pt in set(points))
         return all(self.around[i] & ~mask == 0 for i in _iter_bits(mask))
 
     def renamed(self, name: Mapping, space: Iterable) -> "Topology":
@@ -288,7 +294,4 @@ def is_gdelta(topology: Topology, subset: Iterable) -> bool:
     subset is such an intersection exactly when it is an upper set of the
     specialization order: it holds the smallest open around each member.
     """
-    target = frozenset(subset)
-    if not target <= frozenset(topology.space):
-        raise ForeignSet("subset leaves the topology's space")
-    return topology.is_open(target)
+    return topology.is_open(subset)

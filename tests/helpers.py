@@ -245,6 +245,12 @@ def oracle_split_product_topology(topology: Topology, xs, ys) -> tuple[Topology,
     return Topology.from_opens(xs, tx_opens), Topology.from_opens(ys, ty_opens)
 
 
+def oracle_max_shadow(model: ProductModel, k) -> frozenset:
+    """Pairs labeling the maximal elements above an element, from the label sets."""
+    maximal = model.poset.maximal_elements()
+    return frozenset(model.max_labeling[e] for e in model.poset.up_set([k]) if e in maximal)
+
+
 def oracle_boxes(model: ProductModel) -> list[tuple[QTriple, frozenset]]:
     """Every triple whose open box fits inside its element's shadow, with that box.
 
@@ -255,7 +261,7 @@ def oracle_boxes(model: ProductModel) -> list[tuple[QTriple, frozenset]]:
     opens_y = [v for v in model.topology_y.sorted_opens() if model.y0 in v]
     out = []
     for k in model.poset.elements:
-        shadow = model.max_shadow(k)
+        shadow = oracle_max_shadow(model, k)
         for u in opens_x:
             for v in opens_y:
                 box = frozenset((x, y) for x in u for y in v)
@@ -273,7 +279,7 @@ def oracle_build_Q(model: ProductModel) -> FinitePoset:
     """
     boxes = oracle_boxes(model)
     p = model.poset
-    shadows = {k: model.max_shadow(k) for k in p.elements}
+    shadows = {k: oracle_max_shadow(model, k) for k in p.elements}
     rows = [
         sum(1 << j for j, (t2, _) in enumerate(boxes)
             if p.le(t1.k, t2.k) and shadows[t2.k] <= box)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordtop import (ProductModel, Topology, chain_pairs_model, label_text, model_to_json,
-                    relative_topology, scott_opens)
+import ordtop.cli
+from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed,
+                    chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
 from ordtop.cli import _set_texts, main
 
 from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_posets,
@@ -256,6 +257,26 @@ def test_truncation_guard_needs_no_full_power(capsys, width, depth):
 
 
 @pytest.mark.parametrize("argv", [
+    ["check", "--input", str(DATA / "diamond.json"), "--max-elements", "9" * 5000],
+    ["lhat-cert", "--eval-bound", "9" * 5000],
+    ["lhat-cert", "--eval-bound", "-" + "9" * 4000],
+    ["truncate-l", "--width", "5000", "--depth", "10", "--max-elements", "9" * 4000],
+], ids=["check-bound-5000-digits", "eval-bound-5000-digits", "eval-bound-minus-4000-digits",
+        "truncation-bound-4000-digits"])
+def test_huge_numeric_flags_keep_stderr_short(capsys, argv):
+    # a value past the 4300-digit limit is an invalid int; one below it is printed cut short
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.encode()) < 300
+
+
+@pytest.mark.parametrize("argv", [
     ["lhat-cert", "--eval-bound", "-1"],
     ["truncate-l", "--width", "0", "--depth", "1"],
     ["truncate-l", "--width", "1", "--depth", "-1"],
@@ -275,6 +296,27 @@ def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-verb"])
     assert info.value.code == 2
+
+
+def _error_classes(base: type = OrdtopError) -> list[type]:
+    """Every subclass of ``base``, recursively, in definition order."""
+    return [c for sub in base.__subclasses__() for c in (sub, *_error_classes(sub))]
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda c: c.__name__)
+def test_each_error_class_carries_its_exit_code(capsys, monkeypatch, error):
+    # the exit code follows the base class alone, so no class can leak a traceback
+    assert issubclass(error, InputError) != issubclass(error, VerificationFailed)
+
+    def raises(args):
+        raise error("the claim at hand")
+
+    monkeypatch.setattr(ordtop.cli, "cmd_check", raises)
+    code = main(["check", "--input", str(DATA / "diamond.json")])
+    captured = capsys.readouterr()
+    assert code == (2 if issubclass(error, InputError) else 1)
+    assert captured.out == ""
+    assert captured.err == "error: the claim at hand\n"
 
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=[g.stem for g in GOLDEN])

@@ -8,6 +8,7 @@ from ordtop import (
     DuplicateLabel,
     FormatError,
     Ideal,
+    InputError,
     InvalidModel,
     NotAnIdeal,
     NotAProductTopology,
@@ -44,6 +45,7 @@ from helpers import (
     discrete_model,
     oracle_box_order_Q,
     oracle_build_Q,
+    oracle_max_shadow,
     oracle_posets,
     oracle_split_product_topology,
     rooted_model,
@@ -342,19 +344,34 @@ def _random_model(rng):
     return ProductModel(build_poset(elements, covers), xs, ys, labeling, rng.choice(ys))
 
 
+def _compared_models() -> list[ProductModel]:
+    """Every labelled model on the posets with up to 5 elements, and 300 seeded random ones."""
+    rng = Random(11)
+    models = [m for p in oracle_posets() if len(p) <= 5 for m in _labelled_models(p)]
+    return models + [_random_model(rng) for _ in range(300)]
+
+
+def test_max_shadow_matches_the_label_sets():
+    for m in _compared_models():
+        for k in m.poset.elements:
+            assert m.max_shadow(k) == oracle_max_shadow(m, k), (m.poset.covers(), k)
+    with pytest.raises(InputError):
+        m.max_shadow("no such element")
+
+
 def test_triple_poset_matches_both_enumerations():
     # the enumeration gives the same Q wherever its shadow order is one, and
     # ordering its triples by comparing boxes gives a Q whose claims hold too
-    rng = Random(11)
-    models = [m for p in oracle_posets() if len(p) <= 5 for m in _labelled_models(p)]
-    models += [_random_model(rng) for _ in range(300)]
+    models = _compared_models()
     enumerated = multi_pair = 0
     for m in models:
         q = build_Q(m)
         assert factor_model(m)[2].ok
         try:
             oracle = oracle_build_Q(m)
-        except VerificationFailed:
+        except VerificationFailed as exc:
+            # the broken triple order itself, not a subclass caught on the way
+            assert type(exc) is VerificationFailed and "triple order" in str(exc)
             oracle = None
         if oracle is not None:
             enumerated += 1

@@ -229,6 +229,17 @@ def test_gdelta_in_a_two_point_space():
         is_gdelta(t, {"zzz"})
 
 
+def test_a_foreign_point_is_a_foreign_set():
+    t = Topology.from_opens(["a", "b"], [frozenset(), frozenset({"b"}), frozenset({"a", "b"})])
+    long = "z" * 5000
+    for call in (lambda: t.smallest_open("zzz"), lambda: t.is_open({"b", "zzz"}),
+                 lambda: t.smallest_open(long), lambda: t.is_open([long])):
+        with pytest.raises(ForeignSet) as info:
+            call()
+        assert len(str(info.value)) < 100
+    assert t.smallest_open("a") == {"a", "b"} and t.is_open({"b"})
+
+
 def test_from_opens_rebuilds_the_smallest_opens():
     for p in oracle_posets():
         t = scott_opens(p)
