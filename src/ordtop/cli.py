@@ -10,6 +10,7 @@ or ``OSError`` (the input is unusable).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from itertools import repeat
 from operator import add, and_, itemgetter, rshift
@@ -175,6 +176,12 @@ def cmd_diagonal(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+# lhat-cert builds about b^2/2 cutoff exceptions for b = --eval-bound: at 3000 it
+# takes about 3 s and 760 MB in process (Python 3.11, one Xeon core), and a much
+# larger bound runs out of memory
+MAX_EVAL_BOUND = 3000
+
+
 def cmd_lhat_cert(args: argparse.Namespace) -> int:
     report = gdelta_certificate_lhat(args.eval_bound)
     print(report.render())
@@ -198,7 +205,7 @@ def _truncation_size(width: int, depth: int, levels: int) -> int | None:
     return size if size <= sys.maxsize else None
 
 
-def cmd_truncate(args: argparse.Namespace) -> int:
+def cmd_truncate_l(args: argparse.Namespace) -> int:
     count = _truncation_size(args.width, args.depth, 2 if args.mode == MODE_L else 1)
     if count is None or count > args.max_elements:
         held = f"more than {sys.maxsize}" if count is None else count
@@ -220,8 +227,8 @@ def cmd_hasse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(low: int):
-    """Argparse type for an integer flag that must be at least ``low``."""
+def _in_range(low: int, high: int | None = None):
+    """Argparse type for an integer flag from ``low`` to ``high`` (no upper end when None)."""
 
     def parse(text: str) -> int:
         try:
@@ -230,6 +237,8 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {excerpt(value)}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {excerpt(value)}")
         return value
 
     return parse
@@ -240,7 +249,7 @@ def _add_input(sub: argparse.ArgumentParser, what: str) -> None:
 
 
 def _add_bound(sub: argparse.ArgumentParser, default: int = 20) -> None:
-    sub.add_argument("--max-elements", type=_at_least(0), default=default,
+    sub.add_argument("--max-elements", type=_in_range(0), default=default,
                      help=f"input size bound, in poset elements (default {default})")
 
 
@@ -254,65 +263,68 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("check", help="structural properties of a finite poset")
     _add_input(sub, "poset JSON")
     _add_bound(sub)
-    sub.set_defaults(func=cmd_check)
 
     sub = commands.add_parser("topology", help="all Scott open sets of a finite poset")
     _add_input(sub, "poset JSON")
     _add_bound(sub)
-    sub.set_defaults(func=cmd_topology)
 
     sub = commands.add_parser("maxspace", help="relative topology on the maximal elements")
     _add_input(sub, "poset JSON")
     _add_bound(sub)
-    sub.set_defaults(func=cmd_maxspace)
 
     sub = commands.add_parser("idl", help="ideal completion of a finite poset")
     _add_input(sub, "poset JSON")
     _add_bound(sub)
-    sub.set_defaults(func=cmd_idl)
 
     sub = commands.add_parser("factor", help="factor model construction with verification")
     _add_input(sub, "product model JSON")
     _add_bound(sub)
-    sub.set_defaults(func=cmd_factor)
 
     sub = commands.add_parser("lower-model", help="down set of one fiber of a product model")
     _add_input(sub, "product model JSON")
     sub.add_argument("--y0", help="fiber label on the second factor (default: the model's base point)")
     _add_bound(sub)
-    sub.set_defaults(func=cmd_lower_model)
 
     sub = commands.add_parser("diagonal", help="diagonal witness against a covering family")
     _add_input(sub, "open family JSON")
-    sub.add_argument("--offset", type=_at_least(0), default=0,
+    sub.add_argument("--offset", type=_in_range(0), default=0,
                      help="lift every witness position this far above its threshold")
-    sub.set_defaults(func=cmd_diagonal)
 
     sub = commands.add_parser("lhat-cert", help="countable-intersection certificate for the pruned domain")
-    sub.add_argument("--eval-bound", type=_at_least(0), default=50,
+    sub.add_argument("--eval-bound", type=_in_range(0, MAX_EVAL_BOUND), default=50,
                      help="check chain points and cutoffs up to this index (default 50)")
-    sub.set_defaults(func=cmd_lhat_cert)
 
     sub = commands.add_parser("truncate-l", help="finite prefix of the chain-bundle domain as poset JSON")
-    sub.add_argument("--width", type=_at_least(1), required=True, help="number of chains kept")
-    sub.add_argument("--depth", type=_at_least(1), required=True,
+    sub.add_argument("--width", type=_in_range(1), required=True, help="number of chains kept")
+    sub.add_argument("--depth", type=_in_range(1), required=True,
                      help="finite positions kept per chain")
     sub.add_argument("--mode", choices=(MODE_L, MODE_LHAT), default=MODE_L)
     _add_bound(sub, default=5000)
-    sub.set_defaults(func=cmd_truncate)
 
     sub = commands.add_parser("hasse", help="DOT rendering of the cover relation")
     _add_input(sub, "poset JSON")
     sub.add_argument("--dot", help="write the DOT text here instead of stdout")
-    sub.set_defaults(func=cmd_hasse)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and shared by every later call.
+
+    Nothing changes it once built, and ``parse_args`` fills a fresh namespace
+    on every call, so no call sees the flags of another.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # verb v is answered by cmd_v (dashes as underscores), looked up per call
+    # so that a handler replaced on this module is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

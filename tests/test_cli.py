@@ -1,4 +1,7 @@
+import argparse
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 import ordtop.cli
 from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed,
                     chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
-from ordtop.cli import _set_texts, main
+from ordtop.cli import _set_texts, build_parser, main
 
 from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_posets,
                      oracle_sorted_opens)
@@ -26,6 +29,16 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, out
+
+
+def _call(capsys, argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``main`` call, a usage error included."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_check_reports_structure(capsys):
@@ -276,6 +289,26 @@ def test_huge_numeric_flags_keep_stderr_short(capsys, argv):
     assert len(captured.err.encode()) < 300
 
 
+@pytest.mark.parametrize("bound", ["3001", "1" * 28])
+def test_eval_bound_past_the_cap_is_a_usage_error(capsys, bound):
+    # a 28-digit bound used to build cutoff exceptions until memory ran out
+    code, out, err = _call(capsys, ["lhat-cert", "--eval-bound", bound])
+    assert code == 2
+    assert out == ""
+    assert "must be at most 3000" in err
+    assert "Traceback" not in err
+    assert len(err.encode()) < 300
+
+
+def test_eval_bound_cap_is_inclusive():
+    # the parser's own type function; bound 3000 itself takes seconds, so it is not run
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    [flag] = [a for a in commands.choices["lhat-cert"]._actions if "--eval-bound" in a.option_strings]
+    assert flag.type("3000") == 3000
+    with pytest.raises(argparse.ArgumentTypeError):
+        flag.type("3001")
+
+
 @pytest.mark.parametrize("argv", [
     ["lhat-cert", "--eval-bound", "-1"],
     ["truncate-l", "--width", "0", "--depth", "1"],
@@ -317,6 +350,54 @@ def test_each_error_class_carries_its_exit_code(capsys, monkeypatch, error):
     assert code == (2 if issubclass(error, InputError) else 1)
     assert captured.out == ""
     assert captured.err == "error: the claim at hand\n"
+
+
+# -- one parser for every call in a process -----------------------------------------
+
+
+@pytest.mark.parametrize("first,code,second,golden", [
+    pytest.param(["lower-model", "--input", DATA / "model_3x2.json", "--y0", "y2"], 0,
+                 ["lower-model", "--input", DATA / "model_3x2.json"], "lower-model_model_3x2",
+                 id="fiber-flag-then-base-point"),
+    pytest.param(["truncate-l", "--width", 2, "--depth", 3, "--mode", "Lhat", "--max-elements", 10], 2,
+                 ["truncate-l", "--width", 2, "--depth", 3], "argv/truncate-l_2x3_L",
+                 id="refusal-then-defaults"),
+    pytest.param(["check", "--input", DATA / "diamond.json", "--max-elements", -3], 2,
+                 ["check", "--input", DATA / "diamond.json"], "check_diamond",
+                 id="usage-error-then-check"),
+])
+def test_a_call_keeps_no_flag_of_the_call_before(capsys, first, code, second, golden):
+    assert _call(capsys, first)[0] == code
+    expected = (DATA / "golden" / f"{golden}.out").read_text(encoding="utf-8")
+    assert _call(capsys, second) == (0, expected, "")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    ordtop.cli._parser.cache_clear()
+    monkeypatch.setattr(ordtop.cli, "build_parser", counted)
+    try:
+        assert _call(capsys, ["check", "--input", DATA / "diamond.json"])[0] == 0
+        assert _call(capsys, ["no-such-verb"])[0] == 2
+        assert _call(capsys, ["lhat-cert", "--eval-bound", 4])[0] == 0
+        assert _call(capsys, ["hasse", "--input", DATA / "diamond.json"])[0] == 0
+    finally:
+        ordtop.cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    probe = "import ordtop.cli; print(ordtop.cli._parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert result.stdout == "0\n"
 
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=[g.stem for g in GOLDEN])
@@ -671,6 +752,73 @@ def test_model_verbs_keep_their_input_contract(malformed, data):
             assert code == 2 and out == "" and err.startswith("error: ")
         else:
             assert code == 0 and out.endswith("verified: yes\n")
+
+
+# -- the poset input contract, fuzzed -----------------------------------------------
+
+_labels = st.text(max_size=4)
+
+
+@st.composite
+def _posets(draw, min_size=0, max_size=8):
+    """A well-formed poset: unique string labels, covers from earlier to later labels."""
+    labels = draw(st.lists(_labels, min_size=min_size, max_size=max_size, unique=True))
+    pairs = [[low, high] for i, low in enumerate(labels) for high in labels[i + 1:]]
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    covers = [pair for pair, keep in zip(pairs, kept) if keep]
+    return {"elements": draw(st.permutations(labels)), "covers": draw(st.permutations(covers))}
+
+
+@st.composite
+def _pair_with(draw, elements, odd):
+    """A cover of one known label and one drawn from ``odd``, on either side."""
+    pair = [draw(st.sampled_from(elements)), draw(odd)]
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
+def _malformed_posets(draw):
+    """A well-formed poset of at most 7 elements with exactly one fault drawn into it."""
+    poset = draw(_posets(min_size=2, max_size=7))
+    elements, covers = poset["elements"], poset["covers"]
+    fault = draw(st.sampled_from(["document", "missing-key", "elements", "covers", "label",
+                                  "cover-label", "pair", "unknown", "duplicate", "cycle"]))
+    if fault == "document":
+        return draw(_wrong_type(dict))
+    if fault == "missing-key":
+        del poset[draw(st.sampled_from(sorted(poset)))]
+    elif fault in ("elements", "covers"):
+        poset[fault] = draw(_wrong_type(list))
+    elif fault == "label":
+        elements.insert(draw(st.integers(0, len(elements))), draw(_wrong_type(str)))
+    elif fault == "cover-label":
+        covers.insert(draw(st.integers(0, len(covers))), draw(_pair_with(elements, _wrong_type(str))))
+    elif fault == "pair":
+        not_a_pair = st.lists(st.sampled_from(elements), max_size=4).filter(lambda p: len(p) != 2)
+        covers.insert(draw(st.integers(0, len(covers))), draw(_wrong_type(list) | not_a_pair))
+    elif fault == "unknown":
+        unknown = _labels.filter(lambda label: label not in elements)
+        covers.insert(draw(st.integers(0, len(covers))), draw(_pair_with(elements, unknown)))
+    elif fault == "duplicate":
+        elements.insert(draw(st.integers(0, len(elements))), draw(st.sampled_from(elements)))
+    else:
+        low, high = draw(st.permutations(elements))[:2]
+        covers += [[low, high], [high, low]]
+    return poset
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.data())
+def test_poset_verbs_keep_their_input_contract(malformed, data):
+    document = data.draw(_malformed_posets() if malformed else _posets())
+    for verb in ("check", "topology", "maxspace", "idl", "hasse"):
+        code, out, err = _run_document(verb, document)
+        assert "Traceback" not in err
+        assert len(err.encode()) < 300
+        if malformed:
+            assert code == 2 and out == "" and err.startswith("error: ")
+        else:
+            assert (code, err) == (0, "")
 
 
 def test_an_all_pairs_shadow_fails_as_an_undirected_ideal(capsys, monkeypatch):

@@ -4,13 +4,19 @@ The three workload corpora are built at seed 101 under a temporary
 directory.  Every CLI job runs through ``ordtop.cli.main`` and every replay
 job makes the library calls ``perfbench/worker.py`` makes; each verdict must
 match its known answer by ``perfbench/checks.py``.  A verdict the benchmark
-would count as failed is a failing test here.  ``corpus.py`` and
-``checks.py`` are compiled from their text, so nothing is written next to
-them.
+would count as failed is a failing test here.  The corpus then runs a
+second time in the same process, shuffled by the seed as ``run.py``
+shuffles it, and every job must give the same exit code, stdout and stderr
+as in the first pass: the benchmark's worker calls ``main`` pass after pass,
+so state one call leaves behind (the shared parser, cached properties,
+module-level caches) would show there.  ``corpus.py`` and ``checks.py`` are
+compiled from their text, so nothing is written next to them.
 """
 
+import hashlib
 import io
 import json
+import random
 import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -59,15 +65,29 @@ def _replay(job: dict) -> tuple[int, str, str]:
     return 0, json.dumps(result), ""
 
 
+def _outcome(job: dict) -> tuple[int, str, str]:
+    return _cli(job["argv"]) if job["kind"] == "cli" else _replay(job)
+
+
+def _digest(code: int, stdout: str, stderr: str) -> str:
+    return hashlib.sha256(json.dumps([code, stdout, stderr]).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("workload", ["poset-verbs", "factor-models", "symbolic-certs"])
 def test_every_benchmark_verdict_matches_its_known_answer(tmp_path, workload):
     corpus, checks = _load("corpus"), _load("checks")
     assert workload in corpus.WORKLOADS
     jobs = corpus.build(workload, str(tmp_path), 101)
-    failures = []
+    failures, digests = [], []
     for job in jobs:
-        code, stdout, stderr = _cli(job["argv"]) if job["kind"] == "cli" else _replay(job)
+        code, stdout, stderr = _outcome(job)
         reason = checks.verdict_error(job["expect"], code, stdout, stderr)
         if reason is not None:
             failures.append(f"{job['id']}: {reason}")
+        digests.append(_digest(code, stdout, stderr))
     assert jobs and not failures
+
+    order = list(range(len(jobs)))
+    random.Random(101).shuffle(order)
+    changed = [jobs[i]["id"] for i in order if _digest(*_outcome(jobs[i])) != digests[i]]
+    assert not changed
