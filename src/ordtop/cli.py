@@ -19,7 +19,8 @@ from typing import Iterator, Sequence
 from .errors import InputError, TooLarge, UnknownLabel, VerificationFailed, excerpt
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
 from .ideals import idl_poset
-from .poset import FinitePoset, _mirror, label_text, load_json, load_poset, poset_json_text, to_dot
+from .poset import (FinitePoset, _mirror, label_text, load_json, load_poset, poset_from_json,
+                    poset_json_text, to_dot)
 from .symbolic import (
     MODE_L,
     MODE_LHAT,
@@ -28,6 +29,7 @@ from .symbolic import (
     family_from_json,
     gdelta_certificate_lhat,
     truncation_poset,
+    truncation_size,
 )
 from .topology import Topology, is_bounded_complete, relative_topology, scott_opens
 
@@ -59,16 +61,28 @@ def _set_texts(points: Sequence, masks: Sequence[int]) -> Iterator[str]:
     return map(itemgetter(slice(1, None)), texts)
 
 
-def _bounded(p: FinitePoset, args: argparse.Namespace) -> FinitePoset:
-    """The input poset, held to ``--max-elements``: the one size bound of the finite verbs.
+def _bounded(document: object, args: argparse.Namespace) -> object:
+    """A poset document, held to ``--max-elements``: the one size bound of the finite verbs.
 
-    Derived posets need none: the triple poset has at most one triple per
+    Its ``elements`` array is counted before any order is built.  Derived
+    posets need no bound: the triple poset has at most one triple per
     element by construction, so it, its completion and a lower set are no
     larger than the input.
     """
-    if len(p) > args.max_elements:
-        raise TooLarge(f"poset has {len(p)} elements; input size bounded at {args.max_elements}")
-    return p
+    elements = document.get("elements") if isinstance(document, dict) else None
+    if isinstance(elements, list) and len(elements) > args.max_elements:
+        raise TooLarge(f"poset has {len(elements)} elements; input size bounded at {args.max_elements}")
+    return document
+
+
+def _load_poset(args: argparse.Namespace) -> FinitePoset:
+    return poset_from_json(_bounded(load_json(args.input), args))
+
+
+def _load_model(args: argparse.Namespace) -> ProductModel:
+    document = load_json(args.input)
+    _bounded(document.get("poset") if isinstance(document, dict) else None, args)
+    return model_from_json(document)
 
 
 def _witness_text(selector: Selector) -> str:
@@ -78,7 +92,7 @@ def _witness_text(selector: Selector) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    p = _bounded(load_poset(args.input), args)
+    p = _load_poset(args)
     print(f"elements: {len(p)}")
     # a nonempty finite directed set holds its supremum as its greatest element
     print("dcpo: yes")
@@ -102,7 +116,7 @@ def _print_opens(topology: Topology) -> None:
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
-    p = _bounded(load_poset(args.input), args)
+    p = _load_poset(args)
     topology = scott_opens(p)
     print(f"elements: {len(p)}")
     print(f"open-count: {len(topology.open_masks)}")
@@ -111,7 +125,7 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 
 def cmd_maxspace(args: argparse.Namespace) -> int:
-    p = _bounded(load_poset(args.input), args)
+    p = _load_poset(args)
     maximal = p.maximal_elements()
     rel = relative_topology(p, maximal)
     print(f"max-count: {len(rel.space)}")
@@ -122,7 +136,7 @@ def cmd_maxspace(args: argparse.Namespace) -> int:
 
 
 def cmd_idl(args: argparse.Namespace) -> int:
-    p = _bounded(load_poset(args.input), args)
+    p = _load_poset(args)
     completion, embedding = idl_poset(p)
     print(f"base-elements: {len(p)}")
     print(f"ideal-count: {len(completion)}")
@@ -135,8 +149,7 @@ def cmd_idl(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
-    model = model_from_json(load_json(args.input))
-    _bounded(model.poset, args)
+    model = _load_model(args)
     completion, point_map, report = factor_model(model)
     print(report.render())
     for x in model.label_x:
@@ -157,8 +170,7 @@ def _y_label(model: ProductModel, text: str):
 
 
 def cmd_lower_model(args: argparse.Namespace) -> int:
-    model = model_from_json(load_json(args.input))
-    _bounded(model.poset, args)
+    model = _load_model(args)
     fiber = model.y0 if args.y0 is None else _y_label(model, args.y0)
     sub, report = lower_set_model(model, fiber)
     print(report.render())
@@ -176,9 +188,8 @@ def cmd_diagonal(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-# lhat-cert builds about b^2/2 cutoff exceptions for b = --eval-bound: at 3000 it
-# takes about 3 s and 760 MB in process (Python 3.11, one Xeon core), and a much
-# larger bound runs out of memory
+# lhat-cert holds one cutoff at a time, so its memory is linear in b = --eval-bound,
+# but it builds about b^2/2 cutoff exceptions in all: the cap bounds that time
 MAX_EVAL_BOUND = 3000
 
 
@@ -189,24 +200,8 @@ def cmd_lhat_cert(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _truncation_size(width: int, depth: int, levels: int) -> int | None:
-    """Elements of a truncation, or None past ``sys.maxsize``, more than any sequence holds.
-
-    The ``depth ** width`` selectors are multiplied out one factor at a time
-    and given up once they pass that cap, so a huge flag costs at most about
-    64 multiplications and the count stays short enough to print.
-    """
-    size = levels
-    for _ in range(width if depth > 1 else 0):
-        size *= depth
-        if size > sys.maxsize:
-            return None
-    size += width * (depth + 1)
-    return size if size <= sys.maxsize else None
-
-
 def cmd_truncate_l(args: argparse.Namespace) -> int:
-    count = _truncation_size(args.width, args.depth, 2 if args.mode == MODE_L else 1)
+    count = truncation_size(args.width, args.depth, args.mode)
     if count is None or count > args.max_elements:
         held = f"more than {sys.maxsize}" if count is None else count
         bound = excerpt(args.max_elements)

@@ -22,6 +22,7 @@ arbitrary Scott opens of the full domain.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import product as cartesian, repeat
@@ -349,9 +350,9 @@ def contains_max(open_set: SymbolicOpen, mode: str) -> bool:
 class OpenFamily:
     """An indexed family of symbolic opens.
 
-    Either a finite explicit list or a rule evaluated lazily; a rule family
-    carries an evaluation bound, and point-wise certification stops there
-    while structural notes cover the rest.
+    Either a finite explicit list or a rule evaluated anew on each call; a
+    rule family carries an evaluation bound, and point-wise certification
+    stops there while structural notes cover the rest.
     """
 
     def __init__(self, opens=None, rule: Callable[[int], SymbolicOpen] | None = None,
@@ -363,7 +364,6 @@ class OpenFamily:
         self._opens = tuple(opens) if opens is not None else None
         self._rule = rule
         self.eval_bound = eval_bound
-        self._cache: dict[int, SymbolicOpen] = {}
 
     @classmethod
     def from_list(cls, opens: Iterable[SymbolicOpen]) -> "OpenFamily":
@@ -385,9 +385,7 @@ class OpenFamily:
     def member(self, j: int) -> SymbolicOpen:
         if self._opens is not None:
             return self._opens[j]
-        if j not in self._cache:
-            self._cache[j] = self._rule(j)
-        return self._cache[j]
+        return self._rule(j)
 
     def validate(self, mode: str) -> bool:
         return all(validate_open(self.member(j), mode) for j in self.indices())
@@ -396,9 +394,7 @@ class OpenFamily:
 # -- the diagonal argument -------------------------------------------------------
 
 
-def diagonal_witness(
-    family: OpenFamily, *, offsets: Mapping[int, int] | int = 0
-) -> tuple[Selector, Report]:
+def diagonal_witness(family: OpenFamily, *, offsets: int = 0) -> tuple[Selector, Report]:
     """A selector point inside every family member but below a maximal point.
 
     Every member must certify covering the maximal points of L (error:
@@ -408,22 +404,15 @@ def diagonal_witness(
     the family covers each chain top through a finite threshold, such a
     pick always exists; the level-0 point is never maximal in L.
 
-    ``offsets`` shifts the picks upward (membership only needs "at least
-    the threshold"), which is how the tests sample non-canonical witnesses.
+    ``offsets`` lifts every pick that far above its threshold (membership
+    only needs "at least the threshold"): a non-canonical witness.
     """
-    for j in family.indices():
-        if not contains_max(family.member(j), MODE_L):
-            raise NotCoveringMax(f"family member {j} does not certify covering the maxima")
-
-    def offset_at(j: int) -> int:
-        if isinstance(offsets, int):
-            return offsets
-        return offsets.get(j, 0)
-
     picks = {}
     for j in family.indices():
-        threshold = family.member(j).thresholds(j)
-        picks[j] = threshold + offset_at(j)
+        member = family.member(j)
+        if not contains_max(member, MODE_L):
+            raise NotCoveringMax(f"family member {j} does not certify covering the maxima")
+        picks[j] = member.thresholds(j) + offsets
     witness = Selector.from_mapping(picks, default=0)
     point = SelectorPoint(witness, 0)
 
@@ -482,7 +471,8 @@ def gdelta_certificate_lhat(bound: int) -> Report:
     survive every evaluated cutoff.  The index rule is recorded as a
     structural note since no finite run can visit every chain point.
 
-    The chain points are decided a cutoff at a time from one batch read of
+    One pass builds each cutoff, checks it and drops it, so one cutoff is
+    held at a time.  Its chain points are decided from one batch read of
     its thresholds on chains 0..bound.  Cutoff k answers for its row, the
     points (k, n) with n <= k, which are all excluded when t(k) is absent
     or above k, and for its column, the points (i, k) with i < k, which
@@ -497,16 +487,17 @@ def gdelta_certificate_lhat(bound: int) -> Report:
     report.info("mode", MODE_LHAT)
     report.info("bound", bound)
     chains = range(bound + 1)
-    family = [cutoff_open(k) for k in chains]
-    for k, open_set in enumerate(family):
+    samples = [SelectorPoint(s, 0) for s in (
+        Selector(), Selector.from_mapping({0: bound}),
+        Selector.from_mapping({j: j for j in range(min(bound, 5))}, default=1))]
+    failures = []
+    top_failure = selector_failure = None
+    for k in chains:
+        open_set = cutoff_open(k)
         report.check(
             f"cutoff {k} valid-and-covering",
             validate_open(open_set, MODE_LHAT) and contains_max(open_set, MODE_LHAT),
         )
-
-    failures = []
-    top_failure = None
-    for k, open_set in enumerate(family):
         row = open_set.thresholds.over(chains)
         if row[k] is not None and row[k] <= k:
             failures.append((k, row[k]))
@@ -515,6 +506,11 @@ def gdelta_certificate_lhat(bound: int) -> Report:
             failures.append((first, k))
         if top_failure is None and None in row:
             top_failure = (k, row.index(None))
+        if selector_failure is None:
+            selector_failure = next(
+                ((k, m) for m, point in enumerate(samples) if not symbolic_member(open_set, point)),
+                None,
+            )
     failure = min(failures, default=None)
     report.info("chain-points-checked", (bound + 1) ** 2)
     report.check("non-maximal-chain-points-excluded", failure is None, failure)
@@ -525,20 +521,6 @@ def gdelta_certificate_lhat(bound: int) -> Report:
     )
 
     report.check("chain-tops-in-every-cutoff", top_failure is None, top_failure)
-    samples = [
-        Selector(),
-        Selector.from_mapping({0: bound}),
-        Selector.from_mapping({j: j for j in range(min(bound, 5))}, default=1),
-    ]
-    selector_failure = next(
-        (
-            (k, m)
-            for k, open_set in enumerate(family)
-            for m, s in enumerate(samples)
-            if not symbolic_member(open_set, SelectorPoint(s, 0))
-        ),
-        None,
-    )
     report.check(
         "selector-points-in-every-cutoff", selector_failure is None, selector_failure
     )
@@ -561,16 +543,37 @@ def selector_label(values: tuple[int, ...], level: int) -> str:
     return "s[" + ",".join(map(str, values)) + f"]@{level}"
 
 
+def _levels(mode: str) -> tuple[int, ...]:
+    """The selector levels a truncation keeps: level 1 only in L mode."""
+    _check_mode(mode)
+    return (0, 1) if mode == MODE_L else (0,)
+
+
+def truncation_size(width: int, depth: int, mode: str) -> int | None:
+    """Elements of a truncation, or None past ``sys.maxsize``, more than any sequence holds.
+
+    The ``depth ** width`` selectors are multiplied out one factor at a time
+    and given up once they pass that cap, so a huge width costs at most about
+    64 multiplications and the count stays short enough to print.
+    """
+    size = len(_levels(mode))
+    for _ in range(width if depth > 1 else 0):
+        size *= depth
+        if size > sys.maxsize:
+            return None
+    size += width * (depth + 1)
+    return size if size <= sys.maxsize else None
+
+
 def truncation_poset(width: int, depth: int, mode: str) -> FinitePoset:
     """A finite prefix of the mode's domain.
 
     Keeps ``width`` chains, each with positions below ``depth`` plus its
-    top, and every selector over those positions (level 1 only in L mode).
+    top, and every selector over those positions at the mode's levels.
     """
-    _check_mode(mode)
+    levels = _levels(mode)
     if width < 1 or depth < 1:
         raise ValueError("width and depth must be at least 1")
-    levels = (0, 1) if mode == MODE_L else (0,)
     chains = [[chain_label(i, n) for n in range(depth)] for i in range(width)]
     elements: list[str] = []
     covers: list[tuple[str, str]] = []
@@ -594,7 +597,7 @@ def truncate_domain(width: int, depth: int, mode: str) -> tuple[FinitePoset, dic
     The points are made in element order, so no label is built twice.
     """
     poset = truncation_poset(width, depth, mode)
-    levels = (0, 1) if mode == MODE_L else (0,)
+    levels = _levels(mode)
     points: list[LPoint] = []
     for i in range(width):
         points += [*map(ChainPoint, repeat(i), range(depth)), ChainTop(i)]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordtop.cli
+import ordtop.poset
 from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed,
                     chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
 from ordtop.cli import _set_texts, build_parser, main
@@ -242,6 +243,26 @@ def test_size_guard_is_an_input_error(capsys, tmp_path, verb, kind):
     assert captured.err == "error: poset has 21 elements; input size bounded at 20\n"
     code, _ = run(capsys, verb, "--input", big, "--max-elements", "21")
     assert code == 0
+
+
+@pytest.mark.parametrize("verb,kind", [
+    ("check", "chain"), ("topology", "chain"), ("maxspace", "chain"), ("idl", "chain"),
+    ("factor", "model"), ("lower-model", "model"),
+])
+def test_size_guard_runs_before_the_closure(capsys, monkeypatch, tmp_path, verb, kind):
+    # the bound reads the document's elements array, so an oversized input closes no order
+    if kind == "chain":
+        labels = [f"e{i}" for i in range(25)]
+        document = {"elements": labels, "covers": [list(pair) for pair in zip(labels, labels[1:])]}
+    else:
+        document = model_to_json(discrete_model(5, 5))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(document))
+    closed = []
+    monkeypatch.setattr(ordtop.poset, "_transitive_close", closed.append)
+    assert _call(capsys, [verb, "--input", big]) == (
+        2, "", "error: poset has 25 elements; input size bounded at 20\n")
+    assert not closed
 
 
 def test_truncation_guard_is_an_input_error(capsys):

