@@ -18,9 +18,8 @@ from typing import Iterator, Sequence
 
 from .errors import InputError, TooLarge, UnknownLabel, VerificationFailed, excerpt
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
-from .ideals import idl_poset
-from .poset import (FinitePoset, _mirror, label_text, load_json, load_poset, poset_from_json,
-                    poset_json_text, to_dot)
+from .poset import (FinitePoset, _mirror, label_text, load_json, poset_from_json, poset_json_text,
+                    to_dot)
 from .symbolic import (
     MODE_L,
     MODE_LHAT,
@@ -102,9 +101,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     print("ideal-domain: yes")
     print(f"bounded-complete: {_yn(is_bounded_complete(p))}")
     print(f"compact-count: {len(p)}")
-    maximal = p.maximal_elements()
-    print(f"max-count: {len(maximal)}")
-    [text] = _set_texts(p.elements, [_mirror(p.mask_of(maximal), len(p))])
+    print(f"max-count: {p._max_mask.bit_count()}")
+    [text] = _set_texts(p.elements, [_mirror(p._max_mask, len(p))])
     print(f"maximal: {{{text}}}")
     return 0
 
@@ -137,12 +135,11 @@ def cmd_maxspace(args: argparse.Namespace) -> int:
 
 def cmd_idl(args: argparse.Namespace) -> int:
     p = _load_poset(args)
-    completion, embedding = idl_poset(p)
     print(f"base-elements: {len(p)}")
-    print(f"ideal-count: {len(completion)}")
     # every ideal is principal, and down(a) <= down(b) exactly when a <= b
+    print(f"ideal-count: {len(p)}")
     print("isomorphic-to-base: yes")
-    masks = [_mirror(p.mask_of(embedding[e]), len(p)) for e in p.elements]
+    masks = [_mirror(down, len(p)) for down in p._down]
     for e, text in zip(p.elements, _set_texts(p.elements, masks)):
         print(f"principal {label_text(e)}: {{{text}}}")
     return 0
@@ -211,7 +208,7 @@ def cmd_truncate_l(args: argparse.Namespace) -> int:
 
 
 def cmd_hasse(args: argparse.Namespace) -> int:
-    p = load_poset(args.input)
+    p = _load_poset(args)
     text = to_dot(p)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -299,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("hasse", help="DOT rendering of the cover relation")
     _add_input(sub, "poset JSON")
     sub.add_argument("--dot", help="write the DOT text here instead of stdout")
+    _add_bound(sub)
 
     return parser
 

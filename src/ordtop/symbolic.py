@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import product as cartesian, repeat
 from operator import is_not
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import FormatError, NotCoveringMax, excerpt
 from .poset import FinitePoset, build_poset
@@ -43,49 +43,58 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _normalize(exceptions, default, *, allow_none: bool) -> tuple:
-    out = {}
-    for i, value in dict(exceptions).items():
-        if not isinstance(i, int) or i < 0:
-            raise ValueError(f"chain index {i!r} must be a natural number")
-        if value is None and not allow_none:
-            raise ValueError("selector positions cannot be absent")
-        if value is not None and (not isinstance(value, int) or value < 0):
-            raise ValueError(f"position {value!r} must be a natural number")
-        if value != default:
-            out[i] = value
-    return tuple(sorted(out.items()))
+def _natural(value) -> bool:
+    """A natural number is an int, not a bool, at least 0: the one rule for symbolic data."""
+    return type(value) is int and value >= 0
+
+
+class _ExceptionList:
+    """A sequence over the naturals: finitely many exceptions over a default.
+
+    The frozen dataclasses ``Selector`` and ``ThresholdRule`` hold the fields
+    ``exceptions`` and ``default``.  The exceptions are kept sorted by chain
+    and without entries equal to the default, so equal sequences compare,
+    hash and print alike; ``_table`` maps the same entries for lookups and
+    is neither a field nor part of ==, hash or repr.
+    """
+
+    _value: str  # the noun for a value in errors
+    _absent_ok = False  # may a value be None?
+
+    def __post_init__(self):
+        default = self.default
+        if not (_natural(default) or default is None and self._absent_ok):
+            raise ValueError(f"default {self._value} {default!r} must be a natural number")
+        table = dict(self.exceptions)
+        for i, value in table.items():
+            if not _natural(i):
+                raise ValueError(f"chain index {i!r} must be a natural number")
+            if not (_natural(value) or value is None and self._absent_ok):
+                raise ValueError(f"{self._value} {value!r} must be a natural number")
+        if default in table.values():
+            table = {i: v for i, v in table.items() if v != default}
+        object.__setattr__(self, "exceptions", tuple(sorted(table.items())))
+        object.__setattr__(self, "_table", table)
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[int, int | None], default: int | None = 0):
+        return cls(exceptions=tuple(mapping.items()), default=default)
+
+    def __call__(self, i: int) -> int | None:
+        return self._table.get(i, self.default)
+
+    def over(self, chains: Iterable[int]) -> list[int | None]:
+        """The values of many chains at once, read without a Python loop."""
+        return list(map(self._table.get, chains, repeat(self.default)))
 
 
 @dataclass(frozen=True)
-class Selector:
+class Selector(_ExceptionList):
     """A choice of one finite position per chain: finite exceptions over a default."""
 
     exceptions: tuple = ()
     default: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.default, int) or self.default < 0:
-            raise ValueError("default position must be a natural number")
-        object.__setattr__(
-            self, "exceptions", _normalize(self.exceptions, self.default, allow_none=False)
-        )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int], default: int = 0) -> "Selector":
-        return cls(tuple(mapping.items()), default)
-
-    @cached_property
-    def _table(self) -> dict[int, int]:
-        # built on first lookup; cached_property writes the instance __dict__,
-        # so it is neither a field nor part of ==, hash or repr
-        return dict(self.exceptions)
-
-    def __call__(self, i: int) -> int:
-        return self._table.get(i, self.default)
-
-    def exception_map(self) -> dict[int, int]:
-        return dict(self.exceptions)
+    _value = "position"
 
 
 @dataclass(frozen=True)
@@ -160,7 +169,7 @@ def is_maximal(point: LPoint, mode: str) -> bool:
 
 
 @dataclass(frozen=True)
-class ThresholdRule:
+class ThresholdRule(_ExceptionList):
     """Admission threshold per chain; None means the chain is missing.
 
     A present threshold t at chain i admits the points (i, n) for n >= t
@@ -169,29 +178,8 @@ class ThresholdRule:
 
     default: int | None = 0
     exceptions: tuple = ()
-
-    def __post_init__(self):
-        if self.default is not None and (not isinstance(self.default, int) or self.default < 0):
-            raise ValueError("default threshold must be a natural number or None")
-        object.__setattr__(
-            self, "exceptions", _normalize(self.exceptions, self.default, allow_none=True)
-        )
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int | None], default: int | None = 0) -> "ThresholdRule":
-        return cls(default, tuple(mapping.items()))
-
-    @cached_property
-    def _table(self) -> dict[int, int | None]:
-        # see Selector._table
-        return dict(self.exceptions)
-
-    def __call__(self, i: int) -> int | None:
-        return self._table.get(i, self.default)
-
-    def over(self, chains: Iterable[int]) -> list[int | None]:
-        """The thresholds of many chains at once, read without a Python loop."""
-        return list(map(self._table.get, chains, repeat(self.default)))
+    _value = "threshold"
+    _absent_ok = True
 
     def all_present(self) -> bool:
         return self.default is not None and None not in self._table.values()
@@ -213,11 +201,9 @@ class Cylinder:
     levels: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        conds = {}
-        for i, value in dict(self.conds).items():
-            if not isinstance(i, int) or i < 0 or not isinstance(value, int) or value < 0:
-                raise ValueError(f"cylinder condition ({i!r}, {value!r}) must be naturals")
-            conds[i] = value
+        conds = dict(self.conds)
+        if not (all(map(_natural, conds)) and all(map(_natural, conds.values()))):
+            raise ValueError("cylinder conditions must pair natural numbers")
         object.__setattr__(self, "conds", tuple(sorted(conds.items())))
         levels = frozenset(self.levels)
         if not levels <= {0, 1}:
@@ -348,47 +334,23 @@ def contains_max(open_set: SymbolicOpen, mode: str) -> bool:
 
 
 class OpenFamily:
-    """An indexed family of symbolic opens.
+    """A finite indexed family of symbolic opens."""
 
-    Either a finite explicit list or a rule evaluated anew on each call; a
-    rule family carries an evaluation bound, and point-wise certification
-    stops there while structural notes cover the rest.
-    """
-
-    def __init__(self, opens=None, rule: Callable[[int], SymbolicOpen] | None = None,
-                 eval_bound: int | None = None):
-        if (opens is None) == (rule is None):
-            raise ValueError("provide exactly one of opens or rule")
-        if rule is not None and (eval_bound is None or eval_bound < 1):
-            raise ValueError("a rule family needs a positive evaluation bound")
-        self._opens = tuple(opens) if opens is not None else None
-        self._rule = rule
-        self.eval_bound = eval_bound
+    def __init__(self, opens: Iterable[SymbolicOpen]):
+        self._opens = tuple(opens)
 
     @classmethod
     def from_list(cls, opens: Iterable[SymbolicOpen]) -> "OpenFamily":
-        return cls(opens=tuple(opens))
-
-    @classmethod
-    def from_rule(cls, rule: Callable[[int], SymbolicOpen], eval_bound: int) -> "OpenFamily":
-        return cls(rule=rule, eval_bound=eval_bound)
-
-    @property
-    def is_rule(self) -> bool:
-        return self._rule is not None
+        return cls(opens)
 
     def indices(self) -> range:
-        if self._opens is not None:
-            return range(len(self._opens))
-        return range(self.eval_bound)
+        return range(len(self._opens))
 
     def member(self, j: int) -> SymbolicOpen:
-        if self._opens is not None:
-            return self._opens[j]
-        return self._rule(j)
+        return self._opens[j]
 
     def validate(self, mode: str) -> bool:
-        return all(validate_open(self.member(j), mode) for j in self.indices())
+        return all(validate_open(open_set, mode) for open_set in self._opens)
 
 
 # -- the diagonal argument -------------------------------------------------------
@@ -417,22 +379,13 @@ def diagonal_witness(family: OpenFamily, *, offsets: int = 0) -> tuple[Selector,
     point = SelectorPoint(witness, 0)
 
     report = Report()
-    if family.is_rule:
-        report.info("family", f"rule evaluated up to {family.eval_bound}")
-    else:
-        report.info("family-size", len(family.indices()))
+    report.info("family-size", len(family.indices()))
     all_in = True
     for j in family.indices():
         inside = symbolic_member(family.member(j), point)
         report.check(f"witness-in-member {j}", inside)
         all_in = all_in and inside
     report.check("witness-in-every-member", all_in)
-    if family.is_rule:
-        report.info(
-            "structural-rule",
-            "at every index j the witness position on chain j is member j's "
-            "threshold for chain j, so membership persists beyond the bound",
-        )
     above = SelectorPoint(witness, 1)
     report.check(
         "witness-not-maximal",
@@ -454,7 +407,7 @@ def cutoff_open(k: int) -> SymbolicOpen:
     """
     if k < 0:
         raise ValueError("cutoff index must be a natural number")
-    thresholds = ThresholdRule(0, tuple((i, k + 1) for i in range(k + 1)))
+    thresholds = ThresholdRule(0, tuple(zip(range(k + 1), repeat(k + 1))))
     keep_selectors = Cylinder((), frozenset({0}))
     return SymbolicOpen(thresholds, False, (keep_selectors,))
 
@@ -619,9 +572,7 @@ def truncation_members(
 
 
 def _nat_or_none(value, what: str):
-    if value is None:
-        return None
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+    if value is None or _natural(value):
         return value
     raise FormatError(f"{what} must be a natural number or null, got {excerpt(value)}")
 
@@ -695,12 +646,8 @@ def open_from_json(data: object) -> SymbolicOpen:
         if not isinstance(levels, list) or not all(type(lv) is int and lv in (0, 1) for lv in levels):
             raise FormatError('"levels" must be an array over {0, 1}')
         cylinders.append(Cylinder(tuple(conds.items()), frozenset(levels)))
-    try:
-        return SymbolicOpen(
-            ThresholdRule(default, tuple(exceptions.items())), all_level1, tuple(cylinders)
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    thresholds = ThresholdRule(default, tuple(exceptions.items()))
+    return SymbolicOpen(thresholds, all_level1, tuple(cylinders))
 
 
 def family_to_json(family: OpenFamily) -> list:

@@ -225,7 +225,7 @@ def test_cycle_is_an_input_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("verb,kind", [
     ("check", "chain"), ("topology", "chain"), ("maxspace", "chain"), ("idl", "chain"),
-    ("factor", "model"), ("lower-model", "model"),
+    ("hasse", "chain"), ("factor", "model"), ("lower-model", "model"),
 ])
 def test_size_guard_is_an_input_error(capsys, tmp_path, verb, kind):
     # 21 input elements: a chain, or the maxima of a discrete 7x3 model
@@ -247,7 +247,7 @@ def test_size_guard_is_an_input_error(capsys, tmp_path, verb, kind):
 
 @pytest.mark.parametrize("verb,kind", [
     ("check", "chain"), ("topology", "chain"), ("maxspace", "chain"), ("idl", "chain"),
-    ("factor", "model"), ("lower-model", "model"),
+    ("hasse", "chain"), ("factor", "model"), ("lower-model", "model"),
 ])
 def test_size_guard_runs_before_the_closure(capsys, monkeypatch, tmp_path, verb, kind):
     # the bound reads the document's elements array, so an oversized input closes no order

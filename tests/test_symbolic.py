@@ -105,7 +105,6 @@ def test_selector_normalization_drops_default_picks():
     assert s.exceptions == ((1, 2),)
     assert s(0) == 0 and s(1) == 2 and s(99) == 0
     assert s == Selector.from_mapping({1: 2})
-    assert s.exception_map() == {1: 2}
 
 
 def test_selector_rejects_bad_values():
@@ -115,6 +114,13 @@ def test_selector_rejects_bad_values():
         Selector.from_mapping({-1: 0})
     with pytest.raises(ValueError):
         Selector(default=-2)
+    # a bool is not a natural number here, as in the JSON layer
+    with pytest.raises(ValueError):
+        Selector.from_mapping({0: True})
+    with pytest.raises(ValueError):
+        ThresholdRule(True)
+    with pytest.raises(ValueError):
+        ThresholdRule.from_mapping({2: False})
 
 
 def _scan(rule, i):
@@ -150,10 +156,7 @@ def test_lookup_tables_leave_value_semantics_alone():
     assert "_table" in vars(selector).keys() & vars(rule).keys()
     assert selector == fresh and hash(selector) == hash(fresh) and repr(selector) == repr(fresh)
     assert rule == fresh_rule and hash(rule) == hash(fresh_rule) and repr(rule) == repr(fresh_rule)
-    table = selector.exception_map()
-    table[3] = 99
-    assert selector(3) == 1 and selector.exception_map() == {3: 1, 7: 4}
-    assert selector.exception_map() is not selector.exception_map()
+    assert dict(selector.exceptions) == {3: 1, 7: 4}
 
 
 def _random_exceptions(rng, length, values):
@@ -245,6 +248,8 @@ def test_cylinder_validation():
         Cylinder(((0, 1),), frozenset({2}))
     with pytest.raises(ValueError):
         Cylinder(((-1, 0),), frozenset({0}))
+    with pytest.raises(ValueError):
+        Cylinder(((True, 1),))
     assert Cylinder(((3, 0), (1, 2))).conds == ((1, 2), (3, 0))
 
 
@@ -306,26 +311,19 @@ def test_diagonal_requires_cover_certificates():
 
 
 def test_diagonal_on_a_rule_family():
-    family = OpenFamily.from_rule(
-        lambda j: SymbolicOpen(
-            ThresholdRule.from_mapping({j: 2 * j + 1}), all_level1=True
-        ),
-        eval_bound=8,
+    # member j of the rule "threshold 2j+1 on chain j", listed up to 8
+    family = OpenFamily.from_list(
+        SymbolicOpen(ThresholdRule.from_mapping({j: 2 * j + 1}), all_level1=True)
+        for j in range(8)
     )
     witness, report = diagonal_witness(family)
     assert report.ok
     assert [witness(j) for j in range(3)] == [1, 3, 5]
-    assert any(key == "structural-rule" for key, _ in report.entries)
 
 
 def test_open_family_argument_checks():
-    with pytest.raises(ValueError):
-        OpenFamily()
-    with pytest.raises(ValueError):
-        OpenFamily(opens=[SymbolicOpen()], rule=lambda j: SymbolicOpen())
-    with pytest.raises(ValueError):
-        OpenFamily.from_rule(lambda j: SymbolicOpen(), eval_bound=0)
     assert uniform_family(2).validate(MODE_L)
+    assert not uniform_family(2).validate(MODE_LHAT)  # Lhat has no level-1 points
 
 
 # -- the countable certificate -------------------------------------------------------
