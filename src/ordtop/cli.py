@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from .errors import InputError, TooLarge, UnknownLabel, VerificationFailed, excerpt
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
-from .poset import (FinitePoset, _mirror, label_text, load_json, poset_from_json, poset_json_text,
+from .poset import (FinitePoset, _mirror, covers_json_text, label_text, load_json, poset_from_json,
                     to_dot)
 from .symbolic import (
     MODE_L,
@@ -27,7 +27,7 @@ from .symbolic import (
     diagonal_witness,
     family_from_json,
     gdelta_certificate_lhat,
-    truncation_poset,
+    truncation_hasse,
     truncation_size,
 )
 from .topology import Topology, is_bounded_complete, relative_topology, scott_opens
@@ -203,7 +203,7 @@ def cmd_truncate_l(args: argparse.Namespace) -> int:
         held = f"more than {sys.maxsize}" if count is None else count
         bound = excerpt(args.max_elements)
         raise TooLarge(f"truncation would hold {held} elements, bound is {bound}")
-    print(poset_json_text(truncation_poset(args.width, args.depth, args.mode)))
+    print(covers_json_text(*truncation_hasse(args.width, args.depth, args.mode)))
     return 0
 
 

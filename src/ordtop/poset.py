@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import (
     CycleDetected,
@@ -489,7 +489,8 @@ def poset_from_json(data: object) -> FinitePoset:
         raise FormatError('"covers" must be an array of [low, high] pairs')
     pairs = []
     for item in covers:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, str) for x in item)):
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[0], str) and isinstance(item[1], str)):
             raise FormatError(f"malformed cover entry {excerpt(item)}")
         pairs.append((item[0], item[1]))
     return build_poset(elements, pairs)
@@ -531,18 +532,22 @@ def _json_array(items: list[str]) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
-def poset_json_text(p: FinitePoset) -> str:
-    """``json.dumps(poset_to_json(p), indent=2)``, written directly.
+def covers_json_text(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -> str:
+    """The poset document of distinct string labels and covers, as ``json.dumps`` indents it.
 
     ``json.dumps`` with an indent always runs the encoder written in Python,
     a few calls per value.  The layout here is fixed, so each label is
     encoded once by the C string encoder and the document is joined from
     those pieces.
     """
-    labels = _string_labels(p)
     encoded = dict(zip(labels, map(encode_basestring_ascii, labels)))
-    covers = [f"[\n      {encoded[a]},\n      {encoded[b]}\n    ]" for a, b in p.covers()]
+    covers = [f"[\n      {encoded[a]},\n      {encoded[b]}\n    ]" for a, b in covers]
     return (
         '{\n  "elements": ' + _json_array(list(encoded.values()))
         + ',\n  "covers": ' + _json_array(covers) + "\n}"
     )
+
+
+def poset_json_text(p: FinitePoset) -> str:
+    """``json.dumps(poset_to_json(p), indent=2)``, written directly."""
+    return covers_json_text(_string_labels(p), p.covers())

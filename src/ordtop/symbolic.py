@@ -25,12 +25,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product as cartesian, repeat
-from operator import is_not
+from itertools import chain, product as cartesian, repeat
+from operator import is_not, lshift
 from typing import Iterable, Mapping
 
 from .errors import FormatError, NotCoveringMax, excerpt
-from .poset import FinitePoset, build_poset
+from .poset import FinitePoset
 from .report import Report
 
 MODE_L = "L"
@@ -492,10 +492,6 @@ def top_label(i: int) -> str:
     return f"({i},inf)"
 
 
-def selector_label(values: tuple[int, ...], level: int) -> str:
-    return "s[" + ",".join(map(str, values)) + f"]@{level}"
-
-
 def _levels(mode: str) -> tuple[int, ...]:
     """The selector levels a truncation keeps: level 1 only in L mode."""
     _check_mode(mode)
@@ -518,30 +514,95 @@ def truncation_size(width: int, depth: int, mode: str) -> int | None:
     return size if size <= sys.maxsize else None
 
 
-def truncation_poset(width: int, depth: int, mode: str) -> FinitePoset:
-    """A finite prefix of the mode's domain.
+def _truncation_labels(width: int, depth: int, mode: str) -> tuple[list[str], list[str]]:
+    """A truncation's labels in element order, and its level-0 selector labels in rank order.
 
-    Keeps ``width`` chains, each with positions below ``depth`` plus its
-    top, and every selector over those positions at the mode's levels.
+    Chain i holds (i,0) ... (i,depth-1) and its top at ``i*(depth+1) + n``;
+    the selector of rank r in ``cartesian`` order follows at
+    ``width*(depth+1) + r*|levels| + level``.
     """
-    levels = _levels(mode)
+    _check_mode(mode)
     if width < 1 or depth < 1:
         raise ValueError("width and depth must be at least 1")
-    chains = [[chain_label(i, n) for n in range(depth)] for i in range(width)]
     elements: list[str] = []
+    for i in range(width):
+        elements += map(chain_label, repeat(i), range(depth))
+        elements.append(top_label(i))
+    # s[v_0,...,v_{width-1}]@level, for the selectors in rank order
+    picks = map(",".join, cartesian(map(str, range(depth)), repeat=width))
+    bottoms = [f"s[{body}]@0" for body in picks]
+    if mode == MODE_L:
+        selectors = [""] * (2 * len(bottoms))
+        selectors[::2] = bottoms
+        selectors[1::2] = [label[:-1] + "1" for label in bottoms]
+        elements += selectors
+    else:
+        elements += bottoms
+    return elements, bottoms
+
+
+def truncation_hasse(width: int, depth: int, mode: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The labels of ``truncation_poset`` and its covers, as ``FinitePoset.covers`` lists them.
+
+    The covers are its generators, by lower index and then upper index:
+    (i,n) is covered by (i,n+1), or by the top when n = depth-1, and then by
+    every level-0 selector point that picks v_i = n, in rank order; in L mode
+    each level-0 point is covered by its level-1 point.  A generator from
+    (i, v_i) is a cover because the chain points below a level-0 selector
+    point are exactly the (j, m) with m <= v_j, so nothing lies strictly
+    between.  The ranks with v_i = n come in runs of ``depth**(width-1-i)``
+    consecutive ranks, one run per ``depth**(width-i)`` ranks.
+    """
+    elements, bottoms = _truncation_labels(width, depth, mode)
     covers: list[tuple[str, str]] = []
-    for i, column in enumerate(chains):
-        top = top_label(i)
-        elements += column
-        elements.append(top)
-        covers += zip(column, column[1:] + [top])
-    for values in cartesian(range(depth), repeat=width):
-        labels = [selector_label(values, level) for level in levels]
-        elements += labels
-        covers += zip(map(list.__getitem__, chains, values), repeat(labels[0]))
-        if len(labels) == 2:
-            covers.append((labels[0], labels[1]))
-    return build_poset(elements, covers)
+    for i in range(width):
+        column = elements[i * (depth + 1):(i + 1) * (depth + 1)]
+        run = depth ** (width - 1 - i)
+        period = run * depth
+        for n in range(depth):
+            covers.append((column[n], column[n + 1]))
+            picked = [bottoms[r:r + run] for r in range(n * run, len(bottoms), period)]
+            covers += zip(repeat(column[n]), chain.from_iterable(picked))
+    if mode == MODE_L:
+        covers += zip(bottoms, elements[width * (depth + 1) + 1::2])
+    return elements, covers
+
+
+def truncation_poset(width: int, depth: int, mode: str) -> FinitePoset:
+    """A finite prefix of the mode's domain, its up-set rows built from the construction.
+
+    Keeps ``width`` chains, each with positions below ``depth`` plus its
+    top, and every selector over those positions at the mode's levels, in
+    the element order of ``truncation_hasse``.  Row (i,n) holds chain i from
+    n up, its top, and every selector point, at all levels, with v_i >= n:
+    in the selector region that is one block of ranks repeated every
+    ``depth**(width-i)`` ranks, so it costs a few big-int operations.  A
+    top's row and a level-1 point's row hold the point itself; a level-0
+    point's row adds its level-1 point in L mode.  No relation is closed;
+    the tests compare these rows with the closure of the covers.
+    """
+    elements = _truncation_labels(width, depth, mode)[0]
+    per = len(_levels(mode))
+    start = width * (depth + 1)
+    count = len(elements) - start  # selector points
+    rows = []
+    for i in range(width):
+        base = i * (depth + 1)
+        run = depth ** (width - 1 - i) * per  # selector points per value of v_i
+        period = run * depth
+        # one bit at the start of every period
+        every = ((1 << count) - 1) // ((1 << period) - 1) << start
+        for n in range(depth):
+            above = ((1 << (depth + 1 - n)) - 1) << (base + n)
+            picks = ((1 << (depth - n) * run) - 1) << (n * run)
+            rows.append(above | picks * every)
+        rows.append(1 << (base + depth))
+    if mode == MODE_L:
+        for bit in range(start, start + count, 2):
+            rows += (3 << bit, 2 << bit)
+    else:
+        rows += map(lshift, repeat(1), range(start, start + count))
+    return FinitePoset(elements, rows)
 
 
 def truncate_domain(width: int, depth: int, mode: str) -> tuple[FinitePoset, dict[str, LPoint]]:

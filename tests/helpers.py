@@ -1,9 +1,11 @@
 """Shared builders and subset-sweep oracles for the test suite."""
 
 from functools import lru_cache
+from itertools import product as cartesian
 from random import Random
 
 from ordtop import (
+    MODE_L,
     MODE_LHAT,
     ChainPoint,
     ChainTop,
@@ -378,3 +380,27 @@ def oracle_gdelta_certificate_lhat(bound: int) -> Report:
     report.check("intersection-equals-max-at-bound", report.ok)
     return report
 
+
+
+# -- truncations by their definition: generators closed by the generic closure
+
+
+def oracle_truncation(width: int, depth: int, mode: str) -> FinitePoset:
+    """A truncation as ``build_poset`` closes its generating relation.
+
+    Each chain point sits below the next one (the last below the chain's
+    top), a selector's level-0 point sits above the chain points it picks,
+    and in L mode its level-1 point sits above its level-0 point.
+    """
+    levels = (0, 1) if mode == MODE_L else (0,)
+    chains = [[f"({i},{n})" for n in range(depth)] for i in range(width)]
+    elements, generators = [], []
+    for i, column in enumerate(chains):
+        elements += column + [f"({i},inf)"]
+        generators += zip(column, column[1:] + [f"({i},inf)"])
+    for values in cartesian(range(depth), repeat=width):
+        labels = ["s[" + ",".join(map(str, values)) + f"]@{level}" for level in levels]
+        elements += labels
+        generators += [(chains[i][v], labels[0]) for i, v in enumerate(values)]
+        generators += zip(labels, labels[1:])
+    return build_poset(elements, generators)

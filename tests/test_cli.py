@@ -10,14 +10,15 @@ from pathlib import Path
 from tempfile import TemporaryDirectory
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ordtop.cli
 import ordtop.poset
 from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed,
                     chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
-from ordtop.cli import _set_texts, build_parser, main
+from ordtop.cli import MAX_EVAL_BOUND, _set_texts, build_parser, main
+from ordtop.symbolic import MODE_L, MODE_LHAT, truncation_size
 
 from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_posets,
                      oracle_sorted_opens)
@@ -346,6 +347,73 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+# each verb with an input it accepts, and the numeric flags it takes
+_NUMERIC_FLAGS = {
+    **{verb: (["--input", str(DATA / "diamond.json")], ["--max-elements"])
+       for verb in ("check", "topology", "maxspace", "idl", "hasse")},
+    **{verb: (["--input", str(DATA / "model_2x1.json")], ["--max-elements"])
+       for verb in ("factor", "lower-model")},
+    "diagonal": (["--input", str(DATA / "family_uniform3.json")], ["--offset"]),
+    "lhat-cert": ([], ["--eval-bound"]),
+    "truncate-l": ([], ["--width", "--depth", "--max-elements"]),
+}
+# arbitrary text, negative and huge integers, and small values in range
+_flag_texts = st.one_of(st.text(max_size=8), st.integers(max_value=-1).map(str),
+                        st.integers(min_value=10**6, max_value=10**4000).map(str),
+                        st.integers(0, 5).map(str))
+
+
+def _int_or_none(text: str) -> int | None:
+    """The value the flag's ``int()`` parse gives, or None when it refuses the text."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_numeric_flags_keep_the_input_contract(data):
+    verb = data.draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    fixed, flags = _NUMERIC_FLAGS[verb]
+    # a flag left alone keeps its default, or takes a small width or depth, so that
+    # truncate-l, which needs both, often runs
+    texts = {}
+    for flag in flags:
+        if data.draw(st.booleans()):
+            texts[flag] = data.draw(_flag_texts)
+        elif flag in ("--width", "--depth"):
+            texts[flag] = data.draw(st.integers(1, 4).map(str))
+    argv = [verb, *fixed, *(f"{flag}={text}" for flag, text in texts.items())]
+    value = {flag: _int_or_none(text) for flag, text in texts.items()}.get
+    if verb == "lhat-cert":
+        bound = value("--eval-bound", 50)
+        assume(bound is None or not 0 <= bound <= MAX_EVAL_BOUND or bound <= 50)
+    if verb == "truncate-l":
+        mode = data.draw(st.sampled_from([MODE_L, MODE_LHAT]))
+        argv += ["--mode", mode]
+        width, depth, bound = value("--width"), value("--depth"), value("--max-elements", 5000)
+        if None not in (width, depth, bound) and width >= 1 and depth >= 1 and bound >= 0:
+            size = truncation_size(width, depth, mode)
+            assume(size is None or size > bound or size <= 200)
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), argv
+    assert "Traceback" not in err
+    assert len(err.encode()) < 300
+    if code == 2:
+        assert out == ""
+    else:
+        assert err == ""
+    if verb == "truncate-l" and code == 0:
+        assert len(json.loads(out)["elements"]) == truncation_size(width, depth, mode)
+
+
 def test_unknown_command_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-verb"])
@@ -491,6 +559,10 @@ ARGV_GOLDEN = {
     "lhat-cert_eval-bound-150": ["lhat-cert", "--eval-bound", "150"],
     "truncate-l_2x3_L": ["truncate-l", "--width", "2", "--depth", "3", "--mode", "L"],
     "truncate-l_2x3_Lhat": ["truncate-l", "--width", "2", "--depth", "3", "--mode", "Lhat"],
+    # one chain, one position, or both: the closed form's strides collapse
+    "truncate-l_1x1_L": ["truncate-l", "--width", "1", "--depth", "1", "--mode", "L"],
+    "truncate-l_3x1_Lhat": ["truncate-l", "--width", "3", "--depth", "1", "--mode", "Lhat"],
+    "truncate-l_1x4_Lhat": ["truncate-l", "--width", "1", "--depth", "4", "--mode", "Lhat"],
 }
 
 

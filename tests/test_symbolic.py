@@ -1,5 +1,7 @@
+import json
 import tracemalloc
 from itertools import product as cartesian
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,6 +15,7 @@ from ordtop import (
     ChainPoint,
     ChainTop,
     Cylinder,
+    FinitePoset,
     FormatError,
     NotCoveringMax,
     OpenFamily,
@@ -32,6 +35,8 @@ from ordtop import (
     l_leq,
     open_from_json,
     open_to_json,
+    poset,
+    poset_to_json,
     symbolic_member,
     truncate_domain,
     truncation_members,
@@ -40,9 +45,10 @@ from ordtop import (
     validate_open,
 )
 from ordtop.cli import main
-from ordtop.symbolic import MODES, _forced, truncation_size
+from ordtop.symbolic import MODES, _forced, truncation_hasse, truncation_size
 
-from helpers import oracle_forced, oracle_gdelta_certificate_lhat, oracle_is_scott_open
+from helpers import (oracle_forced, oracle_gdelta_certificate_lhat, oracle_is_scott_open,
+                     oracle_truncation)
 
 
 def uniform_family(size: int) -> OpenFamily:
@@ -505,6 +511,38 @@ def test_point_map_rides_on_the_truncation_poset():
         assert t.elements == p.elements and t._up == p._up
         assert list(points.items()) == list(_reference_truncation(width, depth, mode).items())
     assert "truncation_poset" in ordtop.__all__
+
+
+# width 1 to 3 by depth 1 to 5, where the strides collapse, and the benchmark's big shapes
+_CLOSED_FORM_SHAPES = [*cartesian(range(1, 4), range(1, 6)), (4, 6), (3, 8), (2, 20)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("width,depth", _CLOSED_FORM_SHAPES)
+def test_truncation_closed_form_matches_the_closed_generators(capsys, width, depth, mode):
+    oracle = oracle_truncation(width, depth, mode)
+    p = truncation_poset(width, depth, mode)
+    assert p.elements == oracle.elements
+    assert p._up == oracle._up
+    elements, covers = truncation_hasse(width, depth, mode)
+    assert tuple(elements) == oracle.elements
+    assert tuple(covers) == oracle.covers()
+    argv = ["truncate-l", "--width", str(width), "--depth", str(depth), "--mode", mode]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(poset_to_json(oracle), indent=2) + "\n"
+
+
+def test_truncations_run_no_generic_closure_or_cover_walk(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a truncation ran the generic closure or the cover walk")
+
+    monkeypatch.setattr(poset, "_transitive_close", refuse)
+    monkeypatch.setattr(FinitePoset, "covers", refuse)
+    for mode in MODES:
+        truncate_domain(3, 4, mode)
+    assert main(["truncate-l", "--width", "2", "--depth", "3", "--mode", "L"]) == 0
+    golden = Path(__file__).parent / "data" / "golden" / "argv" / "truncate-l_2x3_L.out"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_truncation_guard_and_argument_checks():
