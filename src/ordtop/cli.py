@@ -2,15 +2,17 @@
 
 Every verb prints stable ``key: value`` lines (or a JSON / DOT document for
 the export verbs) so runs can be diffed.  Exit codes: 0 when the requested
-checks pass; otherwise the error's base class decides, 1 for a
-``VerificationFailed`` (a claim does not hold) and 2 for an ``InputError``
-or ``OSError`` (the input is unusable).
+checks pass; 1 when a claim does not hold, either because a claim verb
+(``factor``, ``lower-model``, ``diagonal``, ``lhat-cert``) printed a report
+holding a failed check or because a ``VerificationFailed`` was raised; 2 for
+an ``InputError`` or ``OSError`` (the input is unusable).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from itertools import repeat
 from operator import add, and_, itemgetter, rshift
@@ -213,7 +215,8 @@ def cmd_hasse(args: argparse.Namespace) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(f"written: {args.dot}")
+        # the path as the file system has it: a byte that is not UTF-8 prints as \xNN
+        print(f"written: {os.fsencode(args.dot).decode('utf-8', 'backslashreplace')}")
     else:
         print(text, end="")
     return 0

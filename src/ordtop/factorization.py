@@ -28,8 +28,8 @@ from .errors import (
     excerpt,
 )
 from .ideals import Ideal, idl_poset
-from .poset import (FinitePoset, Label, _iter_bits, _order_violation, build_poset, label_text,
-                    poset_from_json, poset_to_json)
+from .poset import (FinitePoset, Label, _iter_bits, _order_violation, _utf8_labels, build_poset,
+                    label_text, poset_from_json, poset_to_json)
 from .report import Report
 from .topology import Topology, is_scott_closed, relative_topology
 
@@ -171,24 +171,30 @@ def build_Q(model: ProductModel) -> FinitePoset:
     return FinitePoset([triples[k] for k in kept.elements], kept._up)
 
 
+def _selection(model: ProductModel, q_poset: FinitePoset) -> dict[object, int]:
+    """J(x) for every X label as a mask over the triples: one pass ORs bit j into each x in U_j."""
+    columns = dict.fromkeys(model.label_x, 0)
+    for j, t in enumerate(q_poset.elements):
+        for x in t.u:
+            columns[x] |= 1 << j
+    return columns
+
+
 def ideal_J(model: ProductModel, x, q_poset: FinitePoset) -> Ideal:
     """The triples whose X open contains the point; checked to be an ideal."""
     if x not in model.label_x:
         raise UnknownLabel(f"{excerpt(x)} is not an X label")
-    members = frozenset(t for t in q_poset.elements if x in t.u)
     try:
-        return Ideal(q_poset, members)
+        return Ideal(q_poset, q_poset.labels_of(_selection(model, q_poset)[x]))
     except NotAnIdeal as exc:
-        raise NotAnIdeal(f"claim-selected-are-ideals does not hold: triples selected by "
-                         f"{excerpt(x)} are not an ideal: {exc}") from exc
+        raise NotAnIdeal(f"triples selected by {excerpt(x)} are not an ideal: {exc}") from exc
 
 
 def covering_intersection(model: ProductModel, q_poset: FinitePoset, x) -> frozenset:
     """Intersection of the X opens over the triples selected by a point."""
-    members = [t for t in q_poset.elements if x in t.u]
     out = frozenset(model.label_x)
-    for t in members:
-        out &= t.u
+    for j in _iter_bits(_selection(model, q_poset).get(x, 0)):
+        out &= q_poset.elements[j].u
     return out
 
 
@@ -196,12 +202,13 @@ def verify_claims(
     model: ProductModel,
     q_poset: FinitePoset,
     completion: FinitePoset,
-    selected: Mapping[object, Ideal],
+    selected: Mapping[object, frozenset],
 ) -> Report:
-    """Re-check every claim of the factorization on concrete data.
+    """Re-check every claim of the factorization on concrete data, and report each.
 
-    Raises VerificationFailed naming the first claim that does not hold;
-    on success the returned report lists one line per claim.
+    ``selected`` maps each X label to the set of triples it selects.  The
+    report lists one line per claim, with the first witness of a claim that
+    does not hold; ``report.ok`` is the verdict.  Nothing is raised.
     """
     report = Report()
     report.info("q-count", len(q_poset))
@@ -209,36 +216,31 @@ def verify_claims(
     violation = _order_violation(q_poset._up)
     report.check("claim-partial-order", violation is None, violation and violation[0])
 
-    # each selected family must be J(x) held as an Ideal of the triple poset,
-    # whose constructor has already checked that it is a directed lower set
-    not_ideal = None
-    for x in model.label_x:
-        ideal = selected.get(x)
-        if not (isinstance(ideal, Ideal) and ideal.base == q_poset
-                and ideal.members == frozenset(t for t in q_poset.elements if x in t.u)):
-            not_ideal = x
-            break
+    # each selected family must be J(x), and J(x) an ideal: in a finite poset
+    # every ideal is principal, so its mask is a row of the down-sets
+    downs = frozenset(q_poset._down)
+    not_ideal = next((x for x, mask in _selection(model, q_poset).items()
+                      if mask not in downs or selected.get(x) != q_poset.labels_of(mask)), None)
     report.check("claim-selected-are-ideals", not_ideal is None, not_ideal)
 
     maximal_ideals = completion.maximal_elements()
-    selected_sets = {x: frozenset(selected[x].members) for x in selected}
-    image = frozenset(selected_sets.values())
+    image = frozenset(selected.values())
 
-    # every maximal ideal must be a selected one
-    missing = [m for m in maximal_ideals if m not in image]
+    # every maximal ideal must be a selected one; the witness is the first one
+    # missing in the completion's order, so that no hash seed can change it
+    missing = [m for m in completion.elements if m in maximal_ideals and m not in image]
     report.check(
         "claim-max-ideals-are-selected",
         not missing,
-        None if not missing else sorted(map(str, next(iter(missing)))),
+        missing and sorted(map(str, missing[0])),
     )
 
     # every selected ideal must be maximal, so the two families agree
-    not_max = [x for x, s in sorted(selected_sets.items(), key=str) if s not in maximal_ideals]
+    not_max = [x for x, s in sorted(selected.items(), key=str) if s not in maximal_ideals]
     report.check("claim-selected-are-maximal", not not_max, not_max[0] if not_max else None)
     report.check(
         "claim-max-point-bijection",
-        len(set(selected_sets.values())) == len(model.label_x)
-        and image == frozenset(maximal_ideals),
+        len(image) == len(model.label_x) and image == maximal_ideals,
     )
 
     # Once the claims above hold, the point map is a bijection onto the
@@ -248,7 +250,7 @@ def verify_claims(
     rel = relative_topology(completion, maximal_ideals)
     if report.ok:
         tx = model.topology_x
-        pulled = rel.renamed({s: x for x, s in selected_sets.items()}, tx.space)
+        pulled = rel.renamed({s: x for x, s in selected.items()}, tx.space)
         loose = [back for row, back in zip(tx.around, pulled.around) if row & ~back]
         tight = [row for row, back in zip(tx.around, pulled.around) if back & ~row]
         report.check("claim-map-continuous", not loose,
@@ -257,10 +259,6 @@ def verify_claims(
                      tight and sorted(map(str, tx.labels_of(tight[0]))))
         report.check("topology-transport-exact", not loose and not tight)
     report.info("max-count", len(maximal_ideals))
-
-    if not report.ok:
-        first = report.failures()[0]
-        raise VerificationFailed(f"{first} does not hold on this model")
     return report
 
 
@@ -268,10 +266,8 @@ def factor_model(model: ProductModel) -> tuple[FinitePoset, dict, Report]:
     """Domain model of the X factor: completion, point map, and certificate."""
     q_poset = build_Q(model)
     completion, _embedding = idl_poset(q_poset)
-    selected = {x: ideal_J(model, x, q_poset) for x in model.label_x}
-    report = verify_claims(model, q_poset, completion, selected)
-    point_map = {x: frozenset(selected[x].members) for x in model.label_x}
-    return completion, point_map, report
+    point_map = {x: q_poset.labels_of(mask) for x, mask in _selection(model, q_poset).items()}
+    return completion, point_map, verify_claims(model, q_poset, completion, point_map)
 
 
 def lower_set_model(model: ProductModel, y) -> tuple[FinitePoset, Report]:
@@ -377,6 +373,7 @@ def model_from_json(data: object) -> ProductModel:
         isinstance(label, (list, dict)) for label in label_x + label_y
     ):
         raise FormatError('"labelX" and "labelY" must be arrays of scalar labels')
+    _utf8_labels(label for label in label_x + label_y if isinstance(label, str))
     raw = data.get("maxLabeling")
     if not isinstance(raw, dict):
         raise FormatError('"maxLabeling" must map maximal elements to [x, y] pairs')

@@ -70,8 +70,4 @@ def random_poset(n: int, rng: Random) -> FinitePoset:
     # the order being index-monotone.
     perm = list(range(n))
     rng.shuffle(perm)
-    labels = [f"e{perm[i]}" for i in range(n)]
-    pairs = [
-        (labels[i], labels[j]) for i in range(n) for j in _iter_bits(masks[i])
-    ]
-    return FinitePoset.from_relation(labels, pairs)
+    return FinitePoset([f"e{perm[i]}" for i in range(n)], masks)

@@ -478,6 +478,18 @@ def poset_to_json(p: FinitePoset) -> dict:
     }
 
 
+def _utf8_labels(labels: Iterable[str]) -> None:
+    """FormatError naming the first label that UTF-8 cannot encode: one holding a lone surrogate.
+
+    JSON can spell such a string, but no output stream can print it.
+    """
+    for label in labels:
+        try:
+            label.encode()
+        except UnicodeEncodeError:
+            raise FormatError(f"label {excerpt(label)} is not UTF-8 text") from None
+
+
 def poset_from_json(data: object) -> FinitePoset:
     if not isinstance(data, dict):
         raise FormatError("poset file must hold a JSON object")
@@ -485,6 +497,7 @@ def poset_from_json(data: object) -> FinitePoset:
     covers = data.get("covers")
     if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
         raise FormatError('"elements" must be an array of strings')
+    _utf8_labels(elements)
     if not isinstance(covers, list):
         raise FormatError('"covers" must be an array of [low, high] pairs')
     pairs = []
@@ -546,8 +559,3 @@ def covers_json_text(labels: Sequence[str], covers: Iterable[tuple[str, str]]) -
         '{\n  "elements": ' + _json_array(list(encoded.values()))
         + ',\n  "covers": ' + _json_array(covers) + "\n}"
     )
-
-
-def poset_json_text(p: FinitePoset) -> str:
-    """``json.dumps(poset_to_json(p), indent=2)``, written directly."""
-    return covers_json_text(_string_labels(p), p.covers())

@@ -13,7 +13,6 @@ class Report:
 
     def __init__(self) -> None:
         self.entries: list[tuple[str, str]] = []
-        self._failed: list[str] = []
         self.ok = True
 
     def info(self, key: str, value: object) -> None:
@@ -25,12 +24,8 @@ class Report:
         else:
             text = "no" if witness is None else f"no [{witness}]"
             self.entries.append((key, text))
-            self._failed.append(key)
             self.ok = False
         return passed
-
-    def failures(self) -> list[str]:
-        return list(self._failed)
 
     def render(self) -> str:
         return "\n".join(f"{key}: {value}" for key, value in self.entries)

@@ -339,10 +339,6 @@ class OpenFamily:
     def __init__(self, opens: Iterable[SymbolicOpen]):
         self._opens = tuple(opens)
 
-    @classmethod
-    def from_list(cls, opens: Iterable[SymbolicOpen]) -> "OpenFamily":
-        return cls(opens)
-
     def indices(self) -> range:
         return range(len(self._opens))
 
@@ -718,4 +714,4 @@ def family_to_json(family: OpenFamily) -> list:
 def family_from_json(data: object) -> OpenFamily:
     if not isinstance(data, list) or not data:
         raise FormatError("a family file holds a nonempty JSON array of opens")
-    return OpenFamily.from_list(open_from_json(entry) for entry in data)
+    return OpenFamily(open_from_json(entry) for entry in data)

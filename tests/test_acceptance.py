@@ -225,7 +225,7 @@ def _random_covering_family(rng: Random) -> OpenFamily:
                 all_level1=True,
             )
         )
-    return OpenFamily.from_list(members)
+    return OpenFamily(members)
 
 
 def _random_open(rng: Random, mode: str) -> SymbolicOpen:
@@ -288,7 +288,7 @@ def test_acceptance_5_diagonal_and_truncations(record):
 
     families = [_random_covering_family(rng) for _ in range(50)]
     families.append(
-        OpenFamily.from_list(
+        OpenFamily(
             SymbolicOpen(ThresholdRule(default=j), all_level1=True) for j in range(100)
         )
     )

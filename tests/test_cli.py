@@ -5,7 +5,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
-from io import StringIO
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
@@ -14,9 +14,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ordtop.cli
+import ordtop.factorization
 import ordtop.poset
 from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed,
-                    chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
+                    build_poset, build_Q, chain_pairs_model, idl_poset, label_text, model_to_json,
+                    relative_topology, scott_opens)
 from ordtop.cli import MAX_EVAL_BOUND, _set_texts, build_parser, main
 from ordtop.symbolic import MODE_L, MODE_LHAT, truncation_size
 
@@ -41,6 +43,25 @@ def _call(capsys, argv) -> tuple[int, str, str]:
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _utf8_call(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``main`` call, through streams that encode like a process's.
+
+    Stdout encodes UTF-8 strictly, as under ``PYTHONIOENCODING=utf-8:strict``,
+    and stderr escapes what UTF-8 cannot encode, as Python's always does;
+    a ``StringIO`` takes text that no process could print.
+    """
+    out = TextIOWrapper(BytesIO(), encoding="utf-8", errors="strict")
+    err = TextIOWrapper(BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        out.flush()
+        err.flush()
+    return code, out.buffer.getvalue().decode(), err.buffer.getvalue().decode()
 
 
 def test_check_reports_structure(capsys):
@@ -396,13 +417,7 @@ def test_numeric_flags_keep_the_input_contract(data):
         if None not in (width, depth, bound) and width >= 1 and depth >= 1 and bound >= 0:
             size = truncation_size(width, depth, mode)
             assume(size is None or size > bound or size <= 200)
-    out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = _utf8_call(argv)
     assert code in (0, 2), argv
     assert "Traceback" not in err
     assert len(err.encode()) < 300
@@ -412,6 +427,89 @@ def test_numeric_flags_keep_the_input_contract(data):
         assert err == ""
     if verb == "truncate-l" and code == 0:
         assert len(json.loads(out)["elements"]) == truncation_size(width, depth, mode)
+
+
+# what argv can carry: any bytes but NUL, decoded as Python decodes argv
+_argv_texts = st.binary(max_size=8).filter(lambda raw: b"\0" not in raw).map(os.fsdecode)
+_TEXT_FLAGS = {
+    "--mode": (["truncate-l", "--width", "2", "--depth", "2"], [MODE_L, MODE_LHAT]),
+    "--y0": (["lower-model", "--input", str(DATA / "model_2x1.json")], ["y"]),
+    "--dot": (["hasse", "--input", str(DATA / "diamond.json")], ["out.dot", "caf\u00e9.dot"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_text_flags_keep_the_input_contract(tmp_path_factory, data):
+    flag = data.draw(st.sampled_from(sorted(_TEXT_FLAGS)))
+    fixed, accepted = _TEXT_FLAGS[flag]
+    text = data.draw(st.sampled_from(accepted) | _argv_texts)
+    if flag == "--dot":
+        # one file name in a fresh directory: no separator, so the path stays there
+        assume("/" not in text)
+        text = f"{tmp_path_factory.mktemp('dot')}/{text}"
+    code, out, err = _utf8_call([*fixed, f"{flag}={text}"])
+    assert code in (0, 2), text
+    assert "Traceback" not in err
+    assert len(err.encode()) < 300
+    if code == 2:
+        assert out == "" and err
+    else:
+        assert err == ""
+    if flag == "--mode":
+        assert (code == 0) == (text in accepted)
+        if code == 0:
+            assert len(json.loads(out)["elements"]) == truncation_size(2, 2, text)
+    elif flag == "--y0":
+        assert (code == 0) == (text in accepted)
+        if code == 0:
+            assert out.endswith("verified: yes\n")
+    elif code == 0:
+        assert out == f"written: {os.fsencode(text).decode('utf-8', 'backslashreplace')}\n"
+        written = Path(text).read_text(encoding="utf-8")
+        assert written == (DATA / "golden" / "hasse_diamond.out").read_text(encoding="utf-8")
+
+
+# -- labels that no output stream can print ---------------------------------------------
+
+LONE = "\ud801"
+_ONE_PAIR = {"poset": {"elements": ["m"], "covers": []}, "labelX": ["x"], "labelY": ["y"],
+             "maxLabeling": {"m": ["x", "y"]}, "y0": "y"}
+
+
+@pytest.mark.parametrize("verb,document", [
+    *(pytest.param(verb, {"elements": ["a", LONE], "covers": [["a", LONE]]}, id=f"element-{verb}")
+      for verb in ("check", "topology", "maxspace", "idl", "hasse")),
+    *(pytest.param(verb, {**_ONE_PAIR, "labelX": [LONE], "maxLabeling": {"m": [LONE, "y"]}},
+                   id=f"x-label-{verb}") for verb in ("factor", "lower-model")),
+    *(pytest.param(verb, {**_ONE_PAIR, "labelY": [LONE], "maxLabeling": {"m": ["x", LONE]},
+                          "y0": LONE}, id=f"y-label-{verb}") for verb in ("factor", "lower-model")),
+])
+def test_labels_utf8_cannot_encode_are_input_errors(tmp_path, verb, document):
+    # JSON spells a lone surrogate as \ud801; printed, it would raise past main
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert _utf8_call([verb, "--input", path]) == (
+        2, "", "error: label '\\ud801' is not UTF-8 text\n")
+
+
+def test_a_strict_utf8_process_prints_no_traceback(tmp_path):
+    # the two escapes as a shell meets them: a lone surrogate in the input,
+    # and a --dot file name whose byte is not UTF-8
+    poset, broken = tmp_path / "poset.json", tmp_path / "broken.json"
+    poset.write_text(json.dumps({"elements": ["a"], "covers": []}))
+    broken.write_text(json.dumps({"elements": [LONE], "covers": []}))
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+               PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "ordtop"]
+    refused = subprocess.run([*command, "check", "--input", broken], capture_output=True, env=env)
+    assert (refused.returncode, refused.stdout) == (2, b"")
+    assert refused.stderr == b"error: label '\\ud801' is not UTF-8 text\n"
+    written = subprocess.run([*command, "hasse", "--input", poset, "--dot", b"\xfd.dot"],
+                             capture_output=True, env=env, cwd=tmp_path)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"written: \\xfd.dot\n", b"")
+    assert (tmp_path / os.fsdecode(b"\xfd.dot")).read_text().startswith("digraph poset {")
 
 
 def test_unknown_command_is_a_usage_error(capsys):
@@ -759,13 +857,10 @@ def _malformed_families(draw):
 
 
 def _run_document(verb: str, document) -> tuple[int, str, str]:
-    out, err = StringIO(), StringIO()
     with TemporaryDirectory() as directory:
         path = Path(directory) / "input.json"
         path.write_text(json.dumps(document), encoding="utf-8")
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([verb, "--input", str(path)])
-    return code, out.getvalue(), err.getvalue()
+        return _utf8_call([verb, "--input", path])
 
 
 @settings(max_examples=150, deadline=None)
@@ -921,12 +1016,62 @@ def test_an_all_pairs_shadow_fails_as_an_undirected_ideal(capsys, monkeypatch):
         return frozenset((x, y) for x in model.label_x for y in model.label_y)
 
     monkeypatch.setattr(ProductModel, "max_shadow", everything)
-    code = main(["factor", "--input", str(DATA / "model_2x1.json")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == ("error: claim-selected-are-ideals does not hold: triples selected "
-                            "by 'x1' are not an ideal: members are not directed\n")
+    assert _call(capsys, ["factor", "--input", DATA / "model_2x1.json"]) == (1, (
+        "q-count: 4\n"
+        "claim-partial-order: yes\n"
+        "claim-selected-are-ideals: no [x1]\n"
+        "claim-max-ideals-are-selected: no [['(U={x1,x2},V={y},k=(x1,y))', "
+        "'(U={x1,x2},V={y},k=a1)']]\n"
+        "claim-selected-are-maximal: no [x1]\n"
+        "claim-max-point-bijection: no\n"
+        "max-count: 2\n"
+        "ideal-size x1: 4\n"
+        "ideal-size x2: 4\n"
+        "completion-elements: 4\n"
+        "verified: no\n"
+    ), "")
+
+
+def _indiscrete(topology: Topology) -> Topology:
+    n = len(topology.space)
+    return Topology(topology.space, [(1 << n) - 1] * n)
+
+
+def _unordered_completion(q):
+    return build_poset(idl_poset(q)[0].elements, []), {}
+
+
+def _coarse_x_after_q(model):
+    # made coarse once Q is built, so that Q keeps the triples of the discrete X
+    q = build_Q(model)
+    model.topology_x = _indiscrete(model.topology_x)
+    return q
+
+
+def _indiscrete_on_ideals(p, subspace):
+    # the model's own maxima keep their topology; only the completion's, sets of triples, lose it
+    rel = relative_topology(p, subspace)
+    return _indiscrete(rel) if all(isinstance(s, frozenset) for s in rel.space) else rel
+
+
+# the other claim lines that factor can fail, each with one function of
+# ordtop.factorization replaced; claim-selected-are-ideals fails above
+FACTOR_MUTANTS = {
+    "claim-max-ideals-are-selected": ("idl_poset", _unordered_completion),
+    "claim-map-continuous": ("build_Q", _coarse_x_after_q),
+    "claim-map-open": ("relative_topology", _indiscrete_on_ideals),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(FACTOR_MUTANTS))
+def test_each_factor_claim_can_fail_through_the_cli(capsys, monkeypatch, claim):
+    name, mutant = FACTOR_MUTANTS[claim]
+    monkeypatch.setattr(ordtop.factorization, name, mutant)
+    code, out, err = _call(capsys, ["factor", "--input", DATA / "model_2x1.json"])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith(f"{claim}: ")][0].startswith(f"{claim}: no [")
+    assert lines[-1] == "verified: no"
 
 
 SPLIT_MODEL = {

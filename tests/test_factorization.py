@@ -224,54 +224,55 @@ def test_selection_on_a_doctored_poset_is_rejected():
     t1 = QTriple(frozenset({"x1"}), v, "a1")
     t2 = QTriple(frozenset({"x2"}), v, "a2")
     doctored = build_poset([t1, t2], [(t1, t2)])
-    with pytest.raises(NotAnIdeal, match="x2"):
+    with pytest.raises(NotAnIdeal, match="^triples selected by 'x2' are not an ideal: "):
         ideal_J(m, "x2", doctored)
-
-
-def test_verification_rejects_swapped_ideals():
-    m = rooted_model()
-    q = build_Q(m)
-    completion, _ = idl_poset(q)
-    swapped = {"x1": ideal_J(m, "x2", q), "x2": ideal_J(m, "x1", q)}
-    with pytest.raises(VerificationFailed, match="claim-selected-are-ideals"):
-        verify_claims(m, q, completion, swapped)
-
-
-def test_verification_rejects_ideals_over_another_base():
-    m = rooted_model()
-    q = build_Q(m)
-    completion, _ = idl_poset(q)
-    selected = {x: ideal_J(m, x, q) for x in m.label_x}
-    members = selected["x1"].members
-    other = q.restrict(members)
-    assert other != q
-    selected["x1"] = Ideal(other, members)  # J(x1)'s members, but an ideal of another poset
-    with pytest.raises(VerificationFailed, match="claim-selected-are-ideals"):
-        verify_claims(m, q, completion, selected)
-
-
-def test_verification_rejects_a_doctored_completion():
-    m = rooted_model()
-    q = build_Q(m)
-    completion, _ = idl_poset(q)
-    selected = {x: ideal_J(m, x, q) for x in m.label_x}
-    flattened = build_poset(completion.elements, [])
-    with pytest.raises(VerificationFailed, match="claim-max-ideals-are-selected"):
-        verify_claims(m, q, flattened, selected)
 
 
 def _pipeline(m):
     q = build_Q(m)
     completion, _ = idl_poset(q)
-    return q, completion, {x: ideal_J(m, x, q) for x in m.label_x}
+    return q, completion, {x: ideal_J(m, x, q).members for x in m.label_x}
+
+
+def _fails(report, key) -> bool:
+    """The verdict is no, and the claim's own line says no with a witness."""
+    return not report.ok and dict(report.entries)[key].startswith("no [")
+
+
+def test_verification_rejects_swapped_ideals():
+    m = rooted_model()
+    q, completion, selected = _pipeline(m)
+    swapped = {"x1": selected["x2"], "x2": selected["x1"]}
+    report = verify_claims(m, q, completion, swapped)
+    assert not report.ok and dict(report.entries)["claim-selected-are-ideals"] == "no [x1]"
+
+
+def test_verification_rejects_ideals_over_another_base():
+    m = rooted_model()
+    q, completion, selected = _pipeline(m)
+    # J(x1)'s lower triple alone is an ideal, of Q and of the subposet it
+    # spans, but not the set of triples that x1 selects
+    lower = frozenset(t for t in selected["x1"] if t.k == "a1")
+    assert lower < selected["x1"] and Ideal(q, lower).members == lower
+    selected["x1"] = lower
+    report = verify_claims(m, q, completion, selected)
+    assert not report.ok and dict(report.entries)["claim-selected-are-ideals"] == "no [x1]"
+
+
+def test_verification_rejects_a_doctored_completion():
+    m = rooted_model()
+    q, completion, selected = _pipeline(m)
+    flattened = build_poset(completion.elements, [])
+    report = verify_claims(m, q, flattened, selected)
+    assert _fails(report, "claim-max-ideals-are-selected")
 
 
 def test_verification_rejects_a_coarser_x_topology():
     m = discrete_model(3, 2)
     q, completion, selected = _pipeline(m)
     m.topology_x = Topology(m.label_x, [0b111] * 3)
-    with pytest.raises(VerificationFailed, match="claim-map-continuous"):
-        verify_claims(m, q, completion, selected)
+    report = verify_claims(m, q, completion, selected)
+    assert _fails(report, "claim-map-continuous")
 
 
 def test_verification_rejects_a_non_discrete_maximal_space(monkeypatch):
@@ -284,8 +285,8 @@ def test_verification_rejects_a_non_discrete_maximal_space(monkeypatch):
         return Topology(rel.space, [(1 << len(rel.space)) - 1] * len(rel.space))
 
     monkeypatch.setattr(factorization, "relative_topology", indiscrete)
-    with pytest.raises(VerificationFailed, match="claim-map-open"):
-        verify_claims(m, q, completion, selected)
+    report = verify_claims(m, q, completion, selected)
+    assert _fails(report, "claim-map-open")
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (3, 2)])
@@ -366,7 +367,10 @@ def test_triple_poset_matches_both_enumerations():
     enumerated = multi_pair = 0
     for m in models:
         q = build_Q(m)
-        assert factor_model(m)[2].ok
+        _, point_map, report = factor_model(m)
+        assert report.ok
+        # the one pass over the triples selects what J's definition does
+        assert point_map == {x: frozenset(t for t in q.elements if x in t.u) for x in m.label_x}
         try:
             oracle = oracle_build_Q(m)
         except VerificationFailed as exc:
@@ -378,7 +382,7 @@ def test_triple_poset_matches_both_enumerations():
             assert oracle.elements == q.elements and oracle._up == q._up
         boxes = oracle_box_order_Q(m)
         completion, _ = idl_poset(boxes)
-        selected = {x: ideal_J(m, x, boxes) for x in m.label_x}
+        selected = {x: ideal_J(m, x, boxes).members for x in m.label_x}
         assert verify_claims(m, boxes, completion, selected).ok
         multi_pair += any(len(m.max_shadow(k)) > 1 for k in m.poset.elements)
     assert 0 < enumerated < len(models)

@@ -52,7 +52,7 @@ from helpers import (oracle_forced, oracle_gdelta_certificate_lhat, oracle_is_sc
 
 
 def uniform_family(size: int) -> OpenFamily:
-    return OpenFamily.from_list(
+    return OpenFamily(
         SymbolicOpen(ThresholdRule(default=j), all_level1=True) for j in range(size)
     )
 
@@ -313,12 +313,12 @@ def test_diagonal_requires_cover_certificates():
         SymbolicOpen(ThresholdRule(default=j), all_level1=(j != 1)) for j in range(3)
     ]
     with pytest.raises(NotCoveringMax, match="member 1"):
-        diagonal_witness(OpenFamily.from_list(members))
+        diagonal_witness(OpenFamily(members))
 
 
 def test_diagonal_on_a_rule_family():
     # member j of the rule "threshold 2j+1 on chain j", listed up to 8
-    family = OpenFamily.from_list(
+    family = OpenFamily(
         SymbolicOpen(ThresholdRule.from_mapping({j: 2 * j + 1}), all_level1=True)
         for j in range(8)
     )
