@@ -367,7 +367,8 @@ class FinitePoset:
         return hash((self.elements, self._up))
 
     def __repr__(self) -> str:
-        return f"FinitePoset({len(self)} elements, {len(self.leq)} related pairs)"
+        pairs = sum(row.bit_count() for row in self._up)
+        return f"FinitePoset({len(self)} elements, {pairs} related pairs)"
 
 
 def build_poset(elements: Iterable[Label], covers: Iterable[tuple[Label, Label]]) -> FinitePoset:

@@ -1,7 +1,6 @@
 """Shared builders and subset-sweep oracles for the test suite."""
 
-from functools import lru_cache
-from itertools import product as cartesian
+from itertools import combinations, product as cartesian
 from random import Random
 
 from ordtop import (
@@ -21,6 +20,7 @@ from ordtop import (
     VerificationFailed,
     build_poset,
     contains_max,
+    is_scott_open,
     symbolic_member,
     validate_open,
 )
@@ -75,6 +75,12 @@ def numeric_poset() -> FinitePoset:
     )
 
 
+def subsets(items) -> list[frozenset]:
+    """Every subset, by size."""
+    items = list(items)
+    return [frozenset(c) for r in range(len(items) + 1) for c in combinations(items, r)]
+
+
 def discrete_model(nx: int, ny: int) -> ProductModel:
     """Antichain of pairs labeled as an nx-by-ny discrete product."""
     xs = [f"x{i}" for i in range(nx)]
@@ -97,9 +103,10 @@ def rooted_model() -> ProductModel:
 
 # -- subset-sweep oracles ------------------------------------------------------
 #
-# The definitions run literally over all 2^n subsets.  The library enumerates
-# only the family each definition quantifies over; these sweeps are the
-# reference it is checked against.
+# Each sweep tests all 2^n subsets, or every pair, as the textbook statement
+# does; the library's fast path is checked against it.  The directed-set
+# definitions are the library's own ``way_below``, Scott checks, ``is_gdelta``
+# and ``all_ideals``.
 
 
 def oracle_posets() -> list[FinitePoset]:
@@ -138,12 +145,8 @@ def oracle_covers(p: FinitePoset) -> tuple:
 
 
 def oracle_scott_opens(p: FinitePoset) -> Topology:
-    """The upper sets, found by testing every subset."""
-    opens = []
-    for mask in range(1 << len(p)):
-        if all(p._up[i] & ~mask == 0 for i in _iter_bits(mask)):
-            opens.append(p.labels_of(mask))
-    return Topology.from_opens(p.elements, opens)
+    """The Scott opens, testing every subset against the definition."""
+    return Topology.from_opens(p.elements, [u for u in subsets(p.elements) if is_scott_open(p, u)])
 
 
 def oracle_sorted_opens(topology: Topology) -> list[frozenset]:
@@ -151,41 +154,6 @@ def oracle_sorted_opens(topology: Topology) -> list[frozenset]:
     pos = {pt: i for i, pt in enumerate(topology.space)}
     opens = {topology.labels_of(mask) for mask in _union_closure(topology.around)}
     return sorted(opens, key=lambda u: (len(u), tuple(sorted(pos[x] for x in u))))
-
-
-@lru_cache(maxsize=None)
-def oracle_directed_families(p: FinitePoset) -> tuple[tuple[int, int | None], ...]:
-    """(mask, sup index or None) for every nonempty directed subset, by testing every subset."""
-    return tuple((mask, p._sup(mask)) for mask in range(1, 1 << len(p)) if p._directed(mask))
-
-
-def oracle_is_scott_open(p: FinitePoset, members) -> bool:
-    """Upper, and every directed subset whose supremum lands inside already meets it."""
-    mask = p.mask_of(members)
-    upper = all(p._up[i] & ~mask == 0 for i in _iter_bits(mask))
-    return upper and not any(
-        sup is not None and mask >> sup & 1 and dmask & mask == 0
-        for dmask, sup in oracle_directed_families(p)
-    )
-
-
-def oracle_is_scott_closed(p: FinitePoset, members) -> bool:
-    """Lower, and holds the supremum of every directed subset it holds."""
-    mask = p.mask_of(members)
-    lower = all(p._down[i] & ~mask == 0 for i in _iter_bits(mask))
-    return lower and not any(
-        dmask & ~mask == 0 and sup is not None and not mask >> sup & 1
-        for dmask, sup in oracle_directed_families(p)
-    )
-
-
-def oracle_way_below(p: FinitePoset, x, y) -> bool:
-    """Every directed subset whose supremum is above y has a member above x."""
-    upx, upy = p._up[p.index(x)], p._up[p.index(y)]
-    return not any(
-        sup is not None and upy >> sup & 1 and dmask & upx == 0
-        for dmask, sup in oracle_directed_families(p)
-    )
 
 
 def oracle_is_bounded_complete(p: FinitePoset) -> bool:
@@ -198,17 +166,6 @@ def oracle_is_bounded_complete(p: FinitePoset) -> bool:
         if ub and not any(ub & ~p._up[u] == 0 for u in _iter_bits(ub)):
             return False
     return True
-
-
-def oracle_all_ideals(p: FinitePoset) -> list[frozenset]:
-    """Member sets of the nonempty directed lower sets, in mask order."""
-    out = []
-    for mask in range(1, 1 << len(p)):
-        if all(p._down[i] & ~mask == 0 for i in _iter_bits(mask)):
-            members = p.labels_of(mask)
-            if p.is_directed(members):
-                out.append(members)
-    return out
 
 
 def oracle_split_product_topology(topology: Topology, xs, ys) -> tuple[Topology, Topology]:
@@ -304,16 +261,6 @@ def oracle_box_order_Q(model: ProductModel) -> FinitePoset:
         for t1, box1 in boxes
     ]
     return FinitePoset([t for t, _ in boxes], rows)
-
-
-def oracle_is_gdelta(topology: Topology, subset) -> bool:
-    """The subset is the meet of the opens that contain it."""
-    target = frozenset(subset)
-    meet = frozenset(topology.space)
-    for u in topology.opens:
-        if target <= u:
-            meet &= u
-    return meet == target
 
 
 # -- symbolic oracles ------------------------------------------------------------

@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 import time
-from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -38,12 +37,14 @@ from ordtop import (
     is_gdelta,
     is_ideal_domain,
     is_maximal,
-    is_scott_open,
+    is_scott_closed,
+    is_upper_set,
     relative_topology,
     scott_opens,
     symbolic_member,
     truncate_domain,
     truncation_members,
+    way_below,
     MODE_L,
     MODE_LHAT,
     OpenFamily,
@@ -51,7 +52,7 @@ from ordtop import (
 from ordtop.generate import all_posets, random_poset
 from ordtop.symbolic import chain_label, top_label
 
-from helpers import discrete_model, oracle_is_scott_closed, oracle_way_below, rooted_model
+from helpers import discrete_model, rooted_model, subsets
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -70,12 +71,6 @@ def record(capsys):
     return _record
 
 
-def _subsets(items):
-    items = list(items)
-    for r in range(len(items) + 1):
-        yield from (frozenset(c) for c in combinations(items, r))
-
-
 # -- 1: the finite engine agrees with first principles ---------------------------
 
 
@@ -90,7 +85,7 @@ def test_acceptance_1_finite_engine(record):
         topology.validate()
         for a in p.elements:
             for b in p.elements:
-                if oracle_way_below(p, a, b) != p.le(a, b):
+                if way_below(p, a, b) != p.le(a, b):
                     ok = False
         if compact_elements(p) != frozenset(p.elements):
             ok = False
@@ -129,14 +124,14 @@ def _count_triples_by_definition(model: ProductModel) -> int:
     """Enumerate admissible triples straight from the definition."""
     p = model.poset
     maximal = p.maximal_elements()
-    compact = [k for k in p.elements if oracle_way_below(p, k, k)]
+    compact = [k for k in p.elements if way_below(p, k, k)]
     count = 0
     for k in compact:
         above = {model.max_labeling[m] for m in maximal if p.le(k, m)}
-        for u in _subsets(model.label_x):
+        for u in subsets(model.label_x):
             if not u or u not in model.topology_x.opens:
                 continue
-            for v in _subsets(model.label_y):
+            for v in subsets(model.label_y):
                 if model.y0 not in v or v not in model.topology_y.opens:
                     continue
                 if all((x, y) in above for x in u for y in v):
@@ -317,7 +312,7 @@ def test_acceptance_5_diagonal_and_truncations(record):
             members = truncation_members(u, points)
             if members != _oracle_members(u, trunc, points, width, depth):
                 ok = False
-            if not is_scott_open(trunc, members):
+            if not is_upper_set(trunc, members):
                 ok = False
             comparisons += 1
     record(5, "diagonal and truncations", ok,
@@ -360,7 +355,7 @@ def test_acceptance_7_closed_subspace_models(record):
             for s in closed_sets:
                 checked += 1
                 lower = p.down_set(s)
-                if not oracle_is_scott_closed(p, lower):
+                if not is_scott_closed(p, lower):
                     ok = False
                 sub = p.restrict(lower)
                 if not is_ideal_domain(sub):

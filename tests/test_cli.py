@@ -14,11 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ordtop.cli
-import ordtop.factorization
 import ordtop.poset
 from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed,
-                    build_poset, build_Q, chain_pairs_model, idl_poset, label_text, model_to_json,
-                    relative_topology, scott_opens)
+                    chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
 from ordtop.cli import MAX_EVAL_BOUND, _set_texts, build_parser, main
 from ordtop.symbolic import MODE_L, MODE_LHAT, truncation_size
 
@@ -631,26 +629,6 @@ def test_open_listings_match_the_frozenset_sort(name):
         assert list(_set_texts(t.space, t.open_masks)) == texts, t.around
 
 
-# the definitions that the finite theorems stand in for; no verb may call them
-REFERENCES = ("is_continuous", "is_algebraic", "is_ideal_domain", "compact_elements",
-              "all_ideals", "find_order_isomorphism")
-THEOREM_VERBS = [g for g in GOLDEN if g.stem.partition("_")[0] in ("check", "idl", "factor",
-                                                                   "lower-model")]
-
-
-@pytest.mark.parametrize("golden", THEOREM_VERBS, ids=[g.stem for g in THEOREM_VERBS])
-def test_finite_verbs_state_theorems_without_the_definitions(capsys, monkeypatch, golden):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a reference definition ran on a default path")
-
-    for name, module in list(sys.modules.items()):
-        if name == "ordtop" or name.startswith("ordtop."):
-            for attr in REFERENCES:
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
-    test_finite_verbs_match_their_golden_stdout(capsys, golden)
-
-
 # golden/argv/<name>.out holds the stdout of `ordtop <argv>`; made by the same argv
 ARGV_GOLDEN = {
     "lhat-cert_eval-bound-20": ["lhat-cert", "--eval-bound", "20"],
@@ -669,6 +647,28 @@ def test_symbolic_verbs_match_their_golden_stdout(capsys, name):
     code, out = run(capsys, *ARGV_GOLDEN[name])
     assert code == 0
     assert out == (DATA / "golden" / "argv" / f"{name}.out").read_text(encoding="utf-8")
+
+
+# the definitions that the finite theorems stand in for; no verb may call them
+REFERENCES = ("way_below", "is_scott_open", "is_scott_closed", "is_gdelta", "is_continuous",
+              "is_algebraic", "is_ideal_domain", "compact_elements", "all_ideals",
+              "find_order_isomorphism")
+
+
+@pytest.mark.parametrize("golden", [g.stem for g in GOLDEN] + sorted(ARGV_GOLDEN))
+def test_finite_verbs_state_theorems_without_the_definitions(capsys, monkeypatch, golden):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reference definition ran on a default path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "ordtop" or name.startswith("ordtop."):
+            for attr in REFERENCES:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    if golden in ARGV_GOLDEN:
+        test_symbolic_verbs_match_their_golden_stdout(capsys, golden)
+    else:
+        test_finite_verbs_match_their_golden_stdout(capsys, DATA / "golden" / f"{golden}.out")
 
 
 ARABIC_INDIC_THREE = "\u0663"
@@ -1009,13 +1009,14 @@ def test_poset_verbs_keep_their_input_contract(malformed, data):
             assert (code, err) == (0, "")
 
 
+def all_pairs_shadow(model, k):
+    return frozenset((x, y) for x in model.label_x for y in model.label_y)
+
+
 def test_an_all_pairs_shadow_fails_as_an_undirected_ideal(capsys, monkeypatch):
     # every element claims every pair, so every element is a triple and
     # J(x) is all of the poset, whose two maxima have no upper bound
-    def everything(model, k):
-        return frozenset((x, y) for x in model.label_x for y in model.label_y)
-
-    monkeypatch.setattr(ProductModel, "max_shadow", everything)
+    monkeypatch.setattr(ProductModel, "max_shadow", all_pairs_shadow)
     assert _call(capsys, ["factor", "--input", DATA / "model_2x1.json"]) == (1, (
         "q-count: 4\n"
         "claim-partial-order: yes\n"
@@ -1030,48 +1031,6 @@ def test_an_all_pairs_shadow_fails_as_an_undirected_ideal(capsys, monkeypatch):
         "completion-elements: 4\n"
         "verified: no\n"
     ), "")
-
-
-def _indiscrete(topology: Topology) -> Topology:
-    n = len(topology.space)
-    return Topology(topology.space, [(1 << n) - 1] * n)
-
-
-def _unordered_completion(q):
-    return build_poset(idl_poset(q)[0].elements, []), {}
-
-
-def _coarse_x_after_q(model):
-    # made coarse once Q is built, so that Q keeps the triples of the discrete X
-    q = build_Q(model)
-    model.topology_x = _indiscrete(model.topology_x)
-    return q
-
-
-def _indiscrete_on_ideals(p, subspace):
-    # the model's own maxima keep their topology; only the completion's, sets of triples, lose it
-    rel = relative_topology(p, subspace)
-    return _indiscrete(rel) if all(isinstance(s, frozenset) for s in rel.space) else rel
-
-
-# the other claim lines that factor can fail, each with one function of
-# ordtop.factorization replaced; claim-selected-are-ideals fails above
-FACTOR_MUTANTS = {
-    "claim-max-ideals-are-selected": ("idl_poset", _unordered_completion),
-    "claim-map-continuous": ("build_Q", _coarse_x_after_q),
-    "claim-map-open": ("relative_topology", _indiscrete_on_ideals),
-}
-
-
-@pytest.mark.parametrize("claim", sorted(FACTOR_MUTANTS))
-def test_each_factor_claim_can_fail_through_the_cli(capsys, monkeypatch, claim):
-    name, mutant = FACTOR_MUTANTS[claim]
-    monkeypatch.setattr(ordtop.factorization, name, mutant)
-    code, out, err = _call(capsys, ["factor", "--input", DATA / "model_2x1.json"])
-    assert (code, err) == (1, "")
-    lines = out.splitlines()
-    assert [line for line in lines if line.startswith(f"{claim}: ")][0].startswith(f"{claim}: no [")
-    assert lines[-1] == "verified: no"
 
 
 SPLIT_MODEL = {

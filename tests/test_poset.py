@@ -39,13 +39,13 @@ from ordtop.poset import (
     _transitive_close,
     covers_json_text,
 )
+from ordtop.topology import _directed_sups
 
 from helpers import (
     antichain,
     chain,
     diamond,
     oracle_covers,
-    oracle_directed_families,
     oracle_posets,
     oracle_transitive_close,
     vshape,
@@ -57,6 +57,7 @@ DATA = Path(__file__).parent / "data"
 def test_three_chain_order():
     p = chain(3)
     assert len(p.leq) == 6
+    assert repr(p) == "FinitePoset(3 elements, 6 related pairs)"
     assert p.le("c0", "c2") and p.lt("c0", "c2")
     assert not p.le("c2", "c0")
     assert p.le("c1", "c1") and not p.lt("c1", "c1")
@@ -139,9 +140,10 @@ def test_supremum():
 def test_every_finite_poset_is_a_dcpo():
     # each directed subset has a supremum, and it is the subset's greatest element
     for p in oracle_posets():
-        for mask, _ in oracle_directed_families(p):
+        for mask, _ in _directed_sups(p):
             directed = p.labels_of(mask)
             assert p.supremum(directed) in directed, (p.covers(), directed)
+    assert _directed_sups.cache_info().currsize == 1  # the sweep is cached for the last poset only
 
 
 def test_restrict_induces_suborder():

@@ -32,6 +32,7 @@ from ordtop import (
     in_mode,
     is_ideal_domain,
     is_maximal,
+    is_scott_open,
     l_leq,
     open_from_json,
     open_to_json,
@@ -47,8 +48,7 @@ from ordtop import (
 from ordtop.cli import main
 from ordtop.symbolic import MODES, _forced, truncation_hasse, truncation_size
 
-from helpers import (oracle_forced, oracle_gdelta_certificate_lhat, oracle_is_scott_open,
-                     oracle_truncation)
+from helpers import oracle_forced, oracle_gdelta_certificate_lhat, oracle_truncation
 
 
 def uniform_family(size: int) -> OpenFamily:
@@ -569,7 +569,7 @@ def test_truncation_members_are_scott_open():
     ]
     for u in opens:
         members = truncation_members(u, points)
-        assert oracle_is_scott_open(t, members)
+        assert is_scott_open(t, members)
 
 
 # -- file format -----------------------------------------------------------------------
