@@ -14,14 +14,14 @@ import argparse
 import functools
 import os
 import sys
-from itertools import repeat
+from itertools import chain, combinations, repeat
 from operator import add, and_, itemgetter, rshift
 from typing import Iterator, Sequence
 
 from .errors import InputError, TooLarge, UnknownLabel, VerificationFailed, excerpt
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
-from .poset import (FinitePoset, _mirror, covers_json_text, label_text, load_json, poset_from_json,
-                    to_dot)
+from .poset import (FinitePoset, _iter_bits, _mirror, covers_json_text, label_text, load_json,
+                    poset_from_json, to_dot)
 from .symbolic import (
     MODE_L,
     MODE_LHAT,
@@ -104,22 +104,35 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"bounded-complete: {_yn(is_bounded_complete(p))}")
     print(f"compact-count: {len(p)}")
     print(f"max-count: {p._max_mask.bit_count()}")
-    [text] = _set_texts(p.elements, [_mirror(p._max_mask, len(p))])
+    text = ",".join(label_text(p.elements[i]) for i in _iter_bits(p._max_mask))
     print(f"maximal: {{{text}}}")
     return 0
 
 
+def _open_texts(topology: Topology) -> Iterator[str]:
+    """The points of each open as ``a,b``, in the canonical order of ``Topology.open_masks``.
+
+    On a discrete space every subset is open, and ``combinations`` yields
+    each size by sorted positions, which is the canonical order: no mask is
+    built.  Any other space is spelled from its masks.
+    """
+    if topology.is_discrete:
+        texts = [label_text(pt) for pt in topology.space]
+        return chain.from_iterable(map(",".join, combinations(texts, k))
+                                   for k in range(len(texts) + 1))
+    return _set_texts(topology.space, topology.open_masks)
+
+
 def _print_opens(topology: Topology) -> None:
     """One ``open: {...}`` line per open, in the canonical order, in one write."""
-    texts = _set_texts(topology.space, topology.open_masks)
-    sys.stdout.write("open: {" + "}\nopen: {".join(texts) + "}\n")
+    sys.stdout.write("open: {" + "}\nopen: {".join(_open_texts(topology)) + "}\n")
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
     p = _load_poset(args)
     topology = scott_opens(p)
     print(f"elements: {len(p)}")
-    print(f"open-count: {len(topology.open_masks)}")
+    print(f"open-count: {topology.open_count}")
     _print_opens(topology)
     return 0
 
@@ -129,7 +142,7 @@ def cmd_maxspace(args: argparse.Namespace) -> int:
     maximal = p.maximal_elements()
     rel = relative_topology(p, maximal)
     print(f"max-count: {len(rel.space)}")
-    print(f"open-count: {len(rel.open_masks)}")
+    print(f"open-count: {rel.open_count}")
     print(f"discrete: {_yn(rel.is_discrete)}")
     _print_opens(rel)
     return 0

@@ -131,9 +131,15 @@ class Topology:
             axiom, at = violation
             raise ValueError(f"rows are not {axiom} at {[self.space[k] for k in at]}")
 
-    @property
+    @cached_property
     def is_discrete(self) -> bool:
+        """Whether every smallest open is a singleton, so that every subset is open."""
         return all(row == 1 << i for i, row in enumerate(self.around))
+
+    @property
+    def open_count(self) -> int:
+        """How many opens there are: 2^n on a discrete space, with no open listed."""
+        return 1 << len(self.space) if self.is_discrete else len(self.open_masks)
 
     def _rows(self) -> dict:
         return {pt: self.smallest_open(pt) for pt in self.space}

@@ -4,6 +4,10 @@ The keys come from the goldens, run with ``Report.check`` recording, and from
 the ``report.check`` calls in ``src/ordtop``; a key is its first word.  Under its
 ``KILLERS`` entry, one replaced function, a key's line prints ``no`` and its verb
 exits 1; ``THEOREMS`` names the theorem fixing each other line.
+
+Every other ``key: yes`` line of the goldens is a verdict that no check
+records: ``STATED`` names the theorem a literal line restates, and
+``COMPUTED`` the run on which a computed verdict prints ``no``.
 """
 
 import re
@@ -93,6 +97,28 @@ THEOREMS = {
 }
 
 
+# key -> the theorem restated by a ``yes`` line that no check records
+STATED = {
+    "dcpo": "a nonempty finite directed set holds its supremum as its greatest element",
+    "continuous": "way-below is the order on a finite dcpo, so each element is the sup "
+                  "of its approximants",
+    "algebraic": "every element of a finite dcpo is compact",
+    "ideal-domain": "every element of a finite dcpo is compact",
+    "isomorphic-to-base": "every ideal of a finite poset is principal, and down(a) <= down(b) "
+                          "exactly when a <= b",
+    "ambient-ideal-domain": "the model poset is finite, so every element is compact",
+    "lower-set-ideal-domain": "a lower set of a finite poset is finite, so every element is compact",
+    "discrete": "the maxima of a finite poset form an antichain, so each trace of a principal "
+                "up-set is a singleton",
+}
+
+# key -> (argv, owner, attribute, replacement) under which a computed verdict prints ``no``
+COMPUTED = {
+    "bounded-complete": (["check", "--input", DATA / "bowtie.json"], None, None, None),
+    "verified": ALL_PAIRS,
+}
+
+
 def test_every_checked_line_is_killed_or_a_theorem(monkeypatch, capsys):
     ran, check = set(), Report.check
 
@@ -124,3 +150,21 @@ def test_each_killer_makes_its_line_print_no(capsys, monkeypatch, key):
                  if name.partition(" ")[0] == key and value != "yes")
     assert value.startswith("no [") if key in WITNESSED else value == "no"
     assert out.endswith("verified: no\n")
+
+
+def test_every_other_yes_line_is_stated_or_computed():
+    checked = KILLERS.keys() | THEOREMS.keys()
+    lines = [line.partition(": ") for golden in sorted((DATA / "golden").rglob("*.out"))
+             for line in golden.read_text(encoding="utf-8").splitlines()]
+    yes = {name.partition(" ")[0] for name, _, value in lines if value == "yes"}
+    assert not STATED.keys() & COMPUTED.keys() and not (STATED.keys() | COMPUTED.keys()) & checked
+    assert yes - checked == STATED.keys() | COMPUTED.keys()
+
+
+@pytest.mark.parametrize("key", sorted(COMPUTED))
+def test_each_computed_line_can_print_no(capsys, monkeypatch, key):
+    argv, owner, attribute, replacement = COMPUTED[key]
+    if owner is not None:
+        monkeypatch.setattr(owner, attribute, replacement)
+    out = _call(capsys, argv)[1]
+    assert f"{key}: no" in out.splitlines()

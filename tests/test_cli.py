@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import ordtop.cli
 import ordtop.poset
-from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed,
+from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed, build_poset,
                     chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
-from ordtop.cli import MAX_EVAL_BOUND, _set_texts, build_parser, main
+from ordtop.cli import MAX_EVAL_BOUND, _open_texts, _set_texts, build_parser, main
 from ordtop.symbolic import MODE_L, MODE_LHAT, truncation_size
 
 from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_posets,
@@ -609,6 +609,18 @@ def test_listing_verbs_never_build_the_label_set_family(capsys, monkeypatch, gol
 
 
 CHUNK_EDGES = (0, 1, 7, 8, 9, 15, 16, 17)  # around the 8-bit chunks of the text tables
+# labels whose texts collide: "a,b" is one label, and the string "{a,b}" prints as the frozenset
+PUNCTUATED = ["a,b", "a", "b", "{a,b}", frozenset({"a", "b"}), ("a", "b"), "(a,b)", "{", "}"]
+
+
+def punctuated_topologies() -> list[Topology]:
+    """Scott opens under some covers, the discrete space on their maxima, and the antichain."""
+    p = build_poset(PUNCTUATED, [("a", "a,b"), ("b", "a,b"), ("{", frozenset({"a", "b"})),
+                                 ("}", ("a", "b")), ("}", "(a,b)")])
+    return [scott_opens(p), relative_topology(p, p.maximal_elements()),
+            scott_opens(build_poset(PUNCTUATED, []))]
+
+
 LISTINGS = {
     "oracle-posets": lambda: [t for p in oracle_posets()
                               for t in (scott_opens(p), relative_topology(p, p.maximal_elements()))],
@@ -616,17 +628,87 @@ LISTINGS = {
     **{f"chain-{n}": (lambda n=n: [scott_opens(chain(n))]) for n in CHUNK_EDGES},
     "numeric-labels": lambda: [scott_opens(numeric_poset()),
                                relative_topology(numeric_poset(), [100, 2.5, 20, 11, 30])],
+    "punctuated-labels": punctuated_topologies,
 }
 
 
 @pytest.mark.parametrize("name", list(LISTINGS))
 def test_open_listings_match_the_frozenset_sort(name):
-    # no two opens share a text here, so equal texts mean the same opens in the same order
+    # the mask path, the texts the verbs print and the count all follow the oracle's opens;
+    # where no two opens share a text, equal texts mean the same opens in the same order
     for t in LISTINGS[name]():
         position = {pt: i for i, pt in enumerate(t.space)}
         texts = [",".join(label_text(x) for x in sorted(u, key=position.__getitem__))
                  for u in oracle_sorted_opens(t)]
-        assert list(_set_texts(t.space, t.open_masks)) == texts, t.around
+        masked = list(_set_texts(t.space, t.open_masks))
+        assert masked == texts, t.around
+        assert list(_open_texts(t)) == masked and t.open_count == len(texts), t.around
+
+
+def test_punctuated_labels_collide_on_both_listing_paths():
+    # so that entry holds the discrete path to the mask path, not to distinct texts
+    listed = punctuated_topologies()
+    assert [t.is_discrete for t in listed] == [False, True, True]
+    assert all(len(set(_open_texts(t))) < t.open_count for t in listed)
+
+
+def _refuse_open_masks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Topology.open_masks built for a discrete space")
+
+    spied = cached_property(refuse)
+    spied.__set_name__(Topology, "open_masks")
+    monkeypatch.setattr(Topology, "open_masks", spied)
+
+
+MAXSPACE_GOLDEN = [g for g in GOLDEN if g.stem.partition("_")[0] == "maxspace"]
+
+
+@pytest.mark.parametrize("golden", MAXSPACE_GOLDEN, ids=[g.stem for g in MAXSPACE_GOLDEN])
+def test_maxspace_builds_no_open_mask(capsys, monkeypatch, golden):
+    _refuse_open_masks(monkeypatch)
+    test_finite_verbs_match_their_golden_stdout(capsys, golden)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9])
+def test_topology_on_an_antichain_builds_no_open_mask(capsys, monkeypatch, tmp_path, n):
+    p = antichain(n)
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps({"elements": list(p.elements), "covers": []}))
+    opens = oracle_sorted_opens(scott_opens(p))
+    _refuse_open_masks(monkeypatch)
+    code, out = run(capsys, "topology", "--input", path)
+    assert code == 0
+    position = {pt: i for i, pt in enumerate(p.elements)}
+    assert out.splitlines() == [f"elements: {n}", f"open-count: {2 ** n}"] + [
+        "open: {" + ",".join(sorted(u, key=position.__getitem__)) + "}" for u in opens]
+
+
+def test_topology_on_an_ordered_golden_reads_the_masks(capsys, monkeypatch):
+    read = []
+    build = Topology.open_masks.func
+
+    def spy(self):
+        read.append(len(self.space))
+        return build(self)
+
+    spied = cached_property(spy)
+    spied.__set_name__(Topology, "open_masks")
+    monkeypatch.setattr(Topology, "open_masks", spied)
+    test_finite_verbs_match_their_golden_stdout(capsys, DATA / "golden" / "topology_diamond.out")
+    assert read == [4]
+
+
+@pytest.mark.parametrize("verb, lines", [
+    ("maxspace", ["max-count: 0", "open-count: 1", "discrete: yes", "open: {}"]),
+    ("topology", ["elements: 0", "open-count: 1", "open: {}"]),
+])
+def test_the_empty_poset_has_one_open(capsys, tmp_path, verb, lines):
+    path = tmp_path / "empty.json"
+    path.write_text('{"elements": [], "covers": []}')
+    code, out = run(capsys, verb, "--input", path)
+    assert code == 0
+    assert out.splitlines() == lines
 
 
 # golden/argv/<name>.out holds the stdout of `ordtop <argv>`; made by the same argv

@@ -168,9 +168,9 @@ def test_factor_topologies_of_a_discrete_model_are_discrete():
     assert ty.is_discrete and len(ty.opens) == 4
 
 
-def test_factor_pipeline_lists_opens_only_on_the_factor_spaces(monkeypatch):
-    # every open family is listed through Topology.open_masks, and the
-    # pipeline reads smallest opens only: it lists no open at all
+def test_factor_pipeline_lists_no_open(monkeypatch):
+    # the library lists an open family only through Topology.open_masks, and
+    # the pipeline reads smallest opens only: it lists no open at all
     listed = []
     build = Topology.open_masks.func
 
