@@ -14,20 +14,25 @@ Everything infinite is kept decidable by sticking to finitely-describable
 data: selectors are finite exceptions over a default position, and an open
 set is a threshold per chain (again finite exceptions over a default, with
 None meaning the chain is missing entirely), an all-level-1 flag, and
-finitely many cylinder grants for selector points.  The fragment is closed
-under everything the constructions here need, and in particular contains
-every witness the diagonal argument produces; it does not try to represent
-arbitrary Scott opens of the full domain.
+finitely many cylinder grants for selector points.  Both per-chain rules
+are stored as step functions, one value per run of chains, so a rule
+costs what its runs cost, not its chains (a cutoff's k + 1 equal
+thresholds are one step); the points off the default are rebuilt only
+where they are printed.  The fragment is closed under everything the
+constructions here need, and in particular contains every witness the
+diagonal argument produces; it does not try to represent arbitrary Scott
+opens of the full domain.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, product as cartesian, repeat
-from operator import is_not, lshift
-from typing import Iterable, Mapping
+from math import inf
+from operator import lshift
+from typing import Iterable, Iterator, Mapping
 
 from .errors import FormatError, NotCoveringMax, excerpt
 from .poset import FinitePoset
@@ -48,52 +53,93 @@ def _natural(value) -> bool:
     return type(value) is int and value >= 0
 
 
-class _ExceptionList:
-    """A sequence over the naturals: finitely many exceptions over a default.
+class _StepFunction:
+    """A sequence over the naturals, stored as its canonical step function.
 
-    The frozen dataclasses ``Selector`` and ``ThresholdRule`` hold the fields
-    ``exceptions`` and ``default``.  The exceptions are kept sorted by chain
-    and without entries equal to the default, so equal sequences compare,
-    hash and print alike; ``_table`` maps the same entries for lookups and
-    is neither a field nor part of ==, hash or repr.
+    ``starts`` are the ascending chains where a step begins, the first at
+    chain 0, and ``values`` holds the value of each step, from its start up
+    to the next one; the last step runs forever, so its value is the
+    default.  Neighbouring steps differ, so equal sequences have equal
+    steps, and the frozen dataclasses ``Selector`` and ``ThresholdRule``
+    compare, hash and print by these two fields.  The constructors take
+    finitely many (chain, value) exceptions over a default, as the file
+    format does; ``exceptions`` turns the steps back into those points.
     """
 
     _value: str  # the noun for a value in errors
     _absent_ok = False  # may a value be None?
 
-    def __post_init__(self):
-        default = self.default
-        if not (_natural(default) or default is None and self._absent_ok):
+    def __init__(self, exceptions: Iterable = (), default: int | None = 0):
+        absent_ok = self._absent_ok
+        if not (_natural(default) or default is None and absent_ok):
             raise ValueError(f"default {self._value} {default!r} must be a natural number")
-        table = dict(self.exceptions)
+        table = dict(exceptions)
         for i, value in table.items():
             if not _natural(i):
                 raise ValueError(f"chain index {i!r} must be a natural number")
-            if not (_natural(value) or value is None and self._absent_ok):
+            if not (_natural(value) or value is None and absent_ok):
                 raise ValueError(f"{self._value} {value!r} must be a natural number")
         if default in table.values():
             table = {i: v for i, v in table.items() if v != default}
-        object.__setattr__(self, "exceptions", tuple(sorted(table.items())))
-        object.__setattr__(self, "_table", table)
+        # the default from chain 0 opens the list, then each point, merged into the step
+        # before it when the values agree, and the default again after every gap
+        starts, values = [0], [default]
+        end = 0  # the first chain after the last point placed
+        for i, value in sorted(table.items()):
+            if i != end:
+                starts.append(end)
+                values.append(default)
+            if value != values[-1]:
+                starts.append(i)
+                values.append(value)
+            end = i + 1
+        if values[-1] != default:
+            starts.append(end)
+            values.append(default)
+        if starts[1:2] == [0]:  # a second step from chain 0 replaces the opening default
+            del starts[0], values[0]
+        object.__setattr__(self, "starts", tuple(starts))
+        object.__setattr__(self, "values", tuple(values))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int | None], default: int | None = 0):
         return cls(exceptions=tuple(mapping.items()), default=default)
 
+    @classmethod
+    def _from_steps(cls, starts: tuple, values: tuple):
+        """The sequence with these steps, which the caller knows to be canonical and valid."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "values", values)
+        return self
+
+    @property
+    def default(self) -> int | None:
+        return self.values[-1]
+
+    @property
+    def exceptions(self) -> tuple:
+        """The (chain, value) points off the default, by chain, rebuilt from the steps on each read."""
+        default = self.values[-1]
+        return tuple([(i, value) for start, end, value in zip(self.starts, self.starts[1:], self.values)
+                      if value != default for i in range(start, end)])
+
     def __call__(self, i: int) -> int | None:
-        return self._table.get(i, self.default)
+        return self.values[bisect_right(self.starts, i) - 1]
 
-    def over(self, chains: Iterable[int]) -> list[int | None]:
-        """The values of many chains at once, read without a Python loop."""
-        return list(map(self._table.get, chains, repeat(self.default)))
+    def steps_over(self, low: int, high: int) -> Iterator[tuple[int, int | None]]:
+        """(first chain, value) of each step that meets chains ``low``..``high - 1``, by chain."""
+        first = bisect_right(self.starts, low) - 1
+        stop = bisect_left(self.starts, high) if low < high else first
+        return zip(chain((low,), self.starts[first + 1:stop]), self.values[first:stop])
 
 
-@dataclass(frozen=True)
-class Selector(_ExceptionList):
+@dataclass(frozen=True, init=False)
+class Selector(_StepFunction):
     """A choice of one finite position per chain: finite exceptions over a default."""
 
-    exceptions: tuple = ()
-    default: int = 0
+    starts: tuple
+    values: tuple
     _value = "position"
 
 
@@ -168,25 +214,28 @@ def is_maximal(point: LPoint, mode: str) -> bool:
 # -- symbolic opens ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdRule(_ExceptionList):
+@dataclass(frozen=True, init=False)
+class ThresholdRule(_StepFunction):
     """Admission threshold per chain; None means the chain is missing.
 
     A present threshold t at chain i admits the points (i, n) for n >= t
     and, through upward closure, the chain top.
     """
 
-    default: int | None = 0
-    exceptions: tuple = ()
+    starts: tuple
+    values: tuple
     _value = "threshold"
     _absent_ok = True
 
+    def __init__(self, default: int | None = 0, exceptions: Iterable = ()):
+        _StepFunction.__init__(self, exceptions, default)
+
     def all_present(self) -> bool:
-        return self.default is not None and None not in self._table.values()
+        return None not in self.values
 
     def somewhere_zero(self) -> bool:
         # a zero threshold admits every selector point by upward closure
-        return self.default == 0 or 0 in self._table.values()
+        return 0 in self.values
 
 
 @dataclass(frozen=True)
@@ -241,34 +290,51 @@ class SymbolicOpen:
 def _forced(thresholds: ThresholdRule, selector: Selector) -> bool:
     """Does some chain's threshold sit at or below the selector's pick?
 
-    The chains split three ways.  Infinitely many escape both exception
-    lists, so one default-against-default comparison decides them.  The
-    chains of the shorter list are looked up one at a time.  A chain only
-    the longer list names meets the shorter side's default, so one scan of
-    the longer list, skipping the chains the shorter list decided, settles
-    the rest.  A call returns after the default test or the shorter list
-    when either forces, and never costs more than one pass over each list.
+    Past the last start of either step function both hold their defaults,
+    so one default-against-default comparison decides infinitely many
+    chains.  When one function has far more steps than the other, each
+    non-default step of the shorter one is then compared with the longer
+    one over its own chains, found by bisection: a pick that the short side
+    names settles the call without a scan.  Last, one merge walk visits
+    every piece below the last start.  A call costs O(short * log long +
+    long) at most.
     """
-    t_default, s_default = thresholds.default, selector.default
+    t_starts, t_values = thresholds.starts, thresholds.values
+    s_starts, s_values = selector.starts, selector.values
+    t_default, s_default = t_values[-1], s_values[-1]
     if t_default is not None and s_default >= t_default:
         return True
-    if len(thresholds.exceptions) <= len(selector.exceptions):
-        for i, t in thresholds.exceptions:
-            if t is not None and selector(i) >= t:
-                return True
-        decided = thresholds._table
-        return t_default is not None and any(
-            s >= t_default and i not in decided for i, s in selector.exceptions
-        )
-    for i, s in selector.exceptions:
-        t = thresholds(i)
-        if t is not None and s >= t:
+    t_last, s_last = len(t_values) - 1, len(s_values) - 1
+    # bisection pays when it reads fewer steps than the walk: short * log2(long) < long
+    if (t_last + 1) * s_last.bit_length() < s_last:
+        for k, t in enumerate(t_values):
+            if t != t_default and t is not None:
+                j, end = bisect_right(s_starts, t_starts[k]) - 1, t_starts[k + 1]
+                while j <= s_last and s_starts[j] < end:
+                    if s_values[j] >= t:
+                        return True
+                    j += 1
+    elif (s_last + 1) * t_last.bit_length() < t_last:
+        for k, s in enumerate(s_values):
+            if s != s_default:
+                j, end = bisect_right(t_starts, s_starts[k]) - 1, s_starts[k + 1]
+                while j <= t_last and t_starts[j] < end:
+                    t = t_values[j]
+                    if t is not None and s >= t:
+                        return True
+                    j += 1
+    i = j = 0
+    while i < t_last or j < s_last:
+        t = t_values[i]
+        if t is not None and s_values[j] >= t:
             return True
-    decided = selector._table
-    return any(
-        t is not None and t <= s_default and i not in decided
-        for i, t in thresholds.exceptions
-    )
+        t_next = t_starts[i + 1] if i < t_last else inf
+        s_next = s_starts[j + 1] if j < s_last else inf
+        if t_next <= s_next:
+            i += 1
+        if s_next <= t_next:
+            j += 1
+    return False
 
 
 def symbolic_member(open_set: SymbolicOpen, point: LPoint) -> bool:
@@ -397,18 +463,16 @@ def diagonal_witness(family: OpenFamily, *, offsets: int = 0) -> tuple[Selector,
 def cutoff_open(k: int) -> SymbolicOpen:
     """The open that removes the depth-k prefix of the first k+1 chains.
 
-    Thresholds force position k+1 on chains 0..k and 0 elsewhere; an
-    unconditional cylinder keeps every level-0 selector point.  In Lhat
-    mode this is a valid open containing all maximal points.
+    Thresholds force position k+1 on chains 0..k and 0 elsewhere, two
+    steps built directly; an unconditional cylinder keeps every level-0
+    selector point.  In Lhat mode this is a valid open containing all
+    maximal points.
     """
-    if k < 0:
+    if not _natural(k):
         raise ValueError("cutoff index must be a natural number")
-    thresholds = ThresholdRule(0, tuple(zip(range(k + 1), repeat(k + 1))))
+    thresholds = ThresholdRule._from_steps((0, k + 1), (k + 1, 0))
     keep_selectors = Cylinder((), frozenset({0}))
     return SymbolicOpen(thresholds, False, (keep_selectors,))
-
-
-_present = partial(is_not, None)
 
 
 def gdelta_certificate_lhat(bound: int) -> Report:
@@ -421,40 +485,43 @@ def gdelta_certificate_lhat(bound: int) -> Report:
     structural note since no finite run can visit every chain point.
 
     One pass builds each cutoff, checks it and drops it, so one cutoff is
-    held at a time.  Its chain points are decided from one batch read of
-    its thresholds on chains 0..bound.  Cutoff k answers for its row, the
-    points (k, n) with n <= k, which are all excluded when t(k) is absent
-    or above k, and for its column, the points (i, k) with i < k, which
-    are all excluded when no present threshold on chains 0..k-1 is at or
-    below k.  A failing check names its first witness: the first chain
-    point in (i, n) order, the first (cutoff, chain) for the tops and the
-    first (cutoff, sample) for the selector points.
+    held at a time.  Its chain points are decided from the steps of its
+    thresholds that meet a range, so a cutoff of a few steps costs O(1)
+    whatever k is.  Cutoff k answers for its row, the points (k, n) with
+    n <= k, which are all excluded when t(k) is absent or above k, and for
+    its column, the points (i, k) with i < k, which are all excluded when
+    no present threshold on chains 0..k-1 is at or below k.  A failing
+    check names its first witness: the first chain point in (i, n) order,
+    the first (cutoff, chain) for the tops and the first (cutoff, sample)
+    for the selector points.
     """
     if bound < 0:
         raise ValueError("bound must be a natural number")
     report = Report()
     report.info("mode", MODE_LHAT)
     report.info("bound", bound)
-    chains = range(bound + 1)
     samples = [SelectorPoint(s, 0) for s in (
         Selector(), Selector.from_mapping({0: bound}),
         Selector.from_mapping({j: j for j in range(min(bound, 5))}, default=1))]
     failures = []
     top_failure = selector_failure = None
-    for k in chains:
+    for k in range(bound + 1):
         open_set = cutoff_open(k)
         report.check(
             f"cutoff {k} valid-and-covering",
             validate_open(open_set, MODE_LHAT) and contains_max(open_set, MODE_LHAT),
         )
-        row = open_set.thresholds.over(chains)
-        if row[k] is not None and row[k] <= k:
-            failures.append((k, row[k]))
-        if min(filter(_present, row[:k]), default=k + 1) <= k:
-            first = next(i for i, t in enumerate(row[:k]) if t is not None and t <= k)
+        thresholds = open_set.thresholds
+        t = thresholds(k)
+        if t is not None and t <= k:
+            failures.append((k, t))
+        first = next((i for i, v in thresholds.steps_over(0, k) if v is not None and v <= k), None)
+        if first is not None:
             failures.append((first, k))
-        if top_failure is None and None in row:
-            top_failure = (k, row.index(None))
+        if top_failure is None:
+            absent = next((i for i, v in thresholds.steps_over(0, bound + 1) if v is None), None)
+            if absent is not None:
+                top_failure = (k, absent)
         if selector_failure is None:
             selector_failure = next(
                 ((k, m) for m, point in enumerate(samples) if not symbolic_member(open_set, point)),
@@ -628,9 +695,12 @@ def truncation_members(
 # -- file format --------------------------------------------------------------------
 
 
-def _nat_or_none(value, what: str):
+def _nat_or_none(value, what: str, key: str | None = None):
+    """``value`` when it is null or a natural number; the error names ``what`` and the entry's key."""
     if value is None or _natural(value):
         return value
+    if key is not None:
+        what = f"{what} {excerpt(key)}"
     raise FormatError(f"{what} must be a natural number or null, got {excerpt(value)}")
 
 
@@ -680,9 +750,7 @@ def open_from_json(data: object) -> SymbolicOpen:
         raise FormatError('"exceptions" must be an object keyed by chain index')
     exceptions: dict[int, int | None] = {}
     for key, value in raw_exceptions.items():
-        exceptions[_new_index(key, exceptions)] = _nat_or_none(
-            value, f"threshold exception {excerpt(key)}"
-        )
+        exceptions[_new_index(key, exceptions)] = _nat_or_none(value, "threshold exception", key)
     all_level1 = data.get("allPhiLevel1", False)
     if not isinstance(all_level1, bool):
         raise FormatError('"allPhiLevel1" must be a boolean')
@@ -695,7 +763,7 @@ def open_from_json(data: object) -> SymbolicOpen:
             raise FormatError(f"malformed extraPhi entry {excerpt(entry)}")
         conds = {}
         for key, value in entry.get("conds", {}).items():
-            minimum = _nat_or_none(value, f"cylinder minimum {excerpt(key)}")
+            minimum = _nat_or_none(value, "cylinder minimum", key)
             if minimum is None:
                 raise FormatError("cylinder minimums cannot be null")
             conds[_new_index(key, conds)] = minimum

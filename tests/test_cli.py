@@ -8,6 +8,7 @@ from functools import cached_property
 from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from tempfile import TemporaryDirectory
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -643,6 +644,30 @@ def test_open_listings_match_the_frozenset_sort(name):
         masked = list(_set_texts(t.space, t.open_masks))
         assert masked == texts, t.around
         assert list(_open_texts(t)) == masked and t.open_count == len(texts), t.around
+
+
+def _written_opens(topology) -> list[str]:
+    writes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        ordtop.cli._print_opens(topology)
+    return writes
+
+
+def test_listings_are_written_in_bounded_chunks(monkeypatch):
+    topology = scott_opens(antichain(16))  # 2^16 opens, about 2 MB of lines
+    one_write = "open: {" + "}\nopen: {".join(_open_texts(topology)) + "}\n"
+    writes = _written_opens(topology)
+    assert len(writes) >= 2 and "".join(writes) == one_write
+    assert max(len(w.encode()) for w in writes) <= ordtop.cli.LISTING_CHUNK_BYTES
+    # the bound holds in UTF-8 bytes, on the mask path too, and a line longer than it goes alone
+    wide = "\u4e2d" * 4  # 4 characters, 12 bytes
+    ordered = scott_opens(build_poset([wide, "\u00e9" * 4, "x"], [("x", wide)]))
+    for bound in (1, 20, 64, 200):
+        monkeypatch.setattr(ordtop.cli, "LISTING_CHUNK_BYTES", bound)
+        writes = _written_opens(ordered)
+        assert "".join(writes) == "open: {" + "}\nopen: {".join(_open_texts(ordered)) + "}\n"
+        assert all(len(w.encode()) <= bound or w.count("\n") == 1 for w in writes), bound
 
 
 def test_punctuated_labels_collide_on_both_listing_paths():

@@ -5,7 +5,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordtop
@@ -156,13 +156,85 @@ def test_lookup_tables_leave_value_semantics_alone():
     selector, fresh = (Selector.from_mapping({3: 1, 7: 4}, default=2) for _ in range(2))
     rule, fresh_rule = (ThresholdRule.from_mapping({0: None, 5: 3}, 1) for _ in range(2))
     assert selector(7) == 4 and rule(0) is None
-    # each side is the longer list once, so _forced reads both lookup tables
+    # each side is the longer function once
     assert not _forced(ThresholdRule(9), selector)
     assert not _forced(rule, Selector(default=0))
-    assert "_table" in vars(selector).keys() & vars(rule).keys()
+    # the canonical steps are the whole state: nothing is cached beside them
+    assert vars(selector).keys() == vars(rule).keys() == {"starts", "values"}
+    assert (selector.starts, selector.values) == ((0, 3, 4, 7, 8), (2, 1, 2, 4, 2))
+    assert (rule.starts, rule.values) == ((0, 1, 5, 6), (None, 1, 3, 1))
+    assert repr(rule) == "ThresholdRule(starts=(0, 1, 5, 6), values=(None, 1, 3, 1))"
     assert selector == fresh and hash(selector) == hash(fresh) and repr(selector) == repr(fresh)
     assert rule == fresh_rule and hash(rule) == hash(fresh_rule) and repr(rule) == repr(fresh_rule)
     assert dict(selector.exceptions) == {3: 1, 7: 4}
+
+
+# chain indices near 0, where runs and equal neighbours are common, and past 2**63
+_indices = st.integers(0, 12) | st.integers(2**63 - 2, 2**63 + 2) | st.just(2**64)
+
+
+def _values(rule_class):
+    return st.integers(0, 3) | st.none() if rule_class is ThresholdRule else st.integers(0, 3)
+
+
+def _same_function(points, default, other_points, other_default):
+    # past every named chain both sides hold their defaults
+    return default == other_default and all(
+        points.get(i, default) == other_points.get(i, other_default)
+        for i in points.keys() | other_points.keys())
+
+
+def _assert_canonical(rule, points, default):
+    assert rule.starts[0] == 0 and all(a < b for a, b in zip(rule.starts, rule.starts[1:]))
+    assert len(rule.starts) == len(rule.values) and rule.default == default
+    assert all(a != b for a, b in zip(rule.values, rule.values[1:]))
+    assert rule.exceptions == tuple(sorted((i, v) for i, v in points.items() if v != default))
+    probes = {0, *(j for i in points for j in (i - 1, i, i + 1) if j >= 0)}
+    for i in probes | {max(probes) + 1}:
+        assert rule(i) == points.get(i, default)
+
+
+@given(st.sampled_from([Selector, ThresholdRule]), st.data())
+def test_rules_are_equal_exactly_when_their_points_agree(rule_class, data):
+    values = _values(rule_class)
+    points, default = data.draw(st.dictionaries(_indices, values, max_size=8)), data.draw(values)
+    if data.draw(st.booleans()):
+        # a respelling of the same function: other default-valued entries, in another order
+        other = {i: v for i, v in points.items() if v != default or data.draw(st.booleans())}
+        other |= {i: default for i in data.draw(st.lists(_indices, max_size=3)) if i not in points}
+        other_default = default
+    else:
+        other = data.draw(st.dictionaries(_indices, values, max_size=8))
+        other_default = data.draw(values)
+    rule, other_rule = (
+        rule_class(exceptions=data.draw(st.permutations(list(p.items()))), default=d)
+        for p, d in ((points, default), (other, other_default)))
+    _assert_canonical(rule, points, default)
+    _assert_canonical(other_rule, other, other_default)
+    same = _same_function(points, default, other, other_default)
+    assert (rule == other_rule) == same
+    if same:
+        assert hash(rule) == hash(other_rule) and repr(rule) == repr(other_rule)
+
+
+def test_steps_over_a_range_are_the_runs_it_meets():
+    rng = Random(21)
+    for _ in range(300):
+        rule = ThresholdRule.from_mapping(_random_exceptions(rng, rng.randint(0, 8), [None, 0, 1, 2]),
+                                          rng.choice([None, 0, 1]))
+        low, high = rng.randint(0, 30), rng.randint(0, 30)
+        runs = [(i, rule(i)) for i in range(low, high) if i == low or i in rule.starts]
+        assert list(rule.steps_over(low, high)) == runs, (rule, low, high)
+
+
+def test_a_cutoff_is_its_points_in_two_steps():
+    for k in (0, 1, 5, 40):
+        points = ThresholdRule.from_mapping(dict.fromkeys(range(k + 1), k + 1))
+        assert cutoff_open(k).thresholds == points
+        assert hash(cutoff_open(k).thresholds) == hash(points)
+    assert cutoff_open(10**6).thresholds.starts == (0, 10**6 + 1)
+    with pytest.raises(ValueError):
+        cutoff_open(True)
 
 
 def _random_exceptions(rng, length, values):
@@ -185,6 +257,23 @@ def test_forcing_matches_the_exception_scan():
         expected = oracle_forced(rule, selector)
         assert _forced(rule, selector) == expected, (rule, selector)
         assert _forced(rule, selector) == expected  # again, with the views cached
+
+
+# (threshold points, selector points): one side far longer than the other, either way round
+_LOPSIDED = [(1, 600), (600, 1), (0, 600), (3, 300), (300, 3), (2, 40), (40, 2), (5, 5)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(_LOPSIDED))
+def test_forcing_matches_the_oracle_on_lopsided_pairs(rng, sizes):
+    # picks at most `cut` against thresholds from `cut - 1` up, so either answer is common
+    cut = rng.randint(0, 7)
+    t_len, s_len = sizes
+    rule = ThresholdRule.from_mapping(
+        _random_exceptions(rng, t_len, [None, *range(max(cut - 1, 0), 9)]),
+        rng.choice([None, cut, cut + 1, cut + 3]))
+    selector = Selector.from_mapping(_random_exceptions(rng, s_len, range(cut + 1)), rng.randint(0, cut))
+    assert _forced(rule, selector) == oracle_forced(rule, selector), (rule, selector)
 
 
 def test_mode_membership_and_maximality():
@@ -408,6 +497,47 @@ def test_mutated_cutoffs_fail_as_the_oracle_does(monkeypatch, mutant):
         report = gdelta_certificate_lhat(bound)
         assert report.render() == oracle_gdelta_certificate_lhat(bound).render(), bound
     assert not report.ok
+
+
+def test_certificate_reads_arbitrary_cutoffs_as_the_oracle_does():
+    # random point lists near each cutoff's own thresholds, so rows, columns and tops fail here and there
+    rng = Random(2003)
+    for _ in range(300):
+        bound = rng.randint(0, 6)
+        rules = {k: ThresholdRule.from_mapping(
+            {i: rng.choice([k + 1, k + 1, k + 1, k, max(k - 1, 0), None]) for i in range(k + 2)
+             if rng.random() < 0.8}, rng.choice([0, 0, k])) for k in range(bound + 1)}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symbolic, "cutoff_open", lambda k: _cutoff_with(rules[k]))
+            expected = oracle_gdelta_certificate_lhat(bound).render()
+            assert gdelta_certificate_lhat(bound).render() == expected, rules
+
+
+def test_the_certificate_reads_a_few_steps_per_cutoff_and_no_point_view(capsys, monkeypatch):
+    # the oracle's report at a small bound, whose shape the run at this bound must keep
+    small = oracle_gdelta_certificate_lhat(2).render().splitlines()
+    read = []
+    steps_over = symbolic._StepFunction.steps_over
+
+    def counted(self, low, high):
+        steps = list(steps_over(self, low, high))
+        read.append(len(steps))
+        return iter(steps)
+
+    def refuse(self):
+        raise AssertionError("the certificate rebuilt a point view")
+
+    monkeypatch.setattr(symbolic._StepFunction, "steps_over", counted)
+    monkeypatch.setattr(symbolic._StepFunction, "exceptions", property(refuse))
+    bound = 3000
+    assert main(["lhat-cert", "--eval-bound", str(bound)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["mode: Lhat", f"bound: {bound}",
+                     *(f"cutoff {k} valid-and-covering: yes" for k in range(bound + 1)),
+                     f"chain-points-checked: {(bound + 1) ** 2}", *small[6:], "verified: yes"]
+    assert small[5] == "chain-points-checked: 9"
+    # a column read and a tops read per cutoff, each meeting at most two steps
+    assert len(read) == 2 * (bound + 1) and sum(read) <= 3 * (bound + 1)
 
 
 def test_certificate_holds_one_cutoff_at_a_time():
