@@ -61,9 +61,14 @@ class _StepFunction:
     to the next one; the last step runs forever, so its value is the
     default.  Neighbouring steps differ, so equal sequences have equal
     steps, and the frozen dataclasses ``Selector`` and ``ThresholdRule``
-    compare, hash and print by these two fields.  The constructors take
-    finitely many (chain, value) exceptions over a default, as the file
+    compare, hash and print by these two fields.  The validating
+    constructors (the class call and ``from_mapping``) take finitely many
+    (chain, value) exceptions over a default, in any order, as the file
     format does; ``exceptions`` turns the steps back into those points.
+    ``_from_points`` takes points its caller has already checked, ascending
+    by chain with natural indices and valid values, and skips the checks and
+    the sort: only code of this module that built or validated the points
+    itself may call it (``truncate_domain``, ``open_from_json``).
     """
 
     _value: str  # the noun for a value in errors
@@ -79,13 +84,27 @@ class _StepFunction:
                 raise ValueError(f"chain index {i!r} must be a natural number")
             if not (_natural(value) or value is None and absent_ok):
                 raise ValueError(f"{self._value} {value!r} must be a natural number")
-        if default in table.values():
-            table = {i: v for i, v in table.items() if v != default}
-        # the default from chain 0 opens the list, then each point, merged into the step
-        # before it when the values agree, and the default again after every gap
+        self._set_steps(sorted(table.items()), default)
+
+    @classmethod
+    def _from_points(cls, points: Iterable, default: int | None):
+        """The sequence with these (chain, value) points over ``default``, which the caller has checked.
+
+        ``points`` ascend by chain, each index a natural number and each
+        value valid for the class; points at the default are allowed.
+        """
+        self = cls.__new__(cls)
+        self._set_steps(points, default)
+        return self
+
+    def _set_steps(self, points: Iterable, default: int | None) -> None:
+        # the default from chain 0 opens the list, then each point off the default, merged
+        # into the step before it when the values agree, and the default again after every gap
         starts, values = [0], [default]
         end = 0  # the first chain after the last point placed
-        for i, value in sorted(table.items()):
+        for i, value in points:
+            if value == default:
+                continue
             if i != end:
                 starts.append(end)
                 values.append(default)
@@ -345,9 +364,11 @@ def symbolic_member(open_set: SymbolicOpen, point: LPoint) -> bool:
         return t is not None and point.pos >= t
     if isinstance(point, ChainTop):
         return thresholds(point.chain) is not None
-    selector, level = point.selector, point.level
-    if _forced(thresholds, selector):
-        return True
+    return _forced(thresholds, point.selector) or _granted(open_set, point.selector, point.level)
+
+
+def _granted(open_set: SymbolicOpen, selector: Selector, level: int) -> bool:
+    """Is the selector's point at ``level`` let in by the all-level-1 flag or by a cylinder?"""
     if level == 1 and open_set.all_level1:
         return True
     return any(
@@ -460,19 +481,21 @@ def diagonal_witness(family: OpenFamily, *, offsets: int = 0) -> tuple[Selector,
 # -- the countable certificate for Lhat ------------------------------------------
 
 
+_KEEP_SELECTORS = Cylinder((), frozenset({0}))  # every cutoff's grant of all level-0 points
+
+
 def cutoff_open(k: int) -> SymbolicOpen:
     """The open that removes the depth-k prefix of the first k+1 chains.
 
     Thresholds force position k+1 on chains 0..k and 0 elsewhere, two
-    steps built directly; an unconditional cylinder keeps every level-0
-    selector point.  In Lhat mode this is a valid open containing all
-    maximal points.
+    steps built directly; an unconditional cylinder, one frozen object that
+    every cutoff shares, keeps every level-0 selector point.  In Lhat mode
+    this is a valid open containing all maximal points.
     """
     if not _natural(k):
         raise ValueError("cutoff index must be a natural number")
     thresholds = ThresholdRule._from_steps((0, k + 1), (k + 1, 0))
-    keep_selectors = Cylinder((), frozenset({0}))
-    return SymbolicOpen(thresholds, False, (keep_selectors,))
+    return SymbolicOpen(thresholds, False, (_KEEP_SELECTORS,))
 
 
 def gdelta_certificate_lhat(bound: int) -> Report:
@@ -671,7 +694,9 @@ def truncation_poset(width: int, depth: int, mode: str) -> FinitePoset:
 def truncate_domain(width: int, depth: int, mode: str) -> tuple[FinitePoset, dict[str, LPoint]]:
     """``truncation_poset`` and the symbolic point of each label, for replaying membership.
 
-    The points are made in element order, so no label is built twice.
+    The points are made in element order, so no label is built twice, and
+    the levels of one selector share one ``Selector``, built from its picks
+    with no checks: they are positions below ``depth``, indexed by chain.
     """
     poset = truncation_poset(width, depth, mode)
     levels = _levels(mode)
@@ -679,17 +704,37 @@ def truncate_domain(width: int, depth: int, mode: str) -> tuple[FinitePoset, dic
     for i in range(width):
         points += [*map(ChainPoint, repeat(i), range(depth)), ChainTop(i)]
     for values in cartesian(range(depth), repeat=width):
-        points += map(SelectorPoint, repeat(Selector(tuple(enumerate(values)))), levels)
+        points += map(SelectorPoint, repeat(Selector._from_points(enumerate(values), 0)), levels)
     return poset, dict(zip(poset.elements, points))
 
 
 def truncation_members(
     open_set: SymbolicOpen, points: Mapping[str, LPoint]
 ) -> frozenset[str]:
-    """Labels of truncation elements the symbolic open contains."""
-    return frozenset(
-        label for label, point in points.items() if symbolic_member(open_set, point)
-    )
+    """Labels of truncation elements the symbolic open contains, decided by the symbolic engine.
+
+    A selector's forcing does not depend on the level, and ``truncate_domain``
+    gives both levels of a selector one ``Selector`` object, so ``_forced``
+    runs once per object, remembered by ``id``: every key's object stays
+    alive in ``points`` for the whole call.  The grants, which do depend on
+    the level, are decided per point.  Nothing reads the truncation's order,
+    so the caller's upper-set check of the result stays a real check.
+    """
+    thresholds = open_set.thresholds
+    forced: dict[int, bool] = {}
+    members = []
+    for label, point in points.items():
+        if isinstance(point, SelectorPoint):
+            selector = point.selector
+            inside = forced.get(id(selector))
+            if inside is None:
+                inside = forced[id(selector)] = _forced(thresholds, selector)
+            inside = inside or _granted(open_set, selector, point.level)
+        else:
+            inside = symbolic_member(open_set, point)
+        if inside:
+            members.append(label)
+    return frozenset(members)
 
 
 # -- file format --------------------------------------------------------------------
@@ -771,7 +816,8 @@ def open_from_json(data: object) -> SymbolicOpen:
         if not isinstance(levels, list) or not all(type(lv) is int and lv in (0, 1) for lv in levels):
             raise FormatError('"levels" must be an array over {0, 1}')
         cylinders.append(Cylinder(tuple(conds.items()), frozenset(levels)))
-    thresholds = ThresholdRule(default, tuple(exceptions.items()))
+    # every index and threshold has passed _new_index and _nat_or_none
+    thresholds = ThresholdRule._from_points(sorted(exceptions.items()), default)
     return SymbolicOpen(thresholds, all_level1, tuple(cylinders))
 
 

@@ -156,6 +156,12 @@ def oracle_sorted_opens(topology: Topology) -> list[frozenset]:
     return sorted(opens, key=lambda u: (len(u), tuple(sorted(pos[x] for x in u))))
 
 
+def oracle_is_upper_set(p: FinitePoset, members) -> bool:
+    """Each member's up-set lies inside the set, member by member over the mask's bits."""
+    mask = p.mask_of(members)
+    return all(p._up[i] & ~mask == 0 for i in _iter_bits(mask))
+
+
 def oracle_is_bounded_complete(p: FinitePoset) -> bool:
     """Every subset with an upper bound has a least one, subset by subset."""
     full = (1 << len(p)) - 1

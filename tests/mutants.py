@@ -29,8 +29,10 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 SYMBOLIC = "src/ordtop/symbolic.py"
 CLI = "src/ordtop/cli.py"
+TOPOLOGY = "src/ordtop/topology.py"
 TEST_SYMBOLIC = "tests/test_symbolic.py::"
 TEST_CLI = "tests/test_cli.py::"
+TEST_TOPOLOGY = "tests/test_topology.py::"
 
 
 class Mutant(NamedTuple):
@@ -105,6 +107,33 @@ MUTANTS = (
          TEST_SYMBOLIC + "test_rules_are_equal_exactly_when_their_points_agree"),
     ),
     Mutant(
+        "members-memo-keeps-the-first-levels-grant", SYMBOLIC,
+        "                inside = forced[id(selector)] = _forced(thresholds, selector)\n"
+        "            inside = inside or _granted(open_set, selector, point.level)\n",
+        "                inside = forced[id(selector)] = (_forced(thresholds, selector)\n"
+        "                                                 or _granted(open_set, selector, point.level))\n",
+        (TEST_SYMBOLIC + "test_truncation_members_match_point_by_point_membership",),
+    ),
+    Mutant(
+        "checked-points-keep-default-points", SYMBOLIC,
+        "            if value == default:\n                continue\n",
+        "",
+        (TEST_SYMBOLIC + "test_checked_points_drop_a_default_point_before_a_gap",
+         TEST_SYMBOLIC + "test_checked_points_build_what_the_validating_constructor_builds"),
+    ),
+    Mutant(
+        "upper-set-complement-drops-the-top-bit", TOPOLOGY,
+        "outside = (1 << n) - 1 ^ int.from_bytes",
+        "outside = (1 << n - 1) - 1 ^ int.from_bytes",
+        (TEST_TOPOLOGY + "test_fast_and_exhaustive_openness_agree_on_small_posets",),
+    ),
+    Mutant(
+        "positions-skip-foreign-labels", TOPOLOGY,
+        "    if None in positions:\n",
+        "    positions = [i for i in positions if i is not None]\n    if False:\n",
+        (TEST_TOPOLOGY + "test_upper_sets_refuse_a_foreign_label_as_the_mask_does",),
+    ),
+    Mutant(
         "listing-chunks-count-characters", CLI,
         "LISTING_CHUNK_BYTES // len(longest.encode())",
         "LISTING_CHUNK_BYTES // len(longest)",
@@ -121,14 +150,8 @@ def _copy_tree(into: Path) -> None:
 
 
 def _tests_fail(tree: Path, killers: tuple[str, ...]) -> bool:
-    """Do the tests fail in ``tree``?  Exit code 1 means a test failed; anything else is an error.
-
-    Hypothesis's pytest plugin is left out: on a failing example it imports
-    ``libcst`` to suggest a patch, whose DeprecationWarning the suite's
-    ``filterwarnings = error`` turns into an internal error.  ``@given``
-    tests run and fail the same without it.
-    """
-    argv = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest"]
+    """Do the tests fail in ``tree``?  Exit code 1 means a test failed; anything else is an error."""
+    argv = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     done = subprocess.run([sys.executable, *argv, *killers], cwd=tree, capture_output=True, text=True)
     if done.returncode not in (0, 1):
         raise RuntimeError(f"pytest exited {done.returncode} on {' '.join(killers)}:\n{done.stdout}{done.stderr}")

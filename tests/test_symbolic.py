@@ -217,6 +217,26 @@ def test_rules_are_equal_exactly_when_their_points_agree(rule_class, data):
         assert hash(rule) == hash(other_rule) and repr(rule) == repr(other_rule)
 
 
+@given(st.sampled_from([Selector, ThresholdRule]), st.data())
+def test_checked_points_build_what_the_validating_constructor_builds(rule_class, data):
+    # small values and indices near 0: default-valued points and equal neighbours are common
+    values = _values(rule_class)
+    points = sorted(data.draw(st.dictionaries(_indices, values, max_size=8)).items())
+    default = data.draw(values)
+    rule = rule_class._from_points(iter(points), default)
+    assert rule == rule_class(exceptions=points, default=default)
+    _assert_canonical(rule, dict(points), default)
+
+
+def test_checked_points_drop_a_default_point_before_a_gap():
+    # kept, the default point at chain 1 and the gap after it would be two equal steps
+    rule = Selector._from_points([(0, 5), (1, 0), (3, 5), (4, 5), (5, 0)], 0)
+    assert (rule.starts, rule.values) == ((0, 1, 3, 5), (5, 0, 5, 0))
+    assert rule == Selector.from_mapping({0: 5, 3: 5, 4: 5})
+    rule = ThresholdRule._from_points([(0, None), (1, 2), (2, 2), (4, None)], None)
+    assert (rule.starts, rule.values) == ((0, 1, 3), (None, 2, None))
+
+
 def test_steps_over_a_range_are_the_runs_it_meets():
     rng = Random(21)
     for _ in range(300):
@@ -235,6 +255,14 @@ def test_a_cutoff_is_its_points_in_two_steps():
     assert cutoff_open(10**6).thresholds.starts == (0, 10**6 + 1)
     with pytest.raises(ValueError):
         cutoff_open(True)
+
+
+def test_cutoffs_share_one_grant_and_equal_the_open_built_in_full():
+    for k in (0, 1, 7):
+        full = SymbolicOpen(ThresholdRule.from_mapping(dict.fromkeys(range(k + 1), k + 1)),
+                            False, (Cylinder((), frozenset({0})),))
+        assert cutoff_open(k) == full and hash(cutoff_open(k)) == hash(full)
+    assert cutoff_open(3).cylinders[0] is cutoff_open(4).cylinders[0]
 
 
 def _random_exceptions(rng, length, values):
@@ -395,6 +423,9 @@ def test_diagonal_witness_respects_offsets():
     witness, report = diagonal_witness(uniform_family(4), offsets=2)
     assert report.ok
     assert [witness(j) for j in range(4)] == [2, 3, 4, 5]
+    # a library caller may lift the picks below zero; the witness's constructor refuses them
+    with pytest.raises(ValueError, match="position -2 must be a natural number"):
+        diagonal_witness(uniform_family(4), offsets=-2)
 
 
 def test_diagonal_requires_cover_certificates():
@@ -702,6 +733,33 @@ def test_truncation_members_are_scott_open():
         assert is_scott_open(t, members)
 
 
+def _random_open(rng: Random, width: int, depth: int) -> SymbolicOpen:
+    """Thresholds often above every pick, so that grants decide; cylinders at level 0, 1 or both."""
+    thresholds = ThresholdRule.from_mapping(
+        {i: rng.choice([None, *range(depth + 2)]) for i in rng.sample(range(width + 2), rng.randint(0, 3))},
+        rng.choice([None, depth, depth + 1, 0]))
+    cylinders = tuple(
+        Cylinder(tuple((i, rng.randrange(depth + 1)) for i in rng.sample(range(width + 1), rng.randint(0, 2))),
+                 rng.choice([{0}, {1}, {0, 1}]))
+        for _ in range(rng.randint(0, 2)))
+    return SymbolicOpen(thresholds, rng.random() < 0.5, cylinders)
+
+
+def test_truncation_members_match_point_by_point_membership():
+    rng = Random(1975)
+    for (width, depth), mode in cartesian([(2, 2), (3, 3), (2, 4), (1, 3)], MODES):
+        shared = truncate_domain(width, depth, mode)[1]
+        # the same points, each selector point with a selector object of its own
+        distinct = {label: SelectorPoint(Selector.from_mapping(dict(point.selector.exceptions)), point.level)
+                    if isinstance(point, SelectorPoint) else point for label, point in shared.items()}
+        assert distinct == shared
+        for _ in range(40):
+            u = _random_open(rng, width, depth)
+            expected = frozenset(label for label, point in shared.items() if symbolic_member(u, point))
+            assert truncation_members(u, shared) == expected, (width, depth, mode, u)
+            assert truncation_members(u, distinct) == expected, (width, depth, mode, u)
+
+
 # -- file format -----------------------------------------------------------------------
 
 
@@ -712,6 +770,17 @@ def test_open_json_round_trip():
         cylinders=(Cylinder(((1, 2),), frozenset({0, 1})),),
     )
     assert open_from_json(open_to_json(u)) == u
+
+
+def test_parsed_thresholds_are_the_validating_constructors():
+    rng = Random(53)
+    for _ in range(300):
+        default = rng.choice([None, 0, 1, 2])
+        exceptions = {rng.randrange(12): rng.choice([None, 0, 1, 2]) for _ in range(rng.randint(0, 6))}
+        # keys in document order, not chain order, with default-valued entries among them
+        document = {"thresholds": {"default": default,
+                                   "exceptions": {str(i): v for i, v in exceptions.items()}}}
+        assert open_from_json(document).thresholds == ThresholdRule(default, tuple(exceptions.items()))
 
 
 def test_family_json_round_trip():

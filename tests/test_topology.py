@@ -30,6 +30,7 @@ from helpers import (
     diamond,
     numeric_poset,
     oracle_is_bounded_complete,
+    oracle_is_upper_set,
     oracle_posets,
     oracle_scott_opens,
     oracle_sorted_opens,
@@ -104,10 +105,25 @@ def test_upper_set_detection():
     assert not is_upper_set(d, {"bot"})
 
 
+def test_upper_sets_refuse_a_foreign_label_as_the_mask_does():
+    d = diamond()
+    for members in (["zzz"], ["l", "zzz"], ["top", "yyy", "zzz"], ["z" * 5000]):
+        with pytest.raises(ForeignSet) as upper:
+            is_upper_set(d, iter(members))
+        with pytest.raises(ForeignSet) as mask:
+            d.mask_of(members)
+        assert str(upper.value) == str(mask.value)
+    with pytest.raises(ForeignSet, match="^label 'yyy' is not an element of this poset$"):
+        is_upper_set(d, ["top", "yyy", "zzz"])
+
+
 def test_fast_and_exhaustive_openness_agree_on_small_posets():
     # the fast tests: upper sets, and lower sets through their members' down-set rows
     for p, subset in _oracle_inputs():
-        assert is_upper_set(p, subset) == is_scott_open(p, subset), (p.covers(), subset)
+        upper = oracle_is_upper_set(p, subset)
+        assert is_upper_set(p, subset) == upper == is_scott_open(p, subset), (p.covers(), subset)
+        # a one-shot iterable, with a repeated member, is read once
+        assert is_upper_set(p, iter([*subset, *subset])) == upper, (p.covers(), subset)
         assert (p.down_set(subset) == subset) == is_scott_closed(p, subset), (p.covers(), subset)
 
 
