@@ -714,22 +714,22 @@ def truncation_members(
     """Labels of truncation elements the symbolic open contains, decided by the symbolic engine.
 
     A selector's forcing does not depend on the level, and ``truncate_domain``
-    gives both levels of a selector one ``Selector`` object, so ``_forced``
-    runs once per object, remembered by ``id``: every key's object stays
-    alive in ``points`` for the whole call.  The grants, which do depend on
-    the level, are decided per point.  Nothing reads the truncation's order,
-    so the caller's upper-set check of the result stays a real check.
+    gives both levels of a selector one ``Selector`` object, next to each
+    other, so ``_forced`` runs again only when the selector object changes;
+    holding the last one keeps its ``is`` test sound for any mapping.  The
+    grants, which do depend on the level, are decided per point.  Nothing
+    reads the truncation's order, so the caller's upper-set check of the
+    result stays a real check.
     """
     thresholds = open_set.thresholds
-    forced: dict[int, bool] = {}
+    last = forced = None
     members = []
     for label, point in points.items():
         if isinstance(point, SelectorPoint):
             selector = point.selector
-            inside = forced.get(id(selector))
-            if inside is None:
-                inside = forced[id(selector)] = _forced(thresholds, selector)
-            inside = inside or _granted(open_set, selector, point.level)
+            if selector is not last:
+                last, forced = selector, _forced(thresholds, selector)
+            inside = forced or _granted(open_set, selector, point.level)
         else:
             inside = symbolic_member(open_set, point)
         if inside:

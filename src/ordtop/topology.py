@@ -181,30 +181,16 @@ def _directed_sups(p: FinitePoset) -> tuple[tuple[int, int | None], ...]:
     return tuple((mask, p._sup(mask)) for mask in range(1, 1 << len(p)) if p._directed(mask))
 
 
-def _positions_of(p: FinitePoset, members: Iterable[Label]) -> list[int]:
-    """Each member's position, reading ``members`` once; ForeignSet names the first foreign label."""
-    labels = tuple(members)
-    positions = list(map(p._index.get, labels))
-    if None in positions:
-        label = labels[positions.index(None)]
-        raise ForeignSet(f"label {excerpt(label)} is not an element of this poset")
-    return positions
-
-
 def is_upper_set(p: FinitePoset, members: Iterable[Label]) -> bool:
     """Does the set hold every element above each member?
 
-    The member mask is one bytearray bitmap converted once, and each
-    member's up-row is tested against one positive complement of it.
+    Each member's up-row is tested against the positive complement of the
+    member mask, built once.
     """
-    positions = _positions_of(p, members)
-    n = len(p)
-    bitmap = bytearray(n + 7 >> 3)
-    for i in positions:
-        bitmap[i >> 3] |= 1 << (i & 7)
-    outside = (1 << n) - 1 ^ int.from_bytes(bitmap, "little")
+    mask = p.mask_of(members)
+    outside = (1 << len(p)) - 1 ^ mask
     up = p._up
-    for i in positions:
+    for i in _iter_bits(mask):
         if up[i] & outside:
             return False
     return True

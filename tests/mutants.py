@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SYMBOLIC = "src/ordtop/symbolic.py"
 CLI = "src/ordtop/cli.py"
 TOPOLOGY = "src/ordtop/topology.py"
+POSET = "src/ordtop/poset.py"
 TEST_SYMBOLIC = "tests/test_symbolic.py::"
 TEST_CLI = "tests/test_cli.py::"
 TEST_TOPOLOGY = "tests/test_topology.py::"
@@ -108,10 +109,9 @@ MUTANTS = (
     ),
     Mutant(
         "members-memo-keeps-the-first-levels-grant", SYMBOLIC,
-        "                inside = forced[id(selector)] = _forced(thresholds, selector)\n"
-        "            inside = inside or _granted(open_set, selector, point.level)\n",
-        "                inside = forced[id(selector)] = (_forced(thresholds, selector)\n"
-        "                                                 or _granted(open_set, selector, point.level))\n",
+        "                last, forced = selector, _forced(thresholds, selector)\n",
+        "                last, forced = selector, (_forced(thresholds, selector)\n"
+        "                                          or _granted(open_set, selector, point.level))\n",
         (TEST_SYMBOLIC + "test_truncation_members_match_point_by_point_membership",),
     ),
     Mutant(
@@ -123,15 +123,15 @@ MUTANTS = (
     ),
     Mutant(
         "upper-set-complement-drops-the-top-bit", TOPOLOGY,
-        "outside = (1 << n) - 1 ^ int.from_bytes",
-        "outside = (1 << n - 1) - 1 ^ int.from_bytes",
+        "outside = (1 << len(p)) - 1 ^ mask",
+        "outside = (1 << len(p) - 1) - 1 ^ mask",
         (TEST_TOPOLOGY + "test_fast_and_exhaustive_openness_agree_on_small_posets",),
     ),
     Mutant(
-        "positions-skip-foreign-labels", TOPOLOGY,
-        "    if None in positions:\n",
-        "    positions = [i for i in positions if i is not None]\n    if False:\n",
-        (TEST_TOPOLOGY + "test_upper_sets_refuse_a_foreign_label_as_the_mask_does",),
+        "mask-skips-foreign-labels", POSET,
+        "                raise ForeignSet(f\"label {excerpt(label)} is not an element of this poset\")\n",
+        "                continue\n",
+        (TEST_TOPOLOGY + "test_upper_sets_refuse_a_foreign_label",),
     ),
     Mutant(
         "listing-chunks-count-characters", CLI,

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections.abc import Mapping
 from itertools import product as cartesian
 from pathlib import Path
 from random import Random
@@ -745,6 +746,25 @@ def _random_open(rng: Random, width: int, depth: int) -> SymbolicOpen:
     return SymbolicOpen(thresholds, rng.random() < 0.5, cylinders)
 
 
+class _FreshPoints(Mapping):
+    """The truncation's points, each selector point built anew, with a selector of its own, on every read."""
+
+    def __init__(self, points):
+        self._points = points
+
+    def __getitem__(self, label):
+        point = self._points[label]
+        if isinstance(point, SelectorPoint):
+            return SelectorPoint(Selector.from_mapping(dict(point.selector.exceptions)), point.level)
+        return point
+
+    def __iter__(self):
+        return iter(self._points)
+
+    def __len__(self):
+        return len(self._points)
+
+
 def test_truncation_members_match_point_by_point_membership():
     rng = Random(1975)
     for (width, depth), mode in cartesian([(2, 2), (3, 3), (2, 4), (1, 3)], MODES):
@@ -758,6 +778,8 @@ def test_truncation_members_match_point_by_point_membership():
             expected = frozenset(label for label, point in shared.items() if symbolic_member(u, point))
             assert truncation_members(u, shared) == expected, (width, depth, mode, u)
             assert truncation_members(u, distinct) == expected, (width, depth, mode, u)
+            # a lazy mapping frees each selector once read, so a freed object's id comes back
+            assert truncation_members(u, _FreshPoints(shared)) == expected, (width, depth, mode, u)
 
 
 # -- file format -----------------------------------------------------------------------
