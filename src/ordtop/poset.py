@@ -28,6 +28,14 @@ Label = Any
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits, lowest first.
+
+    Each step copies the whole int (``mask & -mask`` and ``mask ^= low``), so
+    a bit costs O(n) on an n-bit mask and a walk over a nearly full mask is
+    quadratic.  Paths that meet masks of thousands of bits must not walk
+    them: they take positions from the labels, as ``mask_of`` and
+    ``is_upper_set`` do.
+    """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -243,15 +251,34 @@ class FinitePoset:
 
     # -- masks ------------------------------------------------------------
 
+    def _positions(self, labels: Iterable[Label]) -> list[int]:
+        """Each label's position, in order; ForeignSet names the first label that lives elsewhere.
+
+        The one label lookup of a subset: ``mask_of``, ``up_set``, ``down_set`` and
+        ``is_upper_set`` read it.
+        """
+        index = self._index
+        try:
+            return [index[label] for label in labels]
+        except KeyError as foreign:
+            raise ForeignSet(f"label {excerpt(foreign.args[0])} is not an element of this poset") from None
+
+    def _mask_at(self, positions: Iterable[int]) -> int:
+        """The mask with the bits at these positions set, in O(n + positions).
+
+        ORing in one bit at a time would copy the whole int per bit, so the
+        mask is read from one string of binary digits, most significant
+        first, with a leading 0 that also reads an empty poset's mask.
+        """
+        digits = bytearray(b"0") * (len(self.elements) + 1)
+        for pos in positions:
+            digits[pos] = 49  # ord("1")
+        digits.reverse()
+        return int(digits, 2)
+
     def mask_of(self, labels: Iterable[Label]) -> int:
         """Bitmask of a subset; rejects labels that live elsewhere."""
-        mask = 0
-        for label in labels:
-            pos = self._index.get(label)
-            if pos is None:
-                raise ForeignSet(f"label {excerpt(label)} is not an element of this poset")
-            mask |= 1 << pos
-        return mask
+        return self._mask_at(self._positions(labels))
 
     def labels_of(self, mask: int) -> frozenset[Label]:
         return frozenset(self.elements[i] for i in _iter_bits(mask))
@@ -261,14 +288,14 @@ class FinitePoset:
     def up_set(self, labels: Iterable[Label]) -> frozenset[Label]:
         """All elements above some member of ``labels``."""
         out = 0
-        for i in _iter_bits(self.mask_of(labels)):
+        for i in self._positions(labels):
             out |= self._up[i]
         return self.labels_of(out)
 
     def down_set(self, labels: Iterable[Label]) -> frozenset[Label]:
         """All elements below some member of ``labels``."""
         out = 0
-        for i in _iter_bits(self.mask_of(labels)):
+        for i in self._positions(labels):
             out |= self._down[i]
         return self.labels_of(out)
 

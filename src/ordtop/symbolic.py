@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, product as cartesian, repeat
 from math import inf
 from operator import lshift
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, NotCoveringMax, excerpt
 from .poset import FinitePoset
@@ -67,8 +68,9 @@ class _StepFunction:
     format does; ``exceptions`` turns the steps back into those points.
     ``_from_points`` takes points its caller has already checked, ascending
     by chain with natural indices and valid values, and skips the checks and
-    the sort: only code of this module that built or validated the points
-    itself may call it (``truncate_domain``, ``open_from_json``).
+    the sort: only code of this module that validated the points itself may
+    call it (``open_from_json``).  ``_from_steps`` takes steps already
+    canonical, as ``cutoff_open`` and ``truncate_domain`` build them.
     """
 
     _value: str  # the noun for a value in errors
@@ -177,12 +179,28 @@ class ChainTop:
     chain: int
 
 
-@dataclass(frozen=True)
+# slots: a truncation holds thousands of these, and a slotted point is smaller and quicker to build
+@dataclass(frozen=True, slots=True)
 class SelectorPoint:
     """A selector's point at level 0 or 1; level 1 exists only in L mode."""
 
     selector: Selector
     level: int
+
+    @classmethod
+    def _from_fields(cls, selectors: Sequence[Selector], levels: Sequence[int]) -> list["SelectorPoint"]:
+        """The points of ``selectors[k]`` at ``levels[k]``, which the caller knows to be valid.
+
+        The trusted constructor, as ``_from_steps`` is for a rule.  The class
+        call runs ``type.__call__`` and the generated frozen ``__init__`` per
+        point; here each point is a bare instance whose two slots are set by
+        ``object.__setattr__``, as that ``__init__`` sets them, in loops that
+        run in C, so thousands of points cost no Python call each.
+        """
+        points = list(map(object.__new__, repeat(cls, len(selectors))))
+        for name, column in (("selector", selectors), ("level", levels)):
+            deque(map(object.__setattr__, points, repeat(name), column), maxlen=0)
+        return points
 
 
 LPoint = ChainPoint | ChainTop | SelectorPoint
@@ -691,20 +709,44 @@ def truncation_poset(width: int, depth: int, mode: str) -> FinitePoset:
     return FinitePoset(elements, rows)
 
 
+def _selectors(width: int, depth: int) -> list[Selector]:
+    """Every selector over positions below ``depth`` on ``width`` chains, in ``cartesian`` order of its picks.
+
+    A selector's canonical steps are the run-length encoding of its picks
+    v_0 ... v_{width-1} followed by the default 0 from chain ``width`` on.
+    They are built from that default backwards, one chain at a time, for all
+    choices of the later picks at once, as the starts after the first run
+    and the run values: a pick equal to the first run's value extends that
+    run down to its chain and keeps both tuples, any other pick opens a run.
+    Selectors that agree on their later picks share those steps, so none
+    runs a loop over its chains.  At chain 0 the start 0 goes in front, and
+    ``_from_steps`` makes the selector with no checks: its picks are
+    positions below ``depth``, indexed by chain.  The new pick is the outer
+    loop, so the order is ``cartesian``'s.
+    """
+    steps = [((), (0,))]  # the default alone, from chain ``width`` on
+    for i in range(width - 1, 0, -1):
+        steps = [(rest, values) if values[0] == v else ((i + 1,) + rest, (v,) + values)
+                 for v in range(depth) for rest, values in steps]
+    from_steps = Selector._from_steps
+    return [from_steps((0,) + rest, values) if values[0] == v else from_steps((0, 1) + rest, (v,) + values)
+            for v in range(depth) for rest, values in steps]
+
+
 def truncate_domain(width: int, depth: int, mode: str) -> tuple[FinitePoset, dict[str, LPoint]]:
     """``truncation_poset`` and the symbolic point of each label, for replaying membership.
 
-    The points are made in element order, so no label is built twice, and
-    the levels of one selector share one ``Selector``, built from its picks
-    with no checks: they are positions below ``depth``, indexed by chain.
+    The points are made in element order, so no label is built twice.  The
+    selectors come from ``_selectors``, and the levels of one selector share
+    that one ``Selector``; its points are made by ``SelectorPoint._from_fields``.
     """
     poset = truncation_poset(width, depth, mode)
     levels = _levels(mode)
     points: list[LPoint] = []
     for i in range(width):
         points += [*map(ChainPoint, repeat(i), range(depth)), ChainTop(i)]
-    for values in cartesian(range(depth), repeat=width):
-        points += map(SelectorPoint, repeat(Selector._from_points(enumerate(values), 0)), levels)
+    selectors = _selectors(width, depth)
+    points += SelectorPoint._from_fields([s for s in selectors for _ in levels], levels * len(selectors))
     return poset, dict(zip(poset.elements, points))
 
 

@@ -184,16 +184,14 @@ def _directed_sups(p: FinitePoset) -> tuple[tuple[int, int | None], ...]:
 def is_upper_set(p: FinitePoset, members: Iterable[Label]) -> bool:
     """Does the set hold every element above each member?
 
-    Each member's up-row is tested against the positive complement of the
-    member mask, built once.
+    The members' positions are looked up once, and their mask is built
+    from them in O(n + members).  Each member's up-row is then ANDed with
+    the mask's positive complement in one loop that runs in C.  No bit is
+    walked, so that AND is the only whole-int operation per member.
     """
-    mask = p.mask_of(members)
-    outside = (1 << len(p)) - 1 ^ mask
-    up = p._up
-    for i in _iter_bits(mask):
-        if up[i] & outside:
-            return False
-    return True
+    positions = p._positions(members)
+    outside = (1 << len(p)) - 1 ^ p._mask_at(positions)
+    return not any(map(outside.__and__, map(p._up.__getitem__, positions)))
 
 
 def is_scott_open(p: FinitePoset, members: Iterable[Label]) -> bool:

@@ -157,8 +157,14 @@ def oracle_sorted_opens(topology: Topology) -> list[frozenset]:
 
 
 def oracle_is_upper_set(p: FinitePoset, members) -> bool:
-    """Each member's up-set lies inside the set, member by member over the mask's bits."""
-    mask = p.mask_of(members)
+    """Each member's up-set lies inside the set, member by member over the mask's bits.
+
+    The mask is ORed together one ``index`` at a time, so this shares no code
+    with ``FinitePoset.mask_of`` and its label lookup.
+    """
+    mask = 0
+    for label in members:
+        mask |= 1 << p.index(label)
     return all(p._up[i] & ~mask == 0 for i in _iter_bits(mask))
 
 

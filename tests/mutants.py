@@ -31,9 +31,12 @@ SYMBOLIC = "src/ordtop/symbolic.py"
 CLI = "src/ordtop/cli.py"
 TOPOLOGY = "src/ordtop/topology.py"
 POSET = "src/ordtop/poset.py"
+FACTORIZATION = "src/ordtop/factorization.py"
 TEST_SYMBOLIC = "tests/test_symbolic.py::"
 TEST_CLI = "tests/test_cli.py::"
 TEST_TOPOLOGY = "tests/test_topology.py::"
+TEST_POSET = "tests/test_poset.py::"
+TEST_FACTORIZATION = "tests/test_factorization.py::"
 
 
 class Mutant(NamedTuple):
@@ -123,15 +126,95 @@ MUTANTS = (
     ),
     Mutant(
         "upper-set-complement-drops-the-top-bit", TOPOLOGY,
-        "outside = (1 << len(p)) - 1 ^ mask",
-        "outside = (1 << len(p) - 1) - 1 ^ mask",
+        "outside = (1 << len(p)) - 1 ^ p._mask_at(positions)",
+        "outside = (1 << len(p) - 1) - 1 ^ p._mask_at(positions)",
         (TEST_TOPOLOGY + "test_fast_and_exhaustive_openness_agree_on_small_posets",),
     ),
     Mutant(
+        "upper-set-skips-the-last-position", TOPOLOGY,
+        "map(p._up.__getitem__, positions)",
+        "map(p._up.__getitem__, positions[:-1])",
+        (TEST_TOPOLOGY + "test_fast_and_exhaustive_openness_agree_on_small_posets",
+         TEST_SYMBOLIC + "test_replay_upper_sets_match_the_oracle_and_walk_no_bits"),
+    ),
+    Mutant(
+        "positions-skip-foreign-labels", POSET,
+        "return [index[label] for label in labels]",
+        "return [index[label] for label in labels if label in index]",
+        (TEST_TOPOLOGY + "test_upper_sets_refuse_a_foreign_label",
+         TEST_POSET + "test_foreign_set"),
+    ),
+    Mutant(
         "mask-skips-foreign-labels", POSET,
-        "                raise ForeignSet(f\"label {excerpt(label)} is not an element of this poset\")\n",
-        "                continue\n",
-        (TEST_TOPOLOGY + "test_upper_sets_refuse_a_foreign_label",),
+        "return self._mask_at(self._positions(labels))",
+        "return self._mask_at(pos for pos in map(self._index.get, labels) if pos is not None)",
+        (TEST_POSET + "test_messages_cut_long_labels_short",
+         TEST_SYMBOLIC + "test_replay_upper_sets_match_the_oracle_and_walk_no_bits"),
+    ),
+    Mutant(
+        "mask-digit-one-off", POSET,
+        "digits[pos] = 49",
+        "digits[pos + 1] = 49",
+        (TEST_TOPOLOGY + "test_fast_and_exhaustive_openness_agree_on_small_posets",
+         TEST_SYMBOLIC + "test_replay_upper_sets_match_the_oracle_and_walk_no_bits"),
+    ),
+    Mutant(
+        "selector-steps-lose-the-default-zero", SYMBOLIC,
+        "steps = [((), (0,))]",
+        "steps = [((), (1,))]",
+        (TEST_SYMBOLIC + "test_replay_selectors_are_the_validating_constructors",
+         TEST_SYMBOLIC + "test_truncation_order_matches_the_symbolic_order"),
+    ),
+    Mutant(
+        "selector-steps-keep-equal-picks-apart", SYMBOLIC,
+        "(rest, values) if values[0] == v else",
+        "(rest, values) if False else",
+        (TEST_SYMBOLIC + "test_replay_selectors_are_the_validating_constructors",),
+    ),
+    Mutant(
+        "hasse-selector-runs-one-period-off", SYMBOLIC,
+        "for r in range(n * run, len(bottoms), period)]",
+        "for r in range(n * run, len(bottoms), period + 1)]",
+        (TEST_SYMBOLIC + "test_truncation_closed_form_matches_the_closed_generators",),
+    ),
+    Mutant(
+        "rows-selector-period-one-off", SYMBOLIC,
+        "every = ((1 << count) - 1) // ((1 << period) - 1) << start",
+        "every = ((1 << count) - 1) // ((1 << period + 1) - 1) << start",
+        (TEST_SYMBOLIC + "test_truncation_closed_form_matches_the_closed_generators",),
+    ),
+    Mutant(
+        "chain-row-without-its-top", SYMBOLIC,
+        "above = ((1 << (depth + 1 - n)) - 1) << (base + n)",
+        "above = ((1 << (depth - n)) - 1) << (base + n)",
+        (TEST_SYMBOLIC + "test_truncation_closed_form_matches_the_closed_generators",),
+    ),
+    Mutant(
+        "discrete-listing-switched-off", CLI,
+        "    if topology.is_discrete:\n        texts = [label_text(pt) for pt in topology.space]\n",
+        "    if False:\n        texts = [label_text(pt) for pt in topology.space]\n",
+        (TEST_CLI + "test_maxspace_builds_no_open_mask",
+         TEST_CLI + "test_topology_on_an_antichain_builds_no_open_mask"),
+    ),
+    Mutant(
+        "open-count-always-a-power-of-two", TOPOLOGY,
+        "return 1 << len(self.space) if self.is_discrete else len(self.open_masks)",
+        "return 1 << len(self.space)",
+        (TEST_CLI + "test_open_listings_match_the_frozenset_sort",
+         TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
+    ),
+    Mutant(
+        "check-prints-its-maxima-reversed", CLI,
+        "for i in _iter_bits(p._max_mask))",
+        "for i in reversed([*_iter_bits(p._max_mask)]))",
+        (TEST_CLI + "test_finite_verbs_match_their_golden_stdout",),
+    ),
+    Mutant(
+        "selection-sets-the-next-triples-bit", FACTORIZATION,
+        "columns[x] |= 1 << j",
+        "columns[x] |= 1 << j + 1",
+        (TEST_FACTORIZATION + "test_selected_triples_form_ideals",
+         TEST_CLI + "test_factor_verifies_the_model"),
     ),
     Mutant(
         "listing-chunks-count-characters", CLI,

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from collections.abc import Mapping
+from dataclasses import FrozenInstanceError
 from itertools import product as cartesian
 from pathlib import Path
 from random import Random
@@ -17,6 +18,7 @@ from ordtop import (
     ChainTop,
     Cylinder,
     FinitePoset,
+    ForeignSet,
     FormatError,
     NotCoveringMax,
     OpenFamily,
@@ -34,6 +36,7 @@ from ordtop import (
     is_ideal_domain,
     is_maximal,
     is_scott_open,
+    is_upper_set,
     l_leq,
     open_from_json,
     open_to_json,
@@ -49,7 +52,7 @@ from ordtop import (
 from ordtop.cli import main
 from ordtop.symbolic import MODES, _forced, truncation_hasse, truncation_size
 
-from helpers import oracle_forced, oracle_gdelta_certificate_lhat, oracle_truncation
+from helpers import oracle_forced, oracle_gdelta_certificate_lhat, oracle_is_upper_set, oracle_truncation
 
 
 def uniform_family(size: int) -> OpenFamily:
@@ -780,6 +783,65 @@ def test_truncation_members_match_point_by_point_membership():
             assert truncation_members(u, distinct) == expected, (width, depth, mode, u)
             # a lazy mapping frees each selector once read, so a freed object's id comes back
             assert truncation_members(u, _FreshPoints(shared)) == expected, (width, depth, mode, u)
+
+
+# the benchmark's replay shapes, its widest truncation, and the smallest one in both modes
+_REPLAY_SHAPES = [(4, 6, MODE_L), (3, 5, MODE_LHAT), (2, 20, MODE_L), (1, 1, MODE_L), (1, 1, MODE_LHAT)]
+
+
+@pytest.mark.parametrize("width,depth,mode", _REPLAY_SHAPES)
+def test_replay_selectors_are_the_validating_constructors(width, depth, mode):
+    levels = (0, 1) if mode == MODE_L else (0,)
+    selector_points = list(truncate_domain(width, depth, mode)[1].values())[width * (depth + 1):]
+    assert len(selector_points) == depth ** width * len(levels)
+    # each selector's levels in a row, the selectors in the order of their picks
+    per_selector = zip(*[iter(selector_points)] * len(levels))
+    for picks, points in zip(cartesian(range(depth), repeat=width), per_selector, strict=True):
+        expected = Selector.from_mapping(dict(enumerate(picks)))
+        for level, point in zip(levels, points):
+            built = point.selector
+            assert (built.starts, built.values, repr(built)) == (expected.starts, expected.values, repr(expected))
+            reference = SelectorPoint(expected, level)
+            assert point == reference and hash(point) == hash(reference) and repr(point) == repr(reference)
+        assert points[0].selector is points[-1].selector
+    last = selector_points[-1]
+    for frozen, field_name in ((last, "level"), (last, "selector"), (last.selector, "starts")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(frozen, field_name, 0)
+
+
+@pytest.mark.parametrize("width,depth,mode", _REPLAY_SHAPES)
+def test_replay_upper_sets_match_the_oracle_and_walk_no_bits(monkeypatch, width, depth, mode):
+    rng = Random(f"{width}x{depth}{mode}")
+    t, points = truncate_domain(width, depth, mode)
+    labels = list(t.elements)
+    opens = [sorted(truncation_members(_random_open(rng, width, depth), points)) for _ in range(4)]
+    member_sets = [labels, [], *opens, *(members[1:] for members in opens)]
+    for _ in range(6):
+        k = rng.randint(1, min(3, len(labels)))
+        member_sets += [rng.sample(labels, len(labels) - k), rng.sample(labels, k)]  # near-full, near-empty
+    member_sets += [members + members[::2] for members in member_sets[:8]]  # repeated labels
+    expected = [oracle_is_upper_set(t, members) for members in member_sets]
+    assert True in expected and False in expected
+    masks = [sum(1 << t.index(label) for label in set(members)) for members in member_sets]
+    foreign = ["s[9]@0", f"({width},0)"]
+    with_foreign = labels[:len(labels) // 2] + foreign + labels[len(labels) // 2:]
+
+    def refuse(mask):
+        raise AssertionError("the replay walked the bits of a mask")
+
+    monkeypatch.setattr(poset, "_iter_bits", refuse)
+    monkeypatch.setattr(ordtop.topology, "_iter_bits", refuse)
+    for members, upper, mask in zip(member_sets, expected, masks):
+        assert is_upper_set(t, members) == upper, members
+        assert is_upper_set(t, iter(members)) == upper, members
+        assert t.mask_of(iter(members)) == mask
+    for check in (is_upper_set, lambda p, members: p.mask_of(members)):
+        with pytest.raises(ForeignSet, match=r"^label 's\[9\]@0' is not an element of this poset$"):
+            check(t, iter(with_foreign))
+    t, points = truncate_domain(width, depth, mode)
+    for _ in range(4):
+        assert is_upper_set(t, truncation_members(_random_open(rng, width, depth), points))
 
 
 # -- file format -----------------------------------------------------------------------
