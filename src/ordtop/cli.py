@@ -343,8 +343,34 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _verbs() -> dict[str, argparse.ArgumentParser]:
+    """Each verb's own parser: the ones the subparsers action of ``_parser()`` holds."""
+    commands, = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The namespace ``_parser().parse_args(argv)`` gives, or its usage error.
+
+    When ``argv`` starts with a verb, the top-level parse only hands the rest
+    to that verb's parser, so its parser reads the rest directly.  Any other
+    argv (none, ``-h``, an unknown verb, a leading flag or ``--``) ends in help
+    or a usage error, and takes the full parse.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = _verbs().get(argv[0]) if argv else None
+    if verb is None:
+        return _parser().parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:])
+    if extras:
+        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     # verb v is answered by cmd_v (dashes as underscores), looked up per call
     # so that a handler replaced on this module is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]

@@ -43,8 +43,8 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 
 def _mirror(mask: int, n: int) -> int:
-    """The mask over n positions with bit i moved to bit n - 1 - i."""
-    return sum(1 << (n - 1 - i) for i in _iter_bits(mask))
+    """The mask over n positions with bit i moved to bit n - 1 - i: its n binary digits reversed."""
+    return int(f"{mask:0{n}b}"[::-1], 2)
 
 
 def _transitive_close(masks: list[int]) -> tuple[int, int] | None:
@@ -538,13 +538,22 @@ def poset_from_json(data: object) -> FinitePoset:
 
 
 def load_json(path: str) -> object:
-    """The JSON document in a UTF-8 file; FormatError when it cannot be read as one."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an over-long integer
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
+    """The JSON document in a UTF-8 file; FormatError when it cannot be read as one.
+
+    The bytes are read in one call and decoded once.  Line ends are then
+    translated as a text-mode reader translates them, so an error names the
+    same line, column and character.
+    """
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.readall()
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors, as is an over-long integer
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_poset(path: str) -> FinitePoset:

@@ -1,5 +1,6 @@
 """Shared builders and subset-sweep oracles for the test suite."""
 
+import json
 from itertools import combinations, product as cartesian
 from random import Random
 
@@ -9,6 +10,7 @@ from ordtop import (
     ChainPoint,
     ChainTop,
     FinitePoset,
+    FormatError,
     InvalidModel,
     NotAProductTopology,
     ProductModel,
@@ -115,6 +117,20 @@ def oracle_posets() -> list[FinitePoset]:
     posets = [p for n in range(6) for p in all_posets(n)]
     posets += [random_poset(rng.randint(6, 10), rng) for _ in range(60)]
     return posets
+
+
+def oracle_mirror(mask: int, n: int) -> int:
+    """The mask over n positions with bit i moved to bit n - 1 - i, one set bit at a time."""
+    return sum(1 << (n - 1 - i) for i in _iter_bits(mask))
+
+
+def oracle_load_json(path: str) -> object:
+    """``load_json`` through a text-mode reader, which decodes and translates line ends as it reads."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def oracle_transitive_close(masks: list[int]) -> list[int]:

@@ -222,6 +222,47 @@ MUTANTS = (
         "LISTING_CHUNK_BYTES // len(longest)",
         (TEST_CLI + "test_listings_are_written_in_bounded_chunks",),
     ),
+    Mutant(
+        "dispatch-ignores-leftover-arguments", CLI,
+        "    if extras:\n",
+        "    if False:\n",
+        (TEST_CLI + "test_edge_argvs_match_the_full_parse",
+         TEST_CLI + "test_main_matches_the_full_parse"),
+    ),
+    Mutant(
+        "dispatch-never-sets-the-command", CLI,
+        "    args.command = argv[0]\n",
+        "",
+        (TEST_CLI + "test_edge_argvs_match_the_full_parse",
+         TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
+    ),
+    Mutant(
+        "loader-skips-the-cr-translation", POSET,
+        '        if "\\r" in text:\n',
+        "        if False:\n",
+        (TEST_CLI + "test_load_json_matches_the_text_reader_on_hostile_files",
+         TEST_CLI + "test_load_json_matches_the_text_reader"),
+    ),
+    Mutant(
+        "loader-replaces-undecodable-bytes", POSET,
+        'text = data.decode("utf-8")',
+        'text = data.decode("utf-8", errors="replace")',
+        (TEST_CLI + "test_load_json_matches_the_text_reader_on_hostile_files",
+         TEST_CLI + "test_load_json_matches_the_text_reader"),
+    ),
+    Mutant(
+        "loader-drops-a-byte-order-mark", POSET,
+        'text = data.decode("utf-8")',
+        'text = data.decode("utf-8-sig")',
+        (TEST_CLI + "test_load_json_matches_the_text_reader_on_hostile_files",),
+    ),
+    Mutant(
+        "mirror-one-digit-short", POSET,
+        'int(f"{mask:0{n}b}"[::-1], 2)',
+        'int(f"{mask:0{n - 1}b}"[::-1], 2)',
+        (TEST_POSET + "test_mirror_matches_the_bit_walk",
+         TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
+    ),
 )
 
 

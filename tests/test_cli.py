@@ -5,13 +5,13 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
-from io import BytesIO, TextIOWrapper
+from io import BytesIO, StringIO, TextIOWrapper
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import ordtop.cli
@@ -19,10 +19,11 @@ import ordtop.poset
 from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed, build_poset,
                     chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
 from ordtop.cli import MAX_EVAL_BOUND, _open_texts, _set_texts, build_parser, main
+from ordtop.poset import load_json
 from ordtop.symbolic import MODE_L, MODE_LHAT, truncation_size
 
-from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_posets,
-                     oracle_sorted_opens)
+from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_load_json,
+                     oracle_posets, oracle_sorted_opens)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = sorted((DATA / "golden").glob("*.out"))
@@ -558,23 +559,36 @@ def test_a_call_keeps_no_flag_of_the_call_before(capsys, first, code, second, go
     assert _call(capsys, second) == (0, expected, "")
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    commands, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     built = []
 
     def counted():
-        built.append(None)
-        return build_parser()
+        built.append(build_parser())
+        return built[-1]
 
     ordtop.cli._parser.cache_clear()
+    ordtop.cli._verbs.cache_clear()
     monkeypatch.setattr(ordtop.cli, "build_parser", counted)
     try:
         assert _call(capsys, ["check", "--input", DATA / "diamond.json"])[0] == 0
         assert _call(capsys, ["no-such-verb"])[0] == 2
         assert _call(capsys, ["lhat-cert", "--eval-bound", 4])[0] == 0
         assert _call(capsys, ["hasse", "--input", DATA / "diamond.json"])[0] == 0
+        verbs, tables = ordtop.cli._verbs(), ordtop.cli._verbs.cache_info().misses
     finally:
         ordtop.cli._parser.cache_clear()
+        ordtop.cli._verbs.cache_clear()
     assert len(built) == 1
+    # the verb table is read once, from that parser: each verb's parser is its subparser
+    assert tables == 1
+    held = _subparsers(built[0])
+    assert list(verbs) == list(held)
+    assert all(verbs[verb] is held[verb] for verb in held)
 
 
 def test_importing_the_cli_builds_no_parser():
@@ -584,6 +598,134 @@ def test_importing_the_cli_builds_no_parser():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=path), check=True)
     assert result.stdout == "0\n"
+
+
+# -- a verb's own parser reads its flags ------------------------------------------------
+
+# each verb with an argv it runs on, and the long flags its parser takes
+_VERB_FLAGS = {verb: [flag for action in sub._actions for flag in action.option_strings
+                      if flag.startswith("--")]
+               for verb, sub in _subparsers(build_parser()).items()}
+_RUNS = {
+    **{verb: ["--input", str(DATA / "diamond.json")]
+       for verb in ("check", "topology", "maxspace", "idl", "hasse")},
+    **{verb: ["--input", str(DATA / "model_2x1.json")] for verb in ("factor", "lower-model")},
+    "diagonal": ["--input", str(DATA / "family_uniform3.json")],
+    "lhat-cert": ["--eval-bound", "3"],
+    "truncate-l": ["--width", "2", "--depth", "2"],
+}
+_NON_VERBS = ["no-such-verb", "chec", "CHECK", "", "-", "-x", "---", "-5"]
+_PATHS = [*dict.fromkeys(path for run in _RUNS.values() for path in run if path.endswith(".json")),
+          str(DATA / "no-such-file.json")]
+
+
+def _full_parse(argv):
+    """The parse ``main`` made before a verb's parser read its own flags: one top-level pass."""
+    return ordtop.cli._parser().parse_args(argv)
+
+
+def _run_parsed_by(parse, argv) -> tuple:
+    """``main(argv)`` with its argv parsed by ``parse``: exit code, stdout, stderr and namespace."""
+    seen = []
+
+    def spy(argv):
+        seen.append(parse(argv))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ordtop.cli, "_parse", spy)
+        return (*_utf8_call(argv), *seen)
+
+
+def _same_as_the_full_parse(argv) -> tuple:
+    ours = _run_parsed_by(ordtop.cli._parse, argv)
+    assert ours == _run_parsed_by(_full_parse, argv), argv
+    return ours
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["check", "-h"], ["check"], ["check", "--input"],
+    ["check", "--input", DATA / "diamond.json", "extra", "more"],
+    ["check", "extra", "--input", DATA / "diamond.json"],
+    ["check", "--inp", DATA / "diamond.json", "--max", 5],
+    ["check", f"--input={DATA / 'diamond.json'}", "--max-elements=5"],
+    ["check", "--input", "missing.json", "--input", DATA / "diamond.json"],
+    ["check", "--he"], ["check", "--", "--input", DATA / "diamond.json"],
+    ["no-such-verb", "--input", DATA / "diamond.json"], ["--input", DATA / "diamond.json", "check"],
+    ["-h", "check"], ["--", "check", "--input", DATA / "diamond.json"],
+    ["lower-model", "--input", DATA / "model_2x1.json", "--y0"],
+    ["lower-model", "--input", DATA / "model_2x1.json", "--y0=y"],
+    ["lhat-cert", "check"], ["truncate-l", "--width", 2, "--depth", 2, "--mode", "L", "L"],
+    ["hasse", "--input", DATA / "diamond.json", "-h", "--dot"],
+])
+def test_edge_argvs_match_the_full_parse(argv):
+    _same_as_the_full_parse([str(a) for a in argv])
+
+
+def _named(flag: str):
+    """A long flag in full or abbreviated."""
+    return st.integers(3, len(flag)).map(lambda k: flag[:k])
+
+
+def _with_value(flag: str):
+    """A long flag and its value, as two tokens or as one joined by ``=``."""
+    pairs = st.tuples(_named(flag), _flag_values)
+    return pairs | pairs.map(lambda pair: ("=".join(pair),))
+
+
+_flag_values = st.one_of(st.sampled_from(_PATHS + [MODE_L, MODE_LHAT, "y", "2"]),
+                         st.sampled_from(["1", "3", "5"]), _flag_texts, _argv_texts)
+_tokens = st.one_of(st.sampled_from([*_VERB_FLAGS, *_NON_VERBS, "-h", "--help", "--"]),
+                    st.sampled_from(sorted({f for flags in _VERB_FLAGS.values() for f in flags}))
+                    .flatmap(lambda flag: _named(flag) | _with_value(flag).map("=".join)),
+                    _flag_values)
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of verbs, non-verbs, help, ``--``, flags of every form and their values.
+
+    After a verb, most tokens are that verb's flags with a value, so that
+    many draws parse and run.
+    """
+    if not draw(st.integers(0, 3)):
+        return draw(st.lists(_tokens, max_size=5))
+    first = draw(st.sampled_from(sorted(_VERB_FLAGS)))
+    pairs = st.sampled_from(_VERB_FLAGS[first]).flatmap(_with_value)
+    items = st.one_of(pairs, pairs, pairs, _tokens.map(lambda token: (token,)))
+    argv = [first, *(_RUNS[first] if draw(st.integers(0, 3)) else [])]
+    for item in draw(st.lists(items, max_size=3)):
+        argv += item
+    return argv
+
+
+def _runs_in_bounds(argv) -> bool:
+    """Does ``argv``, if it parses, read only known inputs, write only here, and truncate little?"""
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            args = _full_parse(argv)
+    except SystemExit:
+        return True
+    if getattr(args, "input", None) not in (None, *_PATHS) and "/" in args.input:
+        return False
+    if getattr(args, "dot", None) is not None and "/" in args.dot:
+        return False
+    if args.command == "truncate-l":
+        size = truncation_size(args.width, args.depth, args.mode)
+        return size is None or size > args.max_elements or size <= 200
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs())
+def test_main_matches_the_full_parse(tmp_path_factory, argv):
+    assume(_runs_in_bounds(argv))
+    # a --dot or --input path without a separator names a file in a fresh directory
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("argv"))
+        code, out, err, *parsed = _same_as_the_full_parse(argv)
+    assert "Traceback" not in err
+    event(f"exit {code}, {'parsed' if parsed else 'not parsed'}")
 
 
 @pytest.mark.parametrize("golden", GOLDEN, ids=[g.stem for g in GOLDEN])
@@ -815,6 +957,73 @@ def test_malformed_documents_are_input_errors(capsys, tmp_path, verb, document):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def _loaded(load, path) -> tuple:
+    """What ``load`` makes of a file: its document's repr, or the class and text of its error."""
+    try:
+        return "loaded", repr(load(str(path)))
+    except (InputError, OSError) as exc:
+        return type(exc), str(exc)
+
+
+# a syntax error on line 3 after each kind of line end, and files a text reader decodes its own way
+HOSTILE_FILES = {
+    "crlf-line-3": b'{\r\n  "elements": [],\r\n  "covers" []\r\n}\r\n',
+    "lone-cr-line-3": b'{\r  "elements": [],\r  "covers" []\r}\r',
+    "cr-before-crlf": b'[1,\r\r\n2,\n\r3 4]',
+    "crlf-in-a-string": b'["a\r\nb", 1 2]',
+    "crlf-document": b'{"elements": ["a", "b"],\r\n "covers": [["a", "b"]]}\r\n',
+    "utf8-bom": b'\xef\xbb\xbf{"elements": [], "covers": []}',
+    "invalid-utf8": b'{"elements": ["\xff"], "covers": []}',
+    "truncated-utf8": b'["\xe2\x82',
+    "utf16": '{"elements": [], "covers": []}'.encode("utf-16"),
+    "empty": b"",
+    **UNREADABLE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FILES))
+def test_load_json_matches_the_text_reader_on_hostile_files(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(HOSTILE_FILES[name])
+    assert _loaded(load_json, path) == _loaded(oracle_load_json, path)
+
+
+def test_load_json_matches_the_text_reader_on_paths_it_cannot_read(tmp_path):
+    for path, error in ((tmp_path, IsADirectoryError), (tmp_path / "missing.json", FileNotFoundError)):
+        loaded = _loaded(load_json, path)
+        assert loaded[0] is error
+        assert loaded == _loaded(oracle_load_json, path)
+
+
+_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _document_bytes(draw) -> bytes:
+    """JSON text with each line end drawn from LF, CRLF and CR, in UTF-8 or another encoding, maybe cut or spliced."""
+    lines = json.dumps(draw(_documents), indent=draw(st.sampled_from([None, 1])),
+                       ensure_ascii=draw(st.booleans())).split("\n")
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r", ""])) for line in lines)
+    data = text.encode(draw(st.sampled_from(["utf-8", "utf-8", "utf-8-sig", "utf-16"])), "surrogatepass")
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.binary(max_size=3)) + data[cut + draw(st.integers(0, 2)):]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_document_bytes() | st.binary(max_size=24))
+def test_load_json_matches_the_text_reader(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("load") / "doc.json"
+    path.write_bytes(data)
+    loaded = _loaded(load_json, path)
+    assert loaded == _loaded(oracle_load_json, path)
+    event("loaded" if loaded[0] == "loaded" else "undecodable" if "codec" in loaded[1] else "syntax")
 
 
 @pytest.mark.parametrize("member", [

@@ -35,6 +35,7 @@ from ordtop.generate import all_posets, random_poset
 from ordtop.poset import (
     _dot_quote,
     _iter_bits,
+    _mirror,
     _order_violation,
     _transitive_close,
     covers_json_text,
@@ -46,6 +47,7 @@ from helpers import (
     chain,
     diamond,
     oracle_covers,
+    oracle_mirror,
     oracle_posets,
     oracle_transitive_close,
     vshape,
@@ -385,6 +387,16 @@ def _agrees_with_warshall(masks: list[int]) -> list[int]:
     # the closing pass reports the antisymmetry witness the definitional check finds
     assert _order_violation(closed) == (None if cycle is None else ("antisymmetric", cycle)), masks
     return closed
+
+
+def test_mirror_matches_the_bit_walk():
+    rng = Random(1000)
+    cases = [(mask, n) for n in range(11) for mask in range(1 << n)]
+    for n in range(11, 21):
+        cases += [(0, n), ((1 << n) - 1, n), *((rng.getrandbits(n), n) for _ in range(200))]
+    cases += [(0, 1000), ((1 << 1000) - 1, 1000), *((rng.getrandbits(1000), 1000) for _ in range(50))]
+    for mask, n in cases:
+        assert _mirror(mask, n) == oracle_mirror(mask, n), (mask, n)
 
 
 def test_closure_matches_warshall_on_every_small_relation():
