@@ -5,7 +5,7 @@ the export verbs) so runs can be diffed.  Exit codes: 0 when the requested
 checks pass; 1 when a claim does not hold, either because a claim verb
 (``factor``, ``lower-model``, ``diagonal``, ``lhat-cert``) printed a report
 holding a failed check or because a ``VerificationFailed`` was raised; 2 for
-an ``InputError`` or ``OSError`` (the input is unusable).
+an ``InputError`` or ``OSError`` (the input is unusable) or a ``MemoryError``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import functools
 import os
 import sys
-from itertools import chain, combinations, islice, repeat
+from itertools import islice, repeat
 from operator import add, and_, itemgetter, rshift
 from typing import Iterator, Sequence
 
@@ -110,33 +110,45 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_texts(topology: Topology) -> Iterator[str]:
-    """The points of each open as ``a,b``, in the canonical order of ``Topology.open_masks``.
-
-    On a discrete space every subset is open, and ``combinations`` yields
-    each size by sorted positions, which is the canonical order: no mask is
-    built.  Any other space is spelled from its masks.
-    """
-    if topology.is_discrete:
-        texts = [label_text(pt) for pt in topology.space]
-        return chain.from_iterable(map(",".join, combinations(texts, k))
-                                   for k in range(len(texts) + 1))
-    return _set_texts(topology.space, topology.open_masks)
-
-
 # a listing goes to stdout in writes of at most this many UTF-8 bytes, unless one line is longer
 LISTING_CHUNK_BYTES = 1 << 20
 
 
-def _print_opens(topology: Topology) -> None:
-    """One ``open: {...}`` line per open, in the canonical order, in writes of about 1 MB.
+def _print_discrete_opens(texts: list[str]) -> None:
+    """Every subset of the points ``texts`` as an ``open: {...}`` line, one size class at a time.
 
-    No open is longer than the whole space, so each write takes as many
-    lines as fit in ``LISTING_CHUNK_BYTES`` at the whole space's line
-    length.  A write joins its lines in one call, so no Python bytecode
-    runs per open, and one chunk of the listing is held at a time.
-    """
-    texts = _open_texts(topology)
+    Block s of class k lists the size-k opens of least position s, each line begun by a marker; block s of
+    class k + 1 joins the blocks of class k after s, each marker widened by ``texts[s] + ","``."""
+    chars, marker, n = set().union("\n,}", *texts), "\x00", len(texts)
+    while marker in chars:  # the least code point that no line holds but as its marker
+        marker = chr(ord(marker) + 1)
+    tail, held, span = n, 0, 1  # the points from tail on hold all classes: held characters in span - 1 lines
+    while tail and (held := 2 * held + span * (len(texts[tail - 1]) + 1) + 2) <= LISTING_CHUNK_BYTES:
+        tail, span = tail - 1, 2 * span
+    classes = [[marker + "}\n"], [marker + text + "}\n" for text in texts]] + [[]] * (n - 1)
+    for k in range(1, n - tail):  # classes[k][s] is block s of class k, or "" (or nothing) where not held
+        classes[k + 1] = [""] * tail + ["".join(classes[k][s + 1:]).replace(marker, marker + texts[s] + ",")
+                                        for s in range(tail, n - k)]
+
+    def write_opens(k: int, first: int, head: str) -> None:  # the size-k opens of least position >= first
+        start = first if k < 2 else max(first, min(tail, n - k + 1))
+        for s in range(first, start):  # block s of class k is not held: the point joins the head
+            write_opens(k - 1, s + 1, head + texts[s] + ",")
+        # lines within the bound in bytes, or one line: a marker prints as head, others as at most 4 bytes
+        block, end, window = "".join(classes[k][start:]), 0, LISTING_CHUNK_BYTES // len(head.encode())
+        while end < len(block):
+            start, end = end, block.rfind("\n", end, end + window) + 1 or block.find("\n", end) + 1
+            sys.stdout.write(block[start:end].replace(marker, head))
+
+    for k in range(n + 1):
+        write_opens(k, 0, "open: {")
+
+
+def _print_opens(topology: Topology) -> None:
+    """One ``open: {...}`` line per open in the canonical order: by size class if discrete, else by mask."""
+    if topology.is_discrete:
+        return _print_discrete_opens([label_text(pt) for pt in topology.space])
+    texts = _set_texts(topology.space, topology.open_masks)
     longest = f"open: {{{','.join(map(label_text, topology.space))}}}\n"
     per_write = max(1, LISTING_CHUNK_BYTES // len(longest.encode()))
     while batch := list(islice(texts, per_write)):
@@ -376,6 +388,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 2
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -124,6 +124,11 @@ def oracle_mirror(mask: int, n: int) -> int:
     return sum(1 << (n - 1 - i) for i in _iter_bits(mask))
 
 
+def oracle_discrete_texts(texts: list[str]):
+    """Each subset of the points ``texts`` as ``a,b``, each size by ``combinations``: the canonical order."""
+    return (",".join(subset) for k in range(len(texts) + 1) for subset in combinations(texts, k))
+
+
 def oracle_load_json(path: str) -> object:
     """``load_json`` through a text-mode reader, which decodes and translates line ends as it reads."""
     with open(path, encoding="utf-8") as handle:

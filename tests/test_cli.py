@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from bisect import bisect_left, bisect_right
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
 from io import BytesIO, StringIO, TextIOWrapper
+from itertools import accumulate
 from pathlib import Path
 from tempfile import TemporaryDirectory
 from types import SimpleNamespace
@@ -18,12 +21,12 @@ import ordtop.cli
 import ordtop.poset
 from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed, build_poset,
                     chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
-from ordtop.cli import MAX_EVAL_BOUND, _open_texts, _set_texts, build_parser, main
+from ordtop.cli import MAX_EVAL_BOUND, _set_texts, build_parser, main
 from ordtop.poset import load_json
 from ordtop.symbolic import MODE_L, MODE_LHAT, truncation_size
 
-from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_load_json,
-                     oracle_posets, oracle_sorted_opens)
+from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_discrete_texts,
+                     oracle_load_json, oracle_posets, oracle_sorted_opens)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = sorted((DATA / "golden").glob("*.out"))
@@ -297,6 +300,47 @@ def test_truncation_guard_is_an_input_error(capsys):
     code, out = run(capsys, "truncate-l", "--width", 4, "--depth", 4, "--max-elements", 532)
     assert code == 0
     assert len(json.loads(out)["elements"]) == 532
+
+
+def test_exhausted_memory_in_a_verb_exits_2(capsys, monkeypatch):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(ordtop.cli, "truncation_hasse", exhaust)
+    assert _call(capsys, ["truncate-l", "--width", "2", "--depth", "2"]) == (
+        2, "", "error: truncate-l ran out of memory\n")
+
+
+@pytest.mark.parametrize("verb", ["topology", "maxspace"])
+def test_exhausted_memory_in_a_listing_exits_2(capsys, monkeypatch, verb):
+    # the header lines go out, and the first write of the listing fails
+    written = []
+
+    def write(text):
+        if text.startswith("open: {"):
+            raise MemoryError
+        written.append(text)
+
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
+    code, out, err = _call(capsys, [verb, "--input", DATA / "diamond.json"])
+    assert (code, out, err) == (2, "", f"error: {verb} ran out of memory\n")
+    assert "".join(written).startswith(("elements: 4\n", "max-count: 1\n"))
+
+
+def test_a_process_out_of_memory_prints_no_traceback():
+    # 25920244 elements, allowed by the raised bound, under a 600 MB address space;
+    # the limit is set in the child alone
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    limit = 600 << 20
+    probe = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+             "from ordtop.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    argv = ["truncate-l", "--width", "4", "--depth", "60", "--max-elements", "100000000"]
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: truncate-l ran out of memory\n")
 
 
 @pytest.mark.parametrize("width,depth", [(5000, 10), (3000, 10), (10**30, 1), (1, 10**30)],
@@ -785,38 +829,133 @@ def test_open_listings_match_the_frozenset_sort(name):
                  for u in oracle_sorted_opens(t)]
         masked = list(_set_texts(t.space, t.open_masks))
         assert masked == texts, t.around
-        assert list(_open_texts(t)) == masked and t.open_count == len(texts), t.around
+        written = "".join(_written_opens(t)) == _listing(masked)  # a bool, so no long listing is diffed
+        assert written and t.open_count == len(texts), t.around
 
 
-def _written_opens(topology) -> list[str]:
+def _listing(texts) -> str:
+    """The ``open: {...}`` lines of the opens spelled ``texts``, in one string."""
+    return "open: {" + "}\nopen: {".join(texts) + "}\n"
+
+
+def _written_opens(topology, bound: int | None = None) -> list[str]:
+    """The writes that list the opens of ``topology``, under ``bound`` for ``cli.LISTING_CHUNK_BYTES``."""
     writes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        if bound is not None:
+            patch.setattr(ordtop.cli, "LISTING_CHUNK_BYTES", bound)
         ordtop.cli._print_opens(topology)
     return writes
 
 
-def test_listings_are_written_in_bounded_chunks(monkeypatch):
+def _within_bound(writes, texts, bound: int) -> bool:
+    """Each write ends with a newline, and is at most ``bound`` UTF-8 bytes or lies within the line of one
+    open: with no newline in a label, that line whole.  ``texts`` spell the opens in their order."""
+    starts = list(accumulate((len(text) + 9 for text in texts), initial=0))  # "open: {" + text + "}\n"
+    at = 0
+    for write in writes:
+        if not write.endswith("\n"):
+            return False
+        if len(write.encode()) > bound and bisect_right(starts, at) < bisect_left(starts, at + len(write)):
+            return False
+        at += len(write)
+    return True
+
+
+def _discrete(labels) -> Topology:
+    topology = scott_opens(build_poset(labels, []))
+    assert topology.is_discrete and list(topology.space) == list(labels)
+    return topology
+
+
+# texts that would confuse a fixed marker or a cut at the wrong place: the marker candidates
+# "\x00" and "\x01", the line's own punctuation, and characters of 2, 3 and 4 UTF-8 bytes
+MARKER_PIECES = ["\x00", "\x01", "open: {", "}\n", "\n", ",", "{", "}", "\u00e9", "\u4e2d", "\U0001d11e", "a"]
+
+
+def test_listings_are_written_in_bounded_chunks():
     topology = scott_opens(antichain(16))  # 2^16 opens, about 2 MB of lines
-    one_write = "open: {" + "}\nopen: {".join(_open_texts(topology)) + "}\n"
+    one_write = _listing(oracle_discrete_texts(list(topology.space)))
     writes = _written_opens(topology)
-    assert len(writes) >= 2 and "".join(writes) == one_write
+    written = "".join(writes) == one_write  # a bool, so no long listing is diffed
+    assert len(writes) >= 2 and written
     assert max(len(w.encode()) for w in writes) <= ordtop.cli.LISTING_CHUNK_BYTES
-    # the bound holds in UTF-8 bytes, on the mask path too, and a line longer than it goes alone
+    # and on a discrete space with multibyte labels, 2^16 opens and about 6 MB of lines
+    wide16 = _discrete([f"\u4e2d\u00e9{i:x}" for i in range(16)])
+    writes = _written_opens(wide16)
+    written = "".join(writes) == _listing(oracle_discrete_texts(list(wide16.space)))
+    assert len(writes) >= 6 and written
+    assert max(len(w.encode()) for w in writes) <= ordtop.cli.LISTING_CHUNK_BYTES
+    # the bound holds in UTF-8 bytes on both paths, and a line longer than it goes alone
     wide = "\u4e2d" * 4  # 4 characters, 12 bytes
     ordered = scott_opens(build_poset([wide, "\u00e9" * 4, "x"], [("x", wide)]))
+    # short labels grow most, in proportion, when a line's start is printed; a label "\n" cuts a
+    # line right after its start; at these bounds, heads of earlier points lead most lines
+    discrete = [_discrete([wide, "\u00e9" * 4, "x", "\U0001d11e"]), _discrete(["", "\n", "w", "x"]),
+                _discrete([f"\u00e9{i}" for i in range(7)])]
     for bound in (1, 20, 64, 200):
-        monkeypatch.setattr(ordtop.cli, "LISTING_CHUNK_BYTES", bound)
-        writes = _written_opens(ordered)
-        assert "".join(writes) == "open: {" + "}\nopen: {".join(_open_texts(ordered)) + "}\n"
-        assert all(len(w.encode()) <= bound or w.count("\n") == 1 for w in writes), bound
+        texts = list(_set_texts(ordered.space, ordered.open_masks))
+        writes = _written_opens(ordered, bound)
+        assert "".join(writes) == _listing(texts) and _within_bound(writes, texts, bound), bound
+        for space in discrete:
+            texts = list(oracle_discrete_texts(list(space.space)))
+            writes = _written_opens(space, bound)
+            assert "".join(writes) == _listing(texts) and _within_bound(writes, texts, bound), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(MARKER_PIECES) | st.characters(codec="utf-8"),
+                         max_size=4).map("".join), max_size=8, unique=True),
+       st.sampled_from([None, 1, 24, 300, 4000]))
+def test_discrete_listing_matches_the_combinations(labels, bound):
+    # the marker is a character no line holds otherwise, so every label text comes through whole,
+    # whether all blocks are held (the default bound) or the opens of earlier points go under heads
+    texts = list(oracle_discrete_texts(labels))
+    writes = _written_opens(_discrete(labels), bound)
+    assert "".join(writes) == _listing(texts)
+    assert _within_bound(writes, texts, bound or ordtop.cli.LISTING_CHUNK_BYTES)
+
+
+def test_discrete_listing_passes_every_code_point_below_300():
+    # the marker search passes all 300 characters the labels hold and takes chr(300)
+    labels = ["".join(map(chr, range(i, 300, 4))) for i in range(4)]
+    assert "".join(_written_opens(_discrete(labels))) == _listing(oracle_discrete_texts(labels))
+
+
+@pytest.mark.parametrize("labels", [
+    ["".join(map(chr, range(10)))],  # every code point below "\n"
+    ["".join(map(chr, range(10))), "x"],
+    ["".join(map(chr, range(0x16))), "".join(map(chr, range(0x16, 0x2c)))],  # all below ","
+    ["".join(map(chr, range(0x3e))), "".join(map(chr, range(0x3e, 0x7d)))],  # all below "}"
+], ids=["below-newline", "below-newline-2", "below-comma", "below-brace"])
+@pytest.mark.parametrize("bound", [None, 40])
+def test_discrete_marker_is_none_of_the_lines_punctuation(labels, bound):
+    # the least code point the labels miss is the line's own "\n", "," or "}", which the marker passes
+    texts = list(oracle_discrete_texts(labels))
+    assert "".join(_written_opens(_discrete(labels), bound)) == _listing(texts)
+
+
+def test_a_discrete_listing_holds_about_a_write_bound_of_text():
+    # 2^14 opens, about 0.6 MB of lines, listed while a few times the 8 KB bound is held at most
+    topology = _discrete([f"p{i:02d}" for i in range(14)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "stdout", SimpleNamespace(write=len))
+        patch.setattr(ordtop.cli, "LISTING_CHUNK_BYTES", 1 << 13)
+        tracemalloc.start()
+        try:
+            ordtop.cli._print_opens(topology)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 << 13, peak
 
 
 def test_punctuated_labels_collide_on_both_listing_paths():
     # so that entry holds the discrete path to the mask path, not to distinct texts
     listed = punctuated_topologies()
     assert [t.is_discrete for t in listed] == [False, True, True]
-    assert all(len(set(_open_texts(t))) < t.open_count for t in listed)
+    assert all(len(set("".join(_written_opens(t)).splitlines())) < t.open_count for t in listed)
 
 
 def _refuse_open_masks(monkeypatch):
