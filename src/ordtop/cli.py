@@ -5,7 +5,8 @@ the export verbs) so runs can be diffed.  Exit codes: 0 when the requested
 checks pass; 1 when a claim does not hold, either because a claim verb
 (``factor``, ``lower-model``, ``diagonal``, ``lhat-cert``) printed a report
 holding a failed check or because a ``VerificationFailed`` was raised; 2 for
-an ``InputError`` or ``OSError`` (the input is unusable) or a ``MemoryError``.
+an ``InputError`` or ``OSError`` (the input is unusable) or a ``MemoryError``;
+141 (128 + SIGPIPE) with nothing printed when stdout's reader goes away.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import argparse
 import functools
 import os
 import sys
-from itertools import islice, repeat
+from itertools import combinations, islice, repeat
 from operator import add, and_, itemgetter, rshift
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, TooLarge, UnknownLabel, VerificationFailed, excerpt
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
@@ -114,45 +115,37 @@ def cmd_check(args: argparse.Namespace) -> int:
 LISTING_CHUNK_BYTES = 1 << 20
 
 
-def _print_discrete_opens(texts: list[str]) -> None:
-    """Every subset of the points ``texts`` as an ``open: {...}`` line, one size class at a time.
-
-    Block s of class k lists the size-k opens of least position s, each line begun by a marker; block s of
-    class k + 1 joins the blocks of class k after s, each marker widened by ``texts[s] + ","``."""
-    chars, marker, n = set().union("\n,}", *texts), "\x00", len(texts)
-    while marker in chars:  # the least code point that no line holds but as its marker
-        marker = chr(ord(marker) + 1)
-    tail, held, span = n, 0, 1  # the points from tail on hold all classes: held characters in span - 1 lines
-    while tail and (held := 2 * held + span * (len(texts[tail - 1]) + 1) + 2) <= LISTING_CHUNK_BYTES:
-        tail, span = tail - 1, 2 * span
-    classes = [[marker + "}\n"], [marker + text + "}\n" for text in texts]] + [[]] * (n - 1)
-    for k in range(1, n - tail):  # classes[k][s] is block s of class k, or "" (or nothing) where not held
-        classes[k + 1] = [""] * tail + ["".join(classes[k][s + 1:]).replace(marker, marker + texts[s] + ",")
-                                        for s in range(tail, n - k)]
-
-    def write_opens(k: int, first: int, head: str) -> None:  # the size-k opens of least position >= first
-        start = first if k < 2 else max(first, min(tail, n - k + 1))
-        for s in range(first, start):  # block s of class k is not held: the point joins the head
-            write_opens(k - 1, s + 1, head + texts[s] + ",")
-        # lines within the bound in bytes, or one line: a marker prints as head, others as at most 4 bytes
-        block, end, window = "".join(classes[k][start:]), 0, LISTING_CHUNK_BYTES // len(head.encode())
-        while end < len(block):
-            start, end = end, block.rfind("\n", end, end + window) + 1 or block.find("\n", end) + 1
-            sys.stdout.write(block[start:end].replace(marker, head))
-
-    for k in range(n + 1):
-        write_opens(k, 0, "open: {")
+def _write_lines(head: str, texts: Iterable[str], per_write: int) -> None:
+    """Each of ``texts`` as the line ``head + text + "}"``, ``per_write`` lines to a write."""
+    texts = iter(texts)
+    while batch := list(islice(texts, per_write)):
+        sys.stdout.write(head + ("}\n" + head).join(batch) + "}\n")
 
 
 def _print_opens(topology: Topology) -> None:
-    """One ``open: {...}`` line per open in the canonical order: by size class if discrete, else by mask."""
-    if topology.is_discrete:
-        return _print_discrete_opens([label_text(pt) for pt in topology.space])
-    texts = _set_texts(topology.space, topology.open_masks)
-    longest = f"open: {{{','.join(map(label_text, topology.space))}}}\n"
+    """One ``open: {...}`` line per open in the canonical order: by mask, or on a discrete space by size and
+    then as ``combinations``, the subsets of the points from ``tail`` on held as texts and written under heads
+    that spell the earlier points.  The held texts fit in a quarter of the write bound, each counted as its
+    characters, a comma per point and its str object, so peak memory stays near that of the writes."""
+    texts, n = [label_text(pt) for pt in topology.space], len(topology.space)
+    longest = f"open: {{{','.join(texts)}}}\n"
     per_write = max(1, LISTING_CHUNK_BYTES // len(longest.encode()))
-    while batch := list(islice(texts, per_write)):
-        sys.stdout.write("open: {" + "}\nopen: {".join(batch) + "}\n")
+    if not topology.is_discrete:
+        return _write_lines("open: {", _set_texts(topology.space, topology.open_masks), per_write)
+    tail, held, span = n, sys.getsizeof(""), 1
+    while tail and (held := 2 * held + span * (len(texts[tail - 1]) + 1)) <= LISTING_CHUNK_BYTES // 4:
+        tail, span = tail - 1, 2 * span
+    subsets = [[""], texts] + [list(map(",".join, combinations(texts[tail:], k))) for k in range(2, n + 1)]
+
+    def write_opens(k: int, first: int, head: str) -> None:  # the size-k opens of least position >= first
+        if k < 2:  # no point, or one: held or not, each point is its own text
+            return _write_lines(head, subsets[k][first:], per_write)
+        for s in range(first, min(tail, n - k + 1)):
+            write_opens(k - 1, s + 1, head + texts[s] + ",")
+        _write_lines(head, subsets[k], per_write)
+
+    for k in range(n + 1):
+        write_opens(k, 0, "open: {")
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
@@ -387,7 +380,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     # so that a handler replaced on this module is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # so that a reader gone before the exit flush is met here
+        return code
+    except BrokenPipeError:  # stdout's reader left (say ``| head -1``): exit as SIGPIPE would, silently
+        with open(os.devnull, "w") as devnull:  # the rest, the exit flush included, goes nowhere
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except MemoryError:
         print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 2

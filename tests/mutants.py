@@ -191,30 +191,10 @@ MUTANTS = (
     ),
     Mutant(
         "discrete-listing-switched-off", CLI,
-        "    if topology.is_discrete:\n        return _print_discrete_opens(",
-        "    if False:\n        return _print_discrete_opens(",
+        "    if not topology.is_discrete:\n        return _write_lines(",
+        "    if True:\n        return _write_lines(",
         (TEST_CLI + "test_maxspace_builds_no_open_mask",
          TEST_CLI + "test_topology_on_an_antichain_builds_no_open_mask"),
-    ),
-    Mutant(
-        "discrete-marker-ignores-the-texts", CLI,
-        'set().union("\\n,}", *texts)',
-        "set()",
-        (TEST_CLI + "test_discrete_listing_matches_the_combinations",
-         TEST_CLI + "test_discrete_listing_passes_every_code_point_below_300"),
-    ),
-    Mutant(
-        "discrete-marker-forgets-the-punctuation", CLI,
-        'set().union("\\n,}", *texts)',
-        "set().union(*texts)",
-        (TEST_CLI + "test_discrete_marker_is_none_of_the_lines_punctuation",),
-    ),
-    Mutant(
-        "discrete-block-widened-by-the-next-position", CLI,
-        'marker + texts[s] + ","',
-        'marker + texts[s + 1] + ","',
-        (TEST_CLI + "test_discrete_listing_matches_the_combinations",
-         TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
     ),
     Mutant(
         "discrete-head-spells-the-next-position", CLI,
@@ -225,36 +205,43 @@ MUTANTS = (
     ),
     Mutant(
         "discrete-listing-drops-the-empty-open", CLI,
-        'classes = [[marker + "}\\n"], ',
-        'classes = [[""], ',
+        'subsets = [[""], texts]',
+        "subsets = [[], texts]",
         (TEST_CLI + "test_the_empty_poset_has_one_open",
          TEST_CLI + "test_discrete_listing_matches_the_combinations"),
     ),
     Mutant(
-        "discrete-block-freed-a-step-early", CLI,
-        '"".join(classes[k][s + 1:])',
-        '"".join(classes[k][s + 2:])',
-        (TEST_CLI + "test_discrete_listing_matches_the_combinations",
-         TEST_CLI + "test_topology_on_an_antichain_builds_no_open_mask"),
+        "discrete-unheld-point-read-as-held", CLI,
+        "range(first, min(tail, n - k + 1))",
+        "range(first, min(tail - 1, n - k + 1))",
+        (TEST_CLI + "test_listings_are_written_in_bounded_chunks",
+         TEST_CLI + "test_discrete_listing_matches_the_combinations"),
     ),
     Mutant(
-        "discrete-unheld-point-read-as-held", CLI,
-        "max(first, min(tail, n - k + 1))",
-        "max(first, min(tail - 1, n - k + 1))",
+        "discrete-held-tail-one-point-too-long", CLI,
+        "combinations(texts[tail:], k)",
+        "combinations(texts[tail - 1:], k)",
         (TEST_CLI + "test_listings_are_written_in_bounded_chunks",
          TEST_CLI + "test_discrete_listing_matches_the_combinations"),
     ),
     Mutant(
         "discrete-listing-holds-every-class", CLI,
-        "+ 2) <= LISTING_CHUNK_BYTES:",
-        "+ 2) <= sys.maxsize:",
+        "+ 1)) <= LISTING_CHUNK_BYTES // 4:",
+        "+ 1)) <= sys.maxsize:",
         (TEST_CLI + "test_a_discrete_listing_holds_about_a_write_bound_of_text",),
     ),
     Mutant(
-        "discrete-writes-ignore-the-heads-length", CLI,
-        "LISTING_CHUNK_BYTES // len(head.encode())",
-        "LISTING_CHUNK_BYTES // 4",
-        (TEST_CLI + "test_listings_are_written_in_bounded_chunks",),
+        "discrete-budget-ignores-the-str-object", CLI,
+        'tail, held, span = n, sys.getsizeof(""), 1',
+        "tail, held, span = n, 0, 1",
+        (TEST_CLI + "test_a_listing_of_one_character_labels_holds_under_a_write_bound",),
+    ),
+    Mutant(
+        "discrete-held-texts-written-without-their-head", CLI,
+        "_write_lines(head, subsets[k], per_write)",
+        '_write_lines("open: {", subsets[k], per_write)',
+        (TEST_CLI + "test_listings_are_written_in_bounded_chunks",
+         TEST_CLI + "test_discrete_listing_matches_the_combinations"),
     ),
     Mutant(
         "open-count-always-a-power-of-two", TOPOLOGY,
@@ -280,6 +267,12 @@ MUTANTS = (
         "listing-chunks-count-characters", CLI,
         "LISTING_CHUNK_BYTES // len(longest.encode())",
         "LISTING_CHUNK_BYTES // len(longest)",
+        (TEST_CLI + "test_listings_are_written_in_bounded_chunks",),
+    ),
+    Mutant(
+        "listing-writes-sized-from-the-shortest-line", CLI,
+        "LISTING_CHUNK_BYTES // len(longest.encode())",
+        'LISTING_CHUNK_BYTES // len("open: {}\\n")',
         (TEST_CLI + "test_listings_are_written_in_bounded_chunks",),
     ),
     Mutant(

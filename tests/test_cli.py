@@ -343,6 +343,22 @@ def test_a_process_out_of_memory_prints_no_traceback():
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: truncate-l ran out of memory\n")
 
 
+def test_a_reader_that_leaves_early_ends_the_listing_with_exit_141(tmp_path):
+    # as `ordtop topology ... | head -1`: 2^16 opens, about 2 MB of lines, far more than a pipe holds
+    poset = tmp_path / "antichain.json"
+    poset.write_text(json.dumps({"elements": [f"p{i}" for i in range(16)], "covers": []}), encoding="utf-8")
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen([sys.executable, "-m", "ordtop", "topology", "--input", str(poset)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=path)) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert (first, code, err) == (b"elements: 16\n", 141, b"")
+
+
 @pytest.mark.parametrize("width,depth", [(5000, 10), (3000, 10), (10**30, 1), (1, 10**30)],
                          ids=["width-5000", "width-3000", "huge-width", "huge-depth"])
 def test_truncation_guard_needs_no_full_power(capsys, width, depth):
@@ -937,18 +953,36 @@ def test_discrete_marker_is_none_of_the_lines_punctuation(labels, bound):
 
 
 def test_a_discrete_listing_holds_about_a_write_bound_of_text():
-    # 2^14 opens, about 0.6 MB of lines, listed while a few times the 8 KB bound is held at most
-    topology = _discrete([f"p{i:02d}" for i in range(14)])
+    # 2^14 opens, about 0.6 MB of lines, listed while a few times the 8 KB bound is held at most;
+    # with one-character labels a held text's str object outweighs its text, and with 200-character
+    # labels (2^10 opens, about 1 MB of lines) a write of a few lines nears the bound
+    for labels in ([f"p{i:02d}" for i in range(14)], [chr(ord("a") + i) for i in range(14)],
+                   [f"{i:02d}" + "w" * 198 for i in range(10)]):
+        topology = _discrete(labels)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "stdout", SimpleNamespace(write=len))
+            patch.setattr(ordtop.cli, "LISTING_CHUNK_BYTES", 1 << 13)
+            tracemalloc.start()
+            try:
+                ordtop.cli._print_opens(topology)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 << 13, (labels[0], peak)
+
+
+def test_a_listing_of_one_character_labels_holds_under_a_write_bound():
+    # 2^14 opens at the 1 MB bound: each held text's str object outweighs its text, and is counted
+    topology = _discrete([chr(ord("a") + i) for i in range(14)])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "stdout", SimpleNamespace(write=len))
-        patch.setattr(ordtop.cli, "LISTING_CHUNK_BYTES", 1 << 13)
         tracemalloc.start()
         try:
             ordtop.cli._print_opens(topology)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 4 << 13, peak
+    assert peak < ordtop.cli.LISTING_CHUNK_BYTES, peak
 
 
 def test_punctuated_labels_collide_on_both_listing_paths():
