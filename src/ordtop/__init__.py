@@ -35,12 +35,10 @@ from .factorization import (
     ideal_J,
     lower_set_model,
     model_from_json,
-    model_to_json,
     split_product_topology,
     verify_claims,
 )
-from .generate import all_posets, random_poset
-from .ideals import Ideal, all_ideals, idl_poset, principal_ideal
+from .ideals import all_ideals, idl_poset, principal_ideal
 from .poset import (
     FinitePoset,
     build_poset,
@@ -68,13 +66,11 @@ from .symbolic import (
     cutoff_open,
     diagonal_witness,
     family_from_json,
-    family_to_json,
     gdelta_certificate_lhat,
     in_mode,
     is_maximal,
     l_leq,
     open_from_json,
-    open_to_json,
     symbolic_member,
     truncate_domain,
     truncation_members,
@@ -106,22 +102,21 @@ __all__ = [
     "NotAProductTopology", "NotAnIdeal", "NotCoveringMax",
     "FinitePoset", "build_poset", "product", "find_order_isomorphism",
     "label_text", "poset_to_json", "poset_from_json", "load_poset", "to_dot",
-    "all_posets", "random_poset",
     "Topology", "is_upper_set", "is_scott_open",
     "is_scott_closed", "scott_opens", "relative_topology", "way_below",
     "compact_elements", "is_continuous", "is_algebraic", "is_ideal_domain",
     "is_bounded_complete", "is_gdelta",
-    "Ideal", "principal_ideal", "all_ideals", "idl_poset",
+    "principal_ideal", "all_ideals", "idl_poset",
     "Report",
     "QTriple", "ProductModel", "split_product_topology",
     "build_Q", "ideal_J", "covering_intersection",
     "verify_claims", "factor_model", "lower_set_model", "algebraic_model",
-    "chain_pairs_model", "model_to_json", "model_from_json",
+    "chain_pairs_model", "model_from_json",
     "MODE_L", "MODE_LHAT", "Selector", "ChainPoint", "ChainTop",
     "SelectorPoint", "ThresholdRule", "Cylinder", "SymbolicOpen",
     "l_leq", "in_mode", "is_maximal", "symbolic_member", "validate_open",
     "contains_max", "OpenFamily", "diagonal_witness", "cutoff_open",
     "gdelta_certificate_lhat", "truncate_domain", "truncation_members",
     "truncation_poset",
-    "open_to_json", "open_from_json", "family_to_json", "family_from_json",
+    "open_from_json", "family_from_json",
 ]

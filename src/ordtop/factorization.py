@@ -27,9 +27,9 @@ from .errors import (
     VerificationFailed,
     excerpt,
 )
-from .ideals import Ideal, idl_poset
+from .ideals import idl_poset
 from .poset import (FinitePoset, Label, _iter_bits, _order_violation, _utf8_labels, build_poset,
-                    label_text, poset_from_json, poset_to_json)
+                    label_text, poset_from_json)
 from .report import Report
 from .topology import Topology, relative_topology
 
@@ -180,14 +180,14 @@ def _selection(model: ProductModel, q_poset: FinitePoset) -> dict[object, int]:
     return columns
 
 
-def ideal_J(model: ProductModel, x, q_poset: FinitePoset) -> Ideal:
-    """The triples whose X open contains the point; checked to be an ideal."""
+def ideal_J(model: ProductModel, x, q_poset: FinitePoset) -> frozenset:
+    """The triples whose X open contains the point, checked as ``verify_claims`` checks an ideal."""
     if x not in model.label_x:
         raise UnknownLabel(f"{excerpt(x)} is not an X label")
-    try:
-        return Ideal(q_poset, q_poset.labels_of(_selection(model, q_poset)[x]))
-    except NotAnIdeal as exc:
-        raise NotAnIdeal(f"triples selected by {excerpt(x)} are not an ideal: {exc}") from exc
+    mask = _selection(model, q_poset)[x]
+    if mask not in q_poset._down:
+        raise NotAnIdeal(f"triples selected by {excerpt(x)} are not an ideal: no triple's down-set")
+    return q_poset.labels_of(mask)
 
 
 def covering_intersection(model: ProductModel, q_poset: FinitePoset, x) -> frozenset:
@@ -349,18 +349,6 @@ def chain_pairs_model(depth: int) -> ProductModel:
 
 
 # -- file format ---------------------------------------------------------------
-
-
-def model_to_json(model: ProductModel) -> dict:
-    return {
-        "poset": poset_to_json(model.poset),
-        "labelX": list(model.label_x),
-        "labelY": list(model.label_y),
-        "maxLabeling": {
-            str(e): [x, y] for e, (x, y) in sorted(model.max_labeling.items(), key=str)
-        },
-        "y0": model.y0,
-    }
 
 
 def model_from_json(data: object) -> ProductModel:

@@ -1,65 +1,32 @@
-"""Ideals of a finite poset and the completion they form under inclusion."""
+"""Ideals of a finite poset and the completion they form under inclusion.
+
+An ideal is a nonempty directed lower set, held as a frozenset of labels.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .errors import NotAnIdeal, UnknownLabel, excerpt
-from .poset import FinitePoset, Label, _iter_bits
+from .poset import FinitePoset, Label, _cut_rows, _iter_bits, _rows_inside
 
 
-class Ideal:
-    """A nonempty directed lower subset of a base poset.
-
-    Construction re-derives both defining properties and refuses anything
-    that fails them, so holding an Ideal is already a certificate.
-    """
-
-    def __init__(self, base: FinitePoset, members: Iterable[Label]):
-        members = frozenset(members)
-        mask = base.mask_of(members)
-        if mask == 0:
-            raise NotAnIdeal("an ideal is nonempty (directedness requires it)")
-        for i in _iter_bits(mask):
-            if base._down[i] & ~mask:
-                raise NotAnIdeal(
-                    f"not a lower set: something below {excerpt(base.elements[i])} is missing"
-                )
-        if not base.is_directed(members):
-            raise NotAnIdeal("members are not directed")
-        self.base = base
-        self.members = members
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.base == other.base and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.members))
-
-    def __repr__(self) -> str:
-        return f"Ideal({sorted(map(str, self.members))})"
+def _size_then_positions(mask: int) -> tuple:
+    """The key of the canonical order of subsets: by size, then by sorted positions."""
+    return mask.bit_count(), tuple(_iter_bits(mask))
 
 
-def principal_ideal(base: FinitePoset, point: Label) -> Ideal:
+def principal_ideal(base: FinitePoset, point: Label) -> frozenset:
     """The down set of a single element."""
-    if point not in base:
-        raise UnknownLabel(f"no element labeled {excerpt(point)}")
-    return Ideal(base, base.down_set([point]))
+    return base.labels_of(base._down[base.index(point)])
 
 
-def all_ideals(base: FinitePoset) -> list[Ideal]:
-    """Every ideal: each subset that is a nonempty directed lower set.
+def all_ideals(base: FinitePoset) -> list[frozenset]:
+    """Every ideal: each subset that is a nonempty directed lower set, in the canonical order.
 
     The definition: it sweeps all 2^n subsets, and no verb calls it;
     ``idl_poset`` states the finite theorem that every ideal is principal.
     """
-    out = [Ideal(base, base.labels_of(mask)) for mask in range(1, 1 << len(base))
-           if all(base._down[i] & ~mask == 0 for i in _iter_bits(mask)) and base._directed(mask)]
-    order = {label: i for i, label in enumerate(base.elements)}
-    out.sort(key=lambda ideal: (len(ideal.members), tuple(sorted(order[m] for m in ideal.members))))
-    return out
+    masks = [mask for mask in range(1, 1 << len(base))
+             if _rows_inside(base._down, _iter_bits(mask), mask) and base._directed(mask)]
+    return [base.labels_of(mask) for mask in sorted(masks, key=_size_then_positions)]
 
 
 def idl_poset(base: FinitePoset) -> tuple[FinitePoset, dict[Label, frozenset]]:
@@ -70,10 +37,7 @@ def idl_poset(base: FinitePoset) -> tuple[FinitePoset, dict[Label, frozenset]]:
     labels) sorted as ``all_ideals`` sorts them, ordered as the base, in O(n^2).
     """
     down = base._down
-    order = sorted(range(len(base)),
-                   key=lambda i: (down[i].bit_count(), tuple(_iter_bits(down[i]))))
-    rank = {old: new for new, old in enumerate(order)}
+    order = sorted(range(len(base)), key=lambda i: _size_then_positions(down[i]))
     labels = [base.labels_of(down[i]) for i in order]
-    rows = [sum(1 << rank[j] for j in _iter_bits(base._up[i])) for i in order]
-    embedding = {q: labels[rank[i]] for i, q in enumerate(base.elements)}
-    return FinitePoset(labels, rows), embedding
+    embedding = {base.elements[i]: label for i, label in zip(order, labels)}
+    return FinitePoset(labels, _cut_rows(base._up, order)), embedding

@@ -42,6 +42,33 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask_at(positions: Iterable[int], n: int) -> int:
+    """The mask over n positions with the bits at these positions set, in O(n + positions).
+
+    ORing in one bit at a time would copy the whole int per bit, so the
+    mask is read from one string of binary digits, most significant
+    first, with a leading 0 that also reads an empty mask.
+    """
+    digits = bytearray(b"0") * (n + 1)
+    for pos in positions:
+        digits[pos] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
+
+
+def _rows_inside(rows: Sequence[int], positions: Iterable[int], mask: int) -> bool:
+    """Does ``mask`` hold the row of each position?  One AND per row, in C; no row's bits are walked."""
+    outside = (1 << len(rows)) - 1 ^ mask
+    return not any(map(outside.__and__, map(rows.__getitem__, positions)))
+
+
+def _cut_rows(rows: Sequence[int], kept: Sequence[int]) -> list[int]:
+    """The rows at the kept positions, cut to those positions and renumbered: kept[i] becomes i."""
+    bit = {old: 1 << new for new, old in enumerate(kept)}
+    keep = _mask_at(kept, len(rows))
+    return [sum(map(bit.__getitem__, _iter_bits(rows[old] & keep))) for old in kept]
+
+
 def _mirror(mask: int, n: int) -> int:
     """The mask over n positions with bit i moved to bit n - 1 - i: its n binary digits reversed."""
     return int(f"{mask:0{n}b}"[::-1], 2)
@@ -231,16 +258,6 @@ class FinitePoset:
     def le(self, a: Label, b: Label) -> bool:
         return self._up[self.index(a)] >> self.index(b) & 1 == 1
 
-    def lt(self, a: Label, b: Label) -> bool:
-        return a != b and self.le(a, b)
-
-    @cached_property
-    def leq(self) -> frozenset[tuple[int, int]]:
-        """The full order relation as a set of index pairs."""
-        return frozenset(
-            (i, j) for i in range(len(self)) for j in _iter_bits(self._up[i])
-        )
-
     @cached_property
     def _down(self) -> tuple[int, ...]:
         down = [0] * len(self)
@@ -263,22 +280,9 @@ class FinitePoset:
         except KeyError as foreign:
             raise ForeignSet(f"label {excerpt(foreign.args[0])} is not an element of this poset") from None
 
-    def _mask_at(self, positions: Iterable[int]) -> int:
-        """The mask with the bits at these positions set, in O(n + positions).
-
-        ORing in one bit at a time would copy the whole int per bit, so the
-        mask is read from one string of binary digits, most significant
-        first, with a leading 0 that also reads an empty poset's mask.
-        """
-        digits = bytearray(b"0") * (len(self.elements) + 1)
-        for pos in positions:
-            digits[pos] = 49  # ord("1")
-        digits.reverse()
-        return int(digits, 2)
-
     def mask_of(self, labels: Iterable[Label]) -> int:
         """Bitmask of a subset; rejects labels that live elsewhere."""
-        return self._mask_at(self._positions(labels))
+        return _mask_at(self._positions(labels), len(self))
 
     def labels_of(self, mask: int) -> frozenset[Label]:
         return frozenset(self.elements[i] for i in _iter_bits(mask))
@@ -372,16 +376,8 @@ class FinitePoset:
 
     def restrict(self, labels: Iterable[Label]) -> "FinitePoset":
         """Subposet on the given labels with the induced order."""
-        keep_mask = self.mask_of(labels)
-        kept = [i for i in range(len(self)) if keep_mask >> i & 1]
-        renumber = {old: new for new, old in enumerate(kept)}
-        masks = []
-        for old in kept:
-            row = 0
-            for j in _iter_bits(self._up[old] & keep_mask):
-                row |= 1 << renumber[j]
-            masks.append(row)
-        return FinitePoset((self.elements[i] for i in kept), masks)
+        kept = sorted(set(self._positions(labels)))
+        return FinitePoset((self.elements[i] for i in kept), _cut_rows(self._up, kept))
 
     # -- value semantics ------------------------------------------------------
 

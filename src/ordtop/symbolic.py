@@ -791,20 +791,6 @@ def _nat_or_none(value, what: str, key: str | None = None):
     raise FormatError(f"{what} must be a natural number or null, got {excerpt(value)}")
 
 
-def open_to_json(open_set: SymbolicOpen) -> dict:
-    return {
-        "thresholds": {
-            "default": open_set.thresholds.default,
-            "exceptions": {str(i): v for i, v in open_set.thresholds.exceptions},
-        },
-        "allPhiLevel1": open_set.all_level1,
-        "extraPhi": [
-            {"conds": {str(i): v for i, v in c.conds}, "levels": sorted(c.levels)}
-            for c in open_set.cylinders
-        ],
-    }
-
-
 def _parse_index(key: str) -> int:
     if isinstance(key, str) and key.isascii() and key.isdigit():
         try:
@@ -861,10 +847,6 @@ def open_from_json(data: object) -> SymbolicOpen:
     # every index and threshold has passed _new_index and _nat_or_none
     thresholds = ThresholdRule._from_points(sorted(exceptions.items()), default)
     return SymbolicOpen(thresholds, all_level1, tuple(cylinders))
-
-
-def family_to_json(family: OpenFamily) -> list:
-    return [open_to_json(family.member(j)) for j in family.indices()]
 
 
 def family_from_json(data: object) -> OpenFamily:

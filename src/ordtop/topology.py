@@ -19,7 +19,8 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import ForeignSet, excerpt
-from .poset import FinitePoset, Label, _iter_bits, _mirror, _order_violation
+from .poset import (FinitePoset, Label, _cut_rows, _iter_bits, _mask_at, _mirror, _order_violation,
+                    _rows_inside)
 
 
 class Topology:
@@ -82,18 +83,23 @@ class Topology:
 
     def is_open(self, points: Iterable) -> bool:
         """Whether a set of points holds the smallest open around each of them."""
-        mask = sum(1 << self._position(pt) for pt in set(points))
-        return all(self.around[i] & ~mask == 0 for i in _iter_bits(mask))
+        positions = [self._position(pt) for pt in points]
+        return _rows_inside(self.around, positions, sum(1 << i for i in set(positions)))
 
     def renamed(self, name: Mapping, space: Iterable) -> "Topology":
-        """The subspace on the points ``name`` maps, renamed along it onto ``space``."""
+        """The subspace on the points ``name`` maps, renamed along it onto ``space``.
+
+        ValueError names the first label that ``name`` does not match one to one.
+        """
         space = tuple(space)
-        pos = {pt: i for i, pt in enumerate(space)}
-        around = [0] * len(space)
-        for pt, row in zip(self.space, self.around):
+        points, source = set(space), {}  # each new name's old positions
+        for old, pt in enumerate(self.space):
             if pt in name:
-                around[pos[name[pt]]] = sum(1 << pos[name[q]] for q in self.labels_of(row) if q in name)
-        return Topology(space, around)
+                source.setdefault(name[pt], []).append(old)
+        for label in (*source, *space):
+            if label not in points or len(source.get(label, ())) != 1:
+                raise ValueError(f"the renaming and the space disagree at {excerpt(label)}")
+        return Topology(space, _cut_rows(self.around, [source[pt][0] for pt in space]))
 
     @cached_property
     def open_masks(self) -> tuple[int, ...]:
@@ -182,16 +188,9 @@ def _directed_sups(p: FinitePoset) -> tuple[tuple[int, int | None], ...]:
 
 
 def is_upper_set(p: FinitePoset, members: Iterable[Label]) -> bool:
-    """Does the set hold every element above each member?
-
-    The members' positions are looked up once, and their mask is built
-    from them in O(n + members).  Each member's up-row is then ANDed with
-    the mask's positive complement in one loop that runs in C.  No bit is
-    walked, so that AND is the only whole-int operation per member.
-    """
+    """Does the set hold every element above each member?  Positions are looked up once; no bit is walked."""
     positions = p._positions(members)
-    outside = (1 << len(p)) - 1 ^ p._mask_at(positions)
-    return not any(map(outside.__and__, map(p._up.__getitem__, positions)))
+    return _rows_inside(p._up, positions, _mask_at(positions, len(p)))
 
 
 def is_scott_open(p: FinitePoset, members: Iterable[Label]) -> bool:
@@ -211,7 +210,7 @@ def is_scott_closed(p: FinitePoset, members: Iterable[Label]) -> bool:
     The definition, 2^n; no verb calls it.  On a finite poset it agrees with the lower-set test.
     """
     mask = p.mask_of(members)
-    lower = all(p._down[i] & ~mask == 0 for i in _iter_bits(mask))
+    lower = _rows_inside(p._down, _iter_bits(mask), mask)
     return lower and not any(dmask & ~mask == 0 and sup is not None and not mask >> sup & 1
                              for dmask, sup in _directed_sups(p))
 

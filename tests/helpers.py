@@ -1,7 +1,7 @@
-"""Shared builders and subset-sweep oracles for the test suite."""
+"""Shared builders, generators, writers and subset-sweep oracles for the test suite."""
 
 import json
-from itertools import combinations, product as cartesian
+from itertools import combinations, permutations, product as cartesian
 from random import Random
 
 from ordtop import (
@@ -21,14 +21,16 @@ from ordtop import (
     Topology,
     VerificationFailed,
     build_poset,
+    OpenFamily,
+    SymbolicOpen,
     contains_max,
     is_scott_open,
+    poset_to_json,
     symbolic_member,
     validate_open,
 )
 from ordtop import symbolic
-from ordtop.generate import all_posets, random_poset
-from ordtop.poset import _iter_bits, _order_violation
+from ordtop.poset import _iter_bits, _order_violation, _transitive_close
 from ordtop.topology import _union_closure
 
 
@@ -101,6 +103,106 @@ def rooted_model() -> ProductModel:
     )
     labeling = {"(x1,y)": ("x1", "y"), "(x2,y)": ("x2", "y")}
     return ProductModel(poset, ["x1", "x2"], ["y"], labeling, "y")
+
+
+# -- poset generators ------------------------------------------------------------
+#
+# Both generators only ever emit orders that are compatible with the element
+# numbering (x below y implies index(x) <= index(y)), which costs nothing up
+# to isomorphism and keeps the enumeration small.
+
+
+def _close_upper_triangular(n: int, strict: dict[tuple[int, int], bool]) -> list[int] | None:
+    """Masks for a reflexive-transitive order, or None when not transitive."""
+    masks = [1 << i for i in range(n)]
+    for (i, j), present in strict.items():
+        if present:
+            masks[i] |= 1 << j
+    return masks if _order_violation(masks) is None else None
+
+
+def _canonical_key(n: int, masks: list[int]) -> tuple:
+    best = None
+    for perm in permutations(range(n)):
+        pairs = sorted(
+            (perm[i], perm[j])
+            for i in range(n)
+            for j in _iter_bits(masks[i])
+            if i != j
+        )
+        key = tuple(pairs)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def all_posets(n: int) -> list[FinitePoset]:
+    """Every poset on n elements, one representative per isomorphism class."""
+    if n == 0:
+        return [FinitePoset((), ())]
+    labels = tuple(f"e{i}" for i in range(n))
+    slots = list(combinations(range(n), 2))
+    seen: set[tuple] = set()
+    out: list[FinitePoset] = []
+    for choice in range(1 << len(slots)):
+        strict = {slots[k]: bool(choice >> k & 1) for k in range(len(slots))}
+        masks = _close_upper_triangular(n, strict)
+        if masks is None:
+            continue
+        key = _canonical_key(n, masks)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(FinitePoset(labels, masks))
+    return out
+
+
+def random_poset(n: int, rng: Random) -> FinitePoset:
+    """A uniform-ish random poset; label order is shuffled afterwards."""
+    density = rng.uniform(0.1, 0.9)
+    masks = [1 << i for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        if rng.random() < density:
+            masks[i] |= 1 << j
+    _transitive_close(masks)
+    # Shuffle which label lands on which index so consumers cannot rely on
+    # the order being index-monotone.
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return FinitePoset([f"e{perm[i]}" for i in range(n)], masks)
+
+
+# -- writers: the inverses of the library's readers --------------------------------
+
+
+def model_to_json(model: ProductModel) -> dict:
+    return {
+        "poset": poset_to_json(model.poset),
+        "labelX": list(model.label_x),
+        "labelY": list(model.label_y),
+        "maxLabeling": {
+            str(e): [x, y] for e, (x, y) in sorted(model.max_labeling.items(), key=str)
+        },
+        "y0": model.y0,
+    }
+
+
+def open_to_json(open_set: SymbolicOpen) -> dict:
+    return {
+        "thresholds": {
+            "default": open_set.thresholds.default,
+            "exceptions": {str(i): v for i, v in open_set.thresholds.exceptions},
+        },
+        "allPhiLevel1": open_set.all_level1,
+        "extraPhi": [
+            {"conds": {str(i): v for i, v in c.conds}, "levels": sorted(c.levels)}
+            for c in open_set.cylinders
+        ],
+    }
+
+
+def family_to_json(family: OpenFamily) -> list:
+    return [open_to_json(family.member(j)) for j in family.indices()]
 
 
 # -- subset-sweep oracles ------------------------------------------------------

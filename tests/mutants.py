@@ -37,6 +37,7 @@ TEST_CLI = "tests/test_cli.py::"
 TEST_TOPOLOGY = "tests/test_topology.py::"
 TEST_POSET = "tests/test_poset.py::"
 TEST_FACTORIZATION = "tests/test_factorization.py::"
+TEST_IDEALS = "tests/test_ideals.py::"
 
 
 class Mutant(NamedTuple):
@@ -125,17 +126,38 @@ MUTANTS = (
          TEST_SYMBOLIC + "test_checked_points_build_what_the_validating_constructor_builds"),
     ),
     Mutant(
-        "upper-set-complement-drops-the-top-bit", TOPOLOGY,
-        "outside = (1 << len(p)) - 1 ^ p._mask_at(positions)",
-        "outside = (1 << len(p) - 1) - 1 ^ p._mask_at(positions)",
+        "upper-set-complement-drops-the-top-bit", POSET,
+        "outside = (1 << len(rows)) - 1 ^ mask",
+        "outside = (1 << len(rows) - 1) - 1 ^ mask",
         (TEST_TOPOLOGY + "test_fast_and_exhaustive_openness_agree_on_small_posets",),
     ),
     Mutant(
-        "upper-set-skips-the-last-position", TOPOLOGY,
-        "map(p._up.__getitem__, positions)",
-        "map(p._up.__getitem__, positions[:-1])",
+        "upper-set-skips-the-last-position", POSET,
+        "map(rows.__getitem__, positions)",
+        "map(rows.__getitem__, list(positions)[:-1])",
         (TEST_TOPOLOGY + "test_fast_and_exhaustive_openness_agree_on_small_posets",
          TEST_SYMBOLIC + "test_replay_upper_sets_match_the_oracle_and_walk_no_bits"),
+    ),
+    Mutant(
+        "scott-closed-reads-up-rows", TOPOLOGY,
+        "lower = _rows_inside(p._down, _iter_bits(mask), mask)",
+        "lower = _rows_inside(p._up, _iter_bits(mask), mask)",
+        (TEST_TOPOLOGY + "test_closed_sets_are_complements_of_open_sets",),
+    ),
+    Mutant(
+        "restriction-renumbers-one-off", POSET,
+        "bit = {old: 1 << new for new, old in enumerate(kept)}",
+        "bit = {old: 1 << new for new, old in enumerate(kept, 1)}",
+        (TEST_POSET + "test_restrict_induces_suborder",
+         TEST_TOPOLOGY + "test_relative_topology_traces_every_oracle_open",
+         TEST_TOPOLOGY + "test_a_renaming_names_the_label_it_cannot_match"),
+    ),
+    Mutant(
+        "ideal-J-skips-the-principal-check", FACTORIZATION,
+        "    if mask not in q_poset._down:\n",
+        "    if False:\n",
+        (TEST_FACTORIZATION + "test_selection_on_a_doctored_poset_is_rejected",
+         TEST_IDEALS + "test_ideal_validation"),
     ),
     Mutant(
         "positions-skip-foreign-labels", POSET,
@@ -146,8 +168,8 @@ MUTANTS = (
     ),
     Mutant(
         "mask-skips-foreign-labels", POSET,
-        "return self._mask_at(self._positions(labels))",
-        "return self._mask_at(pos for pos in map(self._index.get, labels) if pos is not None)",
+        "return _mask_at(self._positions(labels), len(self))",
+        "return _mask_at((pos for pos in map(self._index.get, labels) if pos is not None), len(self))",
         (TEST_POSET + "test_messages_cut_long_labels_short",
          TEST_SYMBOLIC + "test_replay_upper_sets_match_the_oracle_and_walk_no_bits"),
     ),

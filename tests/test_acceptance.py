@@ -49,10 +49,9 @@ from ordtop import (
     MODE_LHAT,
     OpenFamily,
 )
-from ordtop.generate import all_posets, random_poset
 from ordtop.symbolic import chain_label, top_label
 
-from helpers import discrete_model, rooted_model, subsets
+from helpers import all_posets, discrete_model, random_poset, rooted_model, subsets
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 import ordtop.cli
 import ordtop.poset
 from ordtop import (InputError, OrdtopError, ProductModel, Topology, VerificationFailed, build_poset,
-                    chain_pairs_model, label_text, model_to_json, relative_topology, scott_opens)
+                    chain_pairs_model, label_text, relative_topology, scott_opens)
 from ordtop.cli import MAX_EVAL_BOUND, _set_texts, build_parser, main
 from ordtop.poset import load_json
 from ordtop.symbolic import MODE_L, MODE_LHAT, truncation_size
 
-from helpers import (antichain, chain, discrete_model, numeric_poset, oracle_discrete_texts,
+from helpers import (antichain, chain, discrete_model, model_to_json, numeric_poset, oracle_discrete_texts,
                      oracle_load_json, oracle_posets, oracle_sorted_opens)
 
 DATA = Path(__file__).parent / "data"
@@ -885,9 +885,9 @@ def _discrete(labels) -> Topology:
     return topology
 
 
-# texts that would confuse a fixed marker or a cut at the wrong place: the marker candidates
-# "\x00" and "\x01", the line's own punctuation, and characters of 2, 3 and 4 UTF-8 bytes
-MARKER_PIECES = ["\x00", "\x01", "open: {", "}\n", "\n", ",", "{", "}", "\u00e9", "\u4e2d", "\U0001d11e", "a"]
+# texts that a listing could confuse with its own lines or cut at the wrong place: the control
+# characters "\x00" and "\x01", the line's own punctuation, and characters of 2, 3 and 4 UTF-8 bytes
+LABEL_PIECES = ["\x00", "\x01", "open: {", "}\n", "\n", ",", "{", "}", "\u00e9", "\u4e2d", "\U0001d11e", "a"]
 
 
 def test_listings_are_written_in_bounded_chunks():
@@ -921,20 +921,20 @@ def test_listings_are_written_in_bounded_chunks():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(st.sampled_from(MARKER_PIECES) | st.characters(codec="utf-8"),
+@given(st.lists(st.lists(st.sampled_from(LABEL_PIECES) | st.characters(codec="utf-8"),
                          max_size=4).map("".join), max_size=8, unique=True),
        st.sampled_from([None, 1, 24, 300, 4000]))
 def test_discrete_listing_matches_the_combinations(labels, bound):
-    # the marker is a character no line holds otherwise, so every label text comes through whole,
-    # whether all blocks are held (the default bound) or the opens of earlier points go under heads
+    # every label text comes through whole, punctuation and all, whether the subsets of all points
+    # are held (the default bound) or the opens of earlier points go under heads
     texts = list(oracle_discrete_texts(labels))
     writes = _written_opens(_discrete(labels), bound)
     assert "".join(writes) == _listing(texts)
     assert _within_bound(writes, texts, bound or ordtop.cli.LISTING_CHUNK_BYTES)
 
 
-def test_discrete_listing_passes_every_code_point_below_300():
-    # the marker search passes all 300 characters the labels hold and takes chr(300)
+def test_discrete_listing_keeps_every_code_point_below_300():
+    # labels that hold every character below chr(300) come through whole
     labels = ["".join(map(chr, range(i, 300, 4))) for i in range(4)]
     assert "".join(_written_opens(_discrete(labels))) == _listing(oracle_discrete_texts(labels))
 
@@ -947,7 +947,7 @@ def test_discrete_listing_passes_every_code_point_below_300():
 ], ids=["below-newline", "below-newline-2", "below-comma", "below-brace"])
 @pytest.mark.parametrize("bound", [None, 40])
 def test_discrete_marker_is_none_of_the_lines_punctuation(labels, bound):
-    # the least code point the labels miss is the line's own "\n", "," or "}", which the marker passes
+    # labels that hold every code point below the line's own "\n", "," or "}" come through whole
     texts = list(oracle_discrete_texts(labels))
     assert "".join(_written_opens(_discrete(labels), bound)) == _listing(texts)
 

@@ -1,24 +1,24 @@
 import pytest
 
 from ordtop import (
-    Ideal,
     NotAnIdeal,
+    QTriple,
     UnknownLabel,
     all_ideals,
+    build_poset,
     compact_elements,
     find_order_isomorphism,
+    ideal_J,
     idl_poset,
     principal_ideal,
 )
-from ordtop.generate import all_posets
-
-from helpers import antichain, chain, diamond, oracle_posets, vshape
+from helpers import all_posets, antichain, chain, diamond, oracle_posets, rooted_model, vshape
 
 
 def test_ideals_of_small_posets_are_exactly_the_principal_ones():
     for p in [chain(3), antichain(2), diamond(), vshape()]:
-        ideals = {i.members for i in all_ideals(p)}
-        principal = {principal_ideal(p, e).members for e in p.elements}
+        ideals = set(all_ideals(p))
+        principal = {principal_ideal(p, e) for e in p.elements}
         assert ideals == principal
 
 
@@ -27,13 +27,13 @@ def test_all_ideals_match_the_subset_sweep():
     for p in oracle_posets():
         principal = sorted({p.down_set([e]) for e in p.elements},
                            key=lambda m: (len(m), sorted(p.index(e) for e in m)))
-        assert [i.members for i in all_ideals(p)] == principal, p.covers()
+        assert all_ideals(p) == principal, p.covers()
 
 
 def test_completion_lists_every_ideal_in_the_order_of_all_ideals():
     for p in oracle_posets():
         completion, embedding = idl_poset(p)
-        assert list(completion.elements) == [i.members for i in all_ideals(p)], p.covers()
+        assert list(completion.elements) == all_ideals(p), p.covers()
         for a in completion.elements:
             for b in completion.elements:
                 assert completion.le(a, b) == (a <= b)
@@ -42,7 +42,7 @@ def test_completion_lists_every_ideal_in_the_order_of_all_ideals():
 
 def test_diamond_has_four_ideals():
     # {bot, l, r} is a lower set but not directed, so it does not count
-    members = sorted(sorted(i.members) for i in all_ideals(diamond()))
+    members = sorted(sorted(ideal) for ideal in all_ideals(diamond()))
     assert members == [
         ["bot"],
         ["bot", "l"],
@@ -52,27 +52,33 @@ def test_diamond_has_four_ideals():
 
 
 def test_ideal_validation():
-    p = chain(3)
-    with pytest.raises(NotAnIdeal):
-        Ideal(p, [])
-    with pytest.raises(NotAnIdeal):
-        Ideal(p, ["c2"])  # not a lower set
-    with pytest.raises(NotAnIdeal):
-        Ideal(vshape(), ["a", "b"])  # lower but not directed
-    assert Ideal(p, ["c0", "c1"]).members == frozenset({"c0", "c1"})
+    ideals = all_ideals(chain(3))
+    assert frozenset() not in ideals
+    assert frozenset({"c2"}) not in ideals  # not a lower set
+    assert frozenset({"a", "b"}) not in all_ideals(vshape())  # lower but not directed
+    assert frozenset({"c0", "c1"}) in ideals
+    # a selection that is lower but not directed is no triple's down-set
+    m = rooted_model()
+    v = frozenset({"y"})
+    t1 = QTriple(frozenset({"x1"}), v, "a1")
+    t2 = QTriple(frozenset({"x1", "x2"}), v, "a2")
+    apart = build_poset([t1, t2], [])
+    with pytest.raises(NotAnIdeal, match="^triples selected by 'x1' are not an ideal: "):
+        ideal_J(m, "x1", apart)
+    assert ideal_J(m, "x2", apart) == frozenset({t2})
 
 
 def test_principal_ideal():
     d = diamond()
-    assert principal_ideal(d, "l").members == frozenset({"bot", "l"})
+    assert principal_ideal(d, "l") == frozenset({"bot", "l"})
     with pytest.raises(UnknownLabel):
         principal_ideal(d, "zzz")
 
 
 def test_ideal_value_equality():
     p = chain(2)
-    assert Ideal(p, ["c0"]) == principal_ideal(p, "c0")
-    assert Ideal(p, ["c0"]) != principal_ideal(p, "c1")
+    assert frozenset({"c0"}) == principal_ideal(p, "c0")
+    assert frozenset({"c0"}) != principal_ideal(p, "c1")
 
 
 def test_completion_is_isomorphic_to_a_finite_base():

@@ -30,7 +30,6 @@ from ordtop import (
     cutoff_open,
     diagonal_witness,
     family_from_json,
-    family_to_json,
     gdelta_certificate_lhat,
     in_mode,
     is_ideal_domain,
@@ -39,7 +38,6 @@ from ordtop import (
     is_upper_set,
     l_leq,
     open_from_json,
-    open_to_json,
     poset,
     poset_to_json,
     symbolic_member,
@@ -52,7 +50,8 @@ from ordtop import (
 from ordtop.cli import main
 from ordtop.symbolic import MODES, _forced, truncation_hasse, truncation_size
 
-from helpers import oracle_forced, oracle_gdelta_certificate_lhat, oracle_is_upper_set, oracle_truncation
+from helpers import (family_to_json, open_to_json, oracle_forced, oracle_gdelta_certificate_lhat,
+                     oracle_is_upper_set, oracle_truncation)
 
 
 def uniform_family(size: int) -> OpenFamily:

@@ -21,9 +21,8 @@ from ordtop import (
     scott_opens,
     way_below,
 )
-from ordtop.generate import all_posets, random_poset
-
 from helpers import (
+    all_posets,
     antichain,
     chain,
     crown,
@@ -34,6 +33,7 @@ from helpers import (
     oracle_posets,
     oracle_scott_opens,
     oracle_sorted_opens,
+    random_poset,
     subsets,
     vshape,
 )
@@ -126,6 +126,19 @@ def test_closed_sets_are_complements_of_open_sets():
     for p, subset in _oracle_inputs():
         complement = frozenset(p.elements) - subset
         assert is_scott_closed(p, subset) == is_scott_open(p, complement) == is_upper_set(p, complement)
+
+
+def test_a_renaming_names_the_label_it_cannot_match():
+    t = Topology(["a", "b"], [1, 2])
+    with pytest.raises(ValueError, match="^the renaming and the space disagree at 'zz'$"):
+        t.renamed({"a": "zz"}, ["x"])  # a new name outside the space
+    with pytest.raises(ValueError, match="^the renaming and the space disagree at 'y'$"):
+        t.renamed({"a": "x"}, ["x", "y"])  # a point of the space that no old point is renamed to
+    with pytest.raises(ValueError, match="^the renaming and the space disagree at 'x'$"):
+        t.renamed({"a": "x", "b": "x"}, ["x"])  # two old points under one name
+    assert t.renamed({"b": "x"}, ["x"]) == Topology(["x"], [1])
+    chain_rows = Topology(["a", "b", "c"], [0b111, 0b110, 0b100])
+    assert chain_rows.renamed({"c": "z", "a": "x"}, ["z", "x"]) == Topology(["z", "x"], [0b01, 0b11])
 
 
 def test_way_below_on_the_diamond():
