@@ -17,15 +17,16 @@ import os
 import sys
 from itertools import combinations, islice, repeat
 from operator import add, and_, itemgetter, rshift
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError, TooLarge, UnknownLabel, VerificationFailed, excerpt
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
 from .poset import (FinitePoset, _iter_bits, _mirror, covers_json_text, label_text, load_json,
                     poset_from_json, to_dot)
+from .report import Report
 from .symbolic import (
     MODE_L,
-    MODE_LHAT,
+    MODES,
     Selector,
     diagonal_witness,
     family_from_json,
@@ -38,6 +39,12 @@ from .topology import Topology, is_bounded_complete, relative_topology, scott_op
 
 def _yn(value: bool) -> str:
     return "yes" if value else "no"
+
+
+def _verdict(report: Report) -> int:
+    """A claim verb's last line and exit code: 0 when every check of its report held, else 1."""
+    print(f"verified: {_yn(report.ok)}")
+    return 0 if report.ok else 1
 
 
 def _set_texts(points: Sequence, masks: Sequence[int]) -> Iterator[str]:
@@ -115,11 +122,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 LISTING_CHUNK_BYTES = 1 << 20
 
 
-def _write_lines(head: str, texts: Iterable[str], per_write: int) -> None:
+def _write_lines(head: str, texts: Sequence[str], per_write: int) -> None:
     """Each of ``texts`` as the line ``head + text + "}"``, ``per_write`` lines to a write."""
-    texts = iter(texts)
-    while batch := list(islice(texts, per_write)):
-        sys.stdout.write(head + ("}\n" + head).join(batch) + "}\n")
+    for start in range(0, len(texts), per_write):
+        sys.stdout.write(head + ("}\n" + head).join(texts[start:start + per_write]) + "}\n")
 
 
 def _print_opens(topology: Topology) -> None:
@@ -130,8 +136,11 @@ def _print_opens(topology: Topology) -> None:
     texts, n = [label_text(pt) for pt in topology.space], len(topology.space)
     longest = f"open: {{{','.join(texts)}}}\n"
     per_write = max(1, LISTING_CHUNK_BYTES // len(longest.encode()))
-    if not topology.is_discrete:
-        return _write_lines("open: {", _set_texts(topology.space, topology.open_masks), per_write)
+    if not topology.is_discrete:  # one batch of masks at a time, spelled by one set of chunk tables
+        spelled = _set_texts(topology.space, topology.open_masks)
+        while batch := list(islice(spelled, per_write)):
+            _write_lines("open: {", batch, per_write)
+        return
     tail, held, span = n, sys.getsizeof(""), 1
     while tail and (held := 2 * held + span * (len(texts[tail - 1]) + 1)) <= LISTING_CHUNK_BYTES // 4:
         tail, span = tail - 1, 2 * span
@@ -187,8 +196,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     for x in model.label_x:
         print(f"ideal-size {label_text(x)}: {len(point_map[x])}")
     print(f"completion-elements: {len(completion)}")
-    print(f"verified: {_yn(report.ok)}")
-    return 0 if report.ok else 1
+    return _verdict(report)
 
 
 def _y_label(model: ProductModel, text: str):
@@ -206,8 +214,7 @@ def cmd_lower_model(args: argparse.Namespace) -> int:
     fiber = model.y0 if args.y0 is None else _y_label(model, args.y0)
     sub, report = lower_set_model(model, fiber)
     print(report.render())
-    print(f"verified: {_yn(report.ok)}")
-    return 0 if report.ok else 1
+    return _verdict(report)
 
 
 def cmd_diagonal(args: argparse.Namespace) -> int:
@@ -216,8 +223,7 @@ def cmd_diagonal(args: argparse.Namespace) -> int:
     print(report.render())
     print(f"witness: {_witness_text(witness)}")
     print(f"witness-default: {witness.default}")
-    print(f"verified: {_yn(report.ok)}")
-    return 0 if report.ok else 1
+    return _verdict(report)
 
 
 # lhat-cert costs O(1) per cutoff and prints one line per cutoff, so time and output are
@@ -229,8 +235,7 @@ MAX_EVAL_BOUND = 3000
 def cmd_lhat_cert(args: argparse.Namespace) -> int:
     report = gdelta_certificate_lhat(args.eval_bound)
     print(report.render())
-    print(f"verified: {_yn(report.ok)}")
-    return 0 if report.ok else 1
+    return _verdict(report)
 
 
 def cmd_truncate_l(args: argparse.Namespace) -> int:
@@ -327,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--width", type=_in_range(1), required=True, help="number of chains kept")
     sub.add_argument("--depth", type=_in_range(1), required=True,
                      help="finite positions kept per chain")
-    sub.add_argument("--mode", choices=(MODE_L, MODE_LHAT), default=MODE_L)
+    sub.add_argument("--mode", choices=MODES, default=MODE_L)
     _add_bound(sub, default=5000)
 
     sub = commands.add_parser("hasse", help="DOT rendering of the cover relation")

@@ -41,12 +41,16 @@ from .report import Report
 
 MODE_L = "L"
 MODE_LHAT = "Lhat"
-MODES = (MODE_L, MODE_LHAT)
+# a mode is the selector levels its domain keeps, lowest first; the last one is maximal
+_LEVELS = {MODE_L: (0, 1), MODE_LHAT: (0,)}
+MODES = tuple(_LEVELS)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
+def _levels(mode: str) -> tuple[int, ...]:
+    """The selector levels of the mode's domain, lowest first; ValueError for a value that names no mode."""
+    if mode not in MODES:  # compared with ==, so an unhashable value is refused too
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return _LEVELS[mode]
 
 
 def _natural(value) -> bool:
@@ -207,12 +211,8 @@ LPoint = ChainPoint | ChainTop | SelectorPoint
 
 
 def in_mode(point: LPoint, mode: str) -> bool:
-    _check_mode(mode)
-    if isinstance(point, SelectorPoint) and point.level not in (0, 1):
-        return False
-    if mode == MODE_LHAT and isinstance(point, SelectorPoint) and point.level == 1:
-        return False
-    return True
+    levels = _levels(mode)
+    return not isinstance(point, SelectorPoint) or point.level in levels
 
 
 def l_leq(a: LPoint, b: LPoint) -> bool:
@@ -238,14 +238,12 @@ def l_leq(a: LPoint, b: LPoint) -> bool:
 
 
 def is_maximal(point: LPoint, mode: str) -> bool:
-    _check_mode(mode)
+    """A chain top, or a selector point at the mode's highest level."""
     if not in_mode(point, mode):
         raise ValueError(f"{point!r} is not a point of mode {mode}")
-    if isinstance(point, ChainTop):
-        return True
     if isinstance(point, SelectorPoint):
-        return point.level == 1 if mode == MODE_L else True
-    return False
+        return point.level == _levels(mode)[-1]
+    return isinstance(point, ChainTop)
 
 
 # -- symbolic opens ------------------------------------------------------------
@@ -266,13 +264,6 @@ class ThresholdRule(_StepFunction):
 
     def __init__(self, default: int | None = 0, exceptions: Iterable = ()):
         _StepFunction.__init__(self, exceptions, default)
-
-    def all_present(self) -> bool:
-        return None not in self.values
-
-    def somewhere_zero(self) -> bool:
-        # a zero threshold admits every selector point by upward closure
-        return 0 in self.values
 
 
 @dataclass(frozen=True)
@@ -298,9 +289,6 @@ class Cylinder:
 
     def matches(self, selector: Selector) -> bool:
         return all(selector(i) >= minimum for i, minimum in self.conds)
-
-    def grants_all_selectors(self) -> bool:
-        return all(minimum == 0 for _, minimum in self.conds)
 
 
 @dataclass(frozen=True)
@@ -329,12 +317,11 @@ def _forced(thresholds: ThresholdRule, selector: Selector) -> bool:
 
     Past the last start of either step function both hold their defaults,
     so one default-against-default comparison decides infinitely many
-    chains.  When one function has far more steps than the other, each
-    non-default step of the shorter one is then compared with the longer
-    one over its own chains, found by bisection: a pick that the short side
-    names settles the call without a scan.  Last, one merge walk visits
-    every piece below the last start.  A call costs O(short * log long +
-    long) at most.
+    chains.  When the selector has far more steps than the rule, each
+    non-default step of the rule is then compared with the selector over
+    its own chains, found by bisection, so a pick that the rule's steps
+    name settles the call without a scan.  Last, one merge walk visits
+    every piece below the last start: O(rule + selector) steps a call.
     """
     t_starts, t_values = thresholds.starts, thresholds.values
     s_starts, s_values = selector.starts, selector.values
@@ -342,22 +329,13 @@ def _forced(thresholds: ThresholdRule, selector: Selector) -> bool:
     if t_default is not None and s_default >= t_default:
         return True
     t_last, s_last = len(t_values) - 1, len(s_values) - 1
-    # bisection pays when it reads fewer steps than the walk: short * log2(long) < long
+    # bisection pays when it reads fewer steps than the walk: rule * log2(selector) < selector
     if (t_last + 1) * s_last.bit_length() < s_last:
         for k, t in enumerate(t_values):
             if t != t_default and t is not None:
                 j, end = bisect_right(s_starts, t_starts[k]) - 1, t_starts[k + 1]
                 while j <= s_last and s_starts[j] < end:
                     if s_values[j] >= t:
-                        return True
-                    j += 1
-    elif (s_last + 1) * t_last.bit_length() < t_last:
-        for k, s in enumerate(s_values):
-            if s != s_default:
-                j, end = bisect_right(t_starts, s_starts[k]) - 1, s_starts[k + 1]
-                while j <= t_last and t_starts[j] < end:
-                    t = t_values[j]
-                    if t is not None and s >= t:
                         return True
                     j += 1
     i = j = 0
@@ -401,36 +379,35 @@ def validate_open(open_set: SymbolicOpen, mode: str) -> bool:
     Upward closure along chains and the inaccessibility of each chain top
     (a top is a member only when finitely many of its chain points are
     missing) are structural consequences of the threshold reading; what
-    remains to check is the selector levels: level sets of cylinders must
-    be upward closed, and in Lhat mode nothing may mention level 1.
+    remains is that every grant tops out at the mode's highest level: the
+    kept levels run up from 0, so such a grant is upward closed and holds
+    no level the mode lacks.  The all-level-1 flag grants level 1 alone.
     """
-    _check_mode(mode)
-    for cylinder in open_set.cylinders:
-        if mode == MODE_L and 0 in cylinder.levels and 1 not in cylinder.levels:
-            return False
-        if mode == MODE_LHAT and 1 in cylinder.levels:
-            return False
-    if mode == MODE_LHAT and open_set.all_level1:
+    top = _levels(mode)[-1]
+    if open_set.all_level1 and top != 1:
         return False
+    for cylinder in open_set.cylinders:
+        if cylinder.levels and max(cylinder.levels) != top:
+            return False
     return True
 
 
 def contains_max(open_set: SymbolicOpen, mode: str) -> bool:
     """Certificate that the open contains every maximal point.
 
-    Both modes need every chain present.  L mode needs the all-level-1
-    grant; Lhat mode needs every level-0 selector point, either through an
-    unconditional cylinder or through a zero threshold somewhere.
+    Every mode needs every chain present.  Where level 1 is kept, the flag
+    alone certifies the level-1 maxima; otherwise the maxima are the
+    level-0 points, let in by a zero threshold or an unconditional cylinder.
     """
-    _check_mode(mode)
-    if not open_set.thresholds.all_present():
+    levels = _levels(mode)
+    thresholds = open_set.thresholds.values
+    if None in thresholds:
         return False
-    if mode == MODE_L:
+    if 1 in levels:
         return open_set.all_level1
-    if open_set.thresholds.somewhere_zero():
-        return True
-    return any(
-        0 in cylinder.levels and cylinder.grants_all_selectors()
+    # a zero threshold admits every selector point by upward closure
+    return 0 in thresholds or any(
+        0 in cylinder.levels and all(minimum == 0 for _, minimum in cylinder.conds)
         for cylinder in open_set.cylinders
     )
 
@@ -596,12 +573,6 @@ def top_label(i: int) -> str:
     return f"({i},inf)"
 
 
-def _levels(mode: str) -> tuple[int, ...]:
-    """The selector levels a truncation keeps: level 1 only in L mode."""
-    _check_mode(mode)
-    return (0, 1) if mode == MODE_L else (0,)
-
-
 def truncation_size(width: int, depth: int, mode: str) -> int | None:
     """Elements of a truncation, or None past ``sys.maxsize``, more than any sequence holds.
 
@@ -625,7 +596,7 @@ def _truncation_labels(width: int, depth: int, mode: str) -> tuple[list[str], li
     the selector of rank r in ``cartesian`` order follows at
     ``width*(depth+1) + r*|levels| + level``.
     """
-    _check_mode(mode)
+    levels = _levels(mode)
     if width < 1 or depth < 1:
         raise ValueError("width and depth must be at least 1")
     elements: list[str] = []
@@ -635,13 +606,11 @@ def _truncation_labels(width: int, depth: int, mode: str) -> tuple[list[str], li
     # s[v_0,...,v_{width-1}]@level, for the selectors in rank order
     picks = map(",".join, cartesian(map(str, range(depth)), repeat=width))
     bottoms = [f"s[{body}]@0" for body in picks]
-    if mode == MODE_L:
-        selectors = [""] * (2 * len(bottoms))
-        selectors[::2] = bottoms
-        selectors[1::2] = [label[:-1] + "1" for label in bottoms]
-        elements += selectors
-    else:
-        elements += bottoms
+    start, per = len(elements), len(levels)
+    elements += [""] * (per * len(bottoms))
+    elements[start::per] = bottoms
+    if 1 in levels:
+        elements[start + 1::2] = [label[:-1] + "1" for label in bottoms]
     return elements, bottoms
 
 
@@ -667,7 +636,7 @@ def truncation_hasse(width: int, depth: int, mode: str) -> tuple[list[str], list
             covers.append((column[n], column[n + 1]))
             picked = [bottoms[r:r + run] for r in range(n * run, len(bottoms), period)]
             covers += zip(repeat(column[n]), chain.from_iterable(picked))
-    if mode == MODE_L:
+    if 1 in _levels(mode):
         covers += zip(bottoms, elements[width * (depth + 1) + 1::2])
     return elements, covers
 
@@ -701,7 +670,7 @@ def truncation_poset(width: int, depth: int, mode: str) -> FinitePoset:
             picks = ((1 << (depth - n) * run) - 1) << (n * run)
             rows.append(above | picks * every)
         rows.append(1 << (base + depth))
-    if mode == MODE_L:
+    if 1 in _levels(mode):
         for bit in range(start, start + count, 2):
             rows += (3 << bit, 2 << bit)
     else:

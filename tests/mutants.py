@@ -126,6 +126,24 @@ MUTANTS = (
          TEST_SYMBOLIC + "test_checked_points_build_what_the_validating_constructor_builds"),
     ),
     Mutant(
+        "grant-without-the-highest-level-accepted", SYMBOLIC,
+        "if cylinder.levels and max(cylinder.levels) != top:",
+        "if cylinder.levels and max(cylinder.levels) > top:",
+        (TEST_SYMBOLIC + "test_validate_open_per_mode",),
+    ),
+    Mutant(
+        "maximality-reads-the-lowest-level", SYMBOLIC,
+        "return point.level == _levels(mode)[-1]",
+        "return point.level == _levels(mode)[0]",
+        (TEST_SYMBOLIC + "test_mode_membership_and_maximality",),
+    ),
+    Mutant(
+        "level-1-maxima-certified-by-a-zero-threshold", SYMBOLIC,
+        "        return open_set.all_level1\n",
+        "        return open_set.all_level1 or 0 in thresholds\n",
+        (TEST_SYMBOLIC + "test_a_zero_threshold_does_not_certify_the_level_1_maxima",),
+    ),
+    Mutant(
         "upper-set-complement-drops-the-top-bit", POSET,
         "outside = (1 << len(rows)) - 1 ^ mask",
         "outside = (1 << len(rows) - 1) - 1 ^ mask",
@@ -151,6 +169,13 @@ MUTANTS = (
         (TEST_POSET + "test_restrict_induces_suborder",
          TEST_TOPOLOGY + "test_relative_topology_traces_every_oracle_open",
          TEST_TOPOLOGY + "test_a_renaming_names_the_label_it_cannot_match"),
+    ),
+    Mutant(
+        "lower-model-closed-test-reads-up-rows", FACTORIZATION,
+        "_rows_inside(model.poset._down, positions,",
+        "_rows_inside(model.poset._up, positions,",
+        # the lower-model goldens cannot see it: their lower sets are upward closed as well
+        (TEST_FACTORIZATION + "test_lower_set_model_with_extra_covers",),
     ),
     Mutant(
         "ideal-J-skips-the-principal-check", FACTORIZATION,
@@ -213,8 +238,8 @@ MUTANTS = (
     ),
     Mutant(
         "discrete-listing-switched-off", CLI,
-        "    if not topology.is_discrete:\n        return _write_lines(",
-        "    if True:\n        return _write_lines(",
+        "    if not topology.is_discrete:",
+        "    if True:",
         (TEST_CLI + "test_maxspace_builds_no_open_mask",
          TEST_CLI + "test_topology_on_an_antichain_builds_no_open_mask"),
     ),

@@ -322,6 +322,19 @@ def test_mode_membership_and_maximality():
         is_maximal(ChainTop(0), "nope")
 
 
+
+@pytest.mark.parametrize("mode", ["nope", None, []], ids=["nope", "None", "list"])
+def test_every_mode_reader_refuses_a_value_that_names_no_mode(mode):
+    # a chain top and the empty open: a reader that skips the mode on them still has to refuse it
+    calls = [lambda: in_mode(ChainTop(0), mode), lambda: is_maximal(ChainTop(0), mode),
+             lambda: validate_open(SymbolicOpen(), mode), lambda: contains_max(SymbolicOpen(), mode),
+             lambda: truncation_size(2, 2, mode)]
+    for call in calls:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == f"mode must be one of ('L', 'Lhat'), got {mode!r}"
+
+
 # -- membership -------------------------------------------------------------------
 
 
@@ -406,6 +419,25 @@ def test_contains_max_certificates():
     assert contains_max(cutoff_open(4), MODE_LHAT)
     assert validate_open(cutoff_open(4), MODE_LHAT)
     assert not contains_max(SymbolicOpen(ThresholdRule(default=1)), MODE_LHAT)
+
+
+
+def test_a_zero_threshold_does_not_certify_the_level_1_maxima(capsys, tmp_path):
+    # every chain present and a zero threshold admit every selector point, yet in L mode only the
+    # level-1 flag certifies the level-1 maxima, so the member is refused whatever its thresholds
+    zero = SymbolicOpen(ThresholdRule.from_mapping({2: 0}, default=1))
+    assert not contains_max(zero, MODE_L)
+    assert contains_max(zero, MODE_LHAT)
+    assert symbolic_member(zero, SelectorPoint(Selector(), 1))
+    family = OpenFamily([SymbolicOpen(all_level1=True), zero])
+    with pytest.raises(NotCoveringMax, match="member 1 does not certify covering the maxima"):
+        diagonal_witness(family)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family_to_json(family)))
+    assert main(["diagonal", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family member 1 does not certify covering the maxima\n"
 
 
 # -- the diagonal argument ----------------------------------------------------------
