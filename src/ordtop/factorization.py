@@ -9,7 +9,9 @@ pipeline takes the ideal completion of Q and certifies that its maximal
 points are exactly the ideals attached to the points of X, carrying the X
 topology.  Every step of the argument is re-checked at run time, except two
 finite theorems: every element of a finite poset is compact, and every
-ideal is principal.
+ideal is principal.  The checks run on bitmask rows over pair positions
+a * |Y| + b; label sets are built only for printed witnesses and for what
+the functions return.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     excerpt,
 )
 from .ideals import idl_poset
-from .poset import (FinitePoset, Label, _iter_bits, _mask_at, _order_violation, _rows_inside, _utf8_labels,
+from .poset import (FinitePoset, Label, _cut_rows, _iter_bits, _mask_at, _order_violation, _rows_inside, _utf8_labels,
                     build_poset, label_text, poset_from_json)
 from .report import Report
 from .topology import Topology, relative_topology
@@ -52,6 +54,16 @@ class QTriple:
         return f"(U={{{u}}},V={{{v}}},k={label_text(self.k)})"
 
 
+def _spread(u: int, ny: int) -> int:
+    """The mask with bit a of u moved to bit a * ny, so that ``_spread(u, ny) * v`` is the box of u and v < 2^ny."""
+    return int(("0" * (ny - 1)).join(f"{u:b}"), 2)
+
+
+def _relative_rows(p: FinitePoset, at: list[int]) -> list[int]:
+    """The relative Scott topology on the elements at these positions: their up-rows cut to them, in order."""
+    return _cut_rows(p._up, at)
+
+
 def split_product_topology(
     topology: Topology, xs: Iterable, ys: Iterable
 ) -> tuple[Topology, Topology]:
@@ -61,20 +73,24 @@ def split_product_topology(
     open around a pair is the box of the smallest opens around its
     coordinates.  So the first slices are the only candidate factors, and
     the topology is a product exactly when every smallest open is that box.
+    On rows over pair positions a * |Y| + b, a box is ``_spread(U) * V``.
     """
     xs, ys = tuple(xs), tuple(ys)
-    if not (xs and ys) or frozenset(topology.space) != frozenset((x, y) for x in xs for y in ys):
+    at, ny = [topology._pos.get((x, y)) for x in xs for y in ys], len(ys)
+    if not (xs and ys) or len(at) != len(topology.space) or None in at or len(set(at)) != len(at):
         raise InvalidModel("topology space is not the set of pairs of two nonempty factors")
-    tx = topology.renamed({(x, ys[0]): x for x in xs}, xs)
-    ty = topology.renamed({(xs[0], y): y for y in ys}, ys)
-    for x in xs:
-        for y in ys:
-            u, v = tx.smallest_open(x), ty.smallest_open(y)
-            if topology.smallest_open((x, y)) != frozenset((a, b) for a in u for b in v):
-                raise NotAProductTopology(
-                    f"smallest open around ({x}, {y}) is not the box "
-                    f"{sorted(map(str, u))} x {sorted(map(str, v))}"
-                )
+    rows = topology.around if at == sorted(at) else _cut_rows(topology.around, at)
+    tx = Topology(xs, (int(f"{row:0{len(rows)}b}"[ny - 1::ny], 2) for row in rows[::ny]))
+    ty = Topology(ys, (row & (1 << ny) - 1 for row in rows[:ny]))
+    boxes = [_spread(u, ny) for u in tx.around]
+    for q, row in enumerate(rows):
+        a, b = divmod(q, ny)
+        if row != boxes[a] * ty.around[b]:
+            u, v = tx.labels_of(tx.around[a]), ty.labels_of(ty.around[b])
+            raise NotAProductTopology(
+                f"smallest open around ({xs[a]}, {ys[b]}) is not the box "
+                f"{sorted(map(str, u))} x {sorted(map(str, v))}"
+            )
     return tx, ty
 
 
@@ -86,6 +102,9 @@ class ProductModel:
     constructor validates all of it, including that the relative Scott
     topology on the maximal points, transported along the labeling, is the
     product of its factor topologies (a finite poset is always algebraic).
+    It holds rows over pair positions: ``_maxima[a * |Y| + b]`` is the poset
+    position of the maximum labelled (label_x[a], label_y[b]), and the rows
+    of ``topology_x`` and ``topology_y`` follow label_x and label_y.
     """
 
     def __init__(
@@ -113,34 +132,37 @@ class ProductModel:
         if keys != maximal:
             stray = sorted(map(str, keys ^ maximal))
             raise InvalidModel(f"labeling keys differ from the maximal elements: {excerpt(stray)}")
-        pairs = {}
+        slots = {pair: q for q, pair in enumerate((x, y) for x in self.label_x for y in self.label_y)}
+        pairs, maxima = {}, [None] * len(slots)
         for element, pair in max_labeling.items():
             pair = tuple(pair)
-            if len(pair) != 2 or pair[0] not in self.label_x or pair[1] not in self.label_y:
-                raise InvalidModel(f"labeling value {excerpt(pair)} is not an (x, y) pair")
+            try:
+                maxima[slots[pair]] = poset._index[element]
+            except (KeyError, TypeError):  # not a pair of factor labels, or a label that cannot be one
+                raise InvalidModel(f"labeling value {excerpt(pair)} is not an (x, y) pair") from None
             pairs[element] = pair
-        wanted = {(x, y) for x in self.label_x for y in self.label_y}
-        if set(pairs.values()) != wanted or len(set(pairs.values())) != len(pairs):
+        if len(pairs) != len(maxima) or None in maxima:
             raise InvalidModel("labeling is not a bijection onto the label pairs")
-        self.max_labeling = pairs
-        self.pair_to_max = {pair: element for element, pair in pairs.items()}
-
-        transported = self.transported_max_topology()
+        self.max_labeling, self._maxima = pairs, maxima
         self.topology_x, self.topology_y = split_product_topology(
-            transported, self.label_x, self.label_y
+            self.transported_max_topology(), self.label_x, self.label_y
         )
 
     def transported_max_topology(self) -> Topology:
-        """Relative Scott topology on the maxima, renamed to label pairs."""
-        rel = relative_topology(self.poset, self.poset.maximal_elements())
+        """Relative Scott topology on the maxima, renamed to label pairs in pair-position order."""
         space = [(x, y) for x in self.label_x for y in self.label_y]
-        return rel.renamed(self.max_labeling, space)
+        return Topology(space, _relative_rows(self.poset, self._maxima))
+
+    def _shadows(self) -> list[int]:
+        """Each element's maximal shadow: the pairs labeling the maxima above it, as a pair mask."""
+        bit, top = {at: 1 << q for q, at in enumerate(self._maxima)}, self.poset._max_mask
+        return [sum(map(bit.__getitem__, _iter_bits(row & top))) for row in self.poset._up]
 
     def max_shadow(self, k: Label) -> frozenset:
-        """Pairs labeling the maximal elements above an element: one row operation."""
-        poset, labeling = self.poset, self.max_labeling
-        return frozenset(labeling[poset.elements[i]]
-                         for i in _iter_bits(poset._up[poset.index(k)] & poset._max_mask))
+        """Pairs labeling the maximal elements above an element, read off its pair mask."""
+        ny = len(self.label_y)
+        return frozenset((self.label_x[q // ny], self.label_y[q % ny])
+                         for q in _iter_bits(self._shadows()[self.poset.index(k)]))
 
     def __repr__(self) -> str:
         return (
@@ -154,21 +176,25 @@ def build_Q(model: ProductModel) -> FinitePoset:
 
     An element k is kept when its maximal shadow is a box U x V with U
     nonempty, U open in X, V open in Y and y0 in V; its triple is (U, V, k),
-    listed in the order of the model's elements.  The approximation
-    order puts t1 below t2 when k1 <= k2 and shadow(k2) fits inside t1's
-    box.  Here that box is shadow(k1), which holds shadow(k2) whenever
-    k1 <= k2, so the order is P's own, restricted.
+    listed in the order of the model's elements.  A shadow is a pair mask,
+    and a box when it is ``_spread(U) * V`` for its projections U and V.
+    The approximation order puts t1 below t2 when k1 <= k2 and shadow(k2)
+    fits inside t1's box.  Here that box is shadow(k1), which holds
+    shadow(k2) whenever k1 <= k2, so the order is P's own, restricted.
     """
-    triples = {}
-    for k in model.poset.elements:
-        shadow = model.max_shadow(k)
-        u = frozenset(x for x, _ in shadow)
-        v = frozenset(y for _, y in shadow)
-        if (u and len(shadow) == len(u) * len(v) and model.y0 in v
-                and model.topology_x.is_open(u) and model.topology_y.is_open(v)):
-            triples[k] = QTriple(u, v, k)
-    kept = model.poset.restrict(triples)
-    return FinitePoset([triples[k] for k in kept.elements], kept._up)
+    tx, ty, ny = model.topology_x, model.topology_y, len(model.label_y)
+    base = 1 << model.label_y.index(model.y0)
+    kept, triples = [], []
+    for i, shadow in enumerate(model._shadows()):
+        u = v = 0
+        for q in _iter_bits(shadow):
+            u |= 1 << q // ny
+            v |= 1 << q % ny
+        if (u and v & base and shadow == _spread(u, ny) * v
+                and _rows_inside(tx.around, _iter_bits(u), u) and _rows_inside(ty.around, _iter_bits(v), v)):
+            kept.append(i)
+            triples.append(QTriple(tx.labels_of(u), ty.labels_of(v), model.poset.elements[i]))
+    return FinitePoset(triples, _relative_rows(model.poset, kept))
 
 
 def _selection(model: ProductModel, q_poset: FinitePoset) -> dict[object, int]:
@@ -223,42 +249,38 @@ def verify_claims(
                       if mask not in downs or selected.get(x) != q_poset.labels_of(mask)), None)
     report.check("claim-selected-are-ideals", not_ideal is None, not_ideal)
 
-    maximal_ideals = completion.maximal_elements()
-    image = frozenset(selected.values())
+    # the selected and the maximal ideals as masks; a set that is no element has no position
+    index, maximal = completion._index, completion._max_mask
+    at = [index.get(s) for s in selected.values()]
+    image = _mask_at([i for i in at if i is not None], len(completion))
 
     # every maximal ideal must be a selected one; the witness is the first one
     # missing in the completion's order, so that no hash seed can change it
-    missing = [m for m in completion.elements if m in maximal_ideals and m not in image]
-    report.check(
-        "claim-max-ideals-are-selected",
-        not missing,
-        missing and sorted(map(str, missing[0])),
-    )
+    missing = maximal & ~image
+    report.check("claim-max-ideals-are-selected", not missing,
+                 missing and sorted(map(str, completion.elements[(missing & -missing).bit_length() - 1])))
 
     # every selected ideal must be maximal, so the two families agree
-    not_max = [x for x, s in sorted(selected.items(), key=str) if s not in maximal_ideals]
-    report.check("claim-selected-are-maximal", not not_max, not_max[0] if not_max else None)
-    report.check(
-        "claim-max-point-bijection",
-        len(image) == len(model.label_x) and image == maximal_ideals,
-    )
+    not_max = [item for item, i in zip(selected.items(), at) if i is None or not maximal >> i & 1]
+    report.check("claim-selected-are-maximal", not not_max, min(not_max, key=str)[0] if not_max else None)
+    report.check("claim-max-point-bijection",
+                 None not in at and image == maximal and image.bit_count() == len(model.label_x))
 
     # Once the claims above hold, the point map is a bijection onto the
     # maxima: pull the relative topology back along it.  The map is
     # continuous when each X row lies inside its pulled-back row, and open
     # when the reverse holds; the transport is exact when both do.
-    rel = relative_topology(completion, maximal_ideals)
     if report.ok:
         tx = model.topology_x
-        pulled = rel.renamed({s: x for x, s in selected.items()}, tx.space)
-        loose = [back for row, back in zip(tx.around, pulled.around) if row & ~back]
-        tight = [row for row, back in zip(tx.around, pulled.around) if back & ~row]
+        pulled = _relative_rows(completion, [index[selected[x]] for x in tx.space])
+        loose = [back for row, back in zip(tx.around, pulled) if row & ~back]
+        tight = [row for row, back in zip(tx.around, pulled) if back & ~row]
         report.check("claim-map-continuous", not loose,
                      loose and sorted(map(str, tx.labels_of(loose[0]))))
         report.check("claim-map-open", not tight,
                      tight and sorted(map(str, tx.labels_of(tight[0]))))
         report.check("topology-transport-exact", not loose and not tight)
-    report.info("max-count", len(maximal_ideals))
+    report.info("max-count", maximal.bit_count())
     return report
 
 
@@ -276,33 +298,28 @@ def lower_set_model(model: ProductModel, y) -> tuple[FinitePoset, Report]:
     Every finite poset is an ideal domain, so the report states that of the
     ambient poset and the down set; it checks that the down set is lower (so
     Scott closed) and that its maxima are the fiber, carrying the X topology.
+    Fiber, down set and maxima are masks; the fiber's X rows are compared with ``topology_x.around``.
     """
     if y not in model.label_y:
         raise UnknownLabel(f"{excerpt(y)} is not a Y label")
+    p = model.poset
     report = Report()
     report.info("fiber", y)
-    targets = frozenset(model.pair_to_max[(x, y)] for x in model.label_x)
-    lower = model.poset.down_set(targets)
-    report.info("lower-set-size", len(lower))
-    positions = model.poset._positions(lower)
-    report.check("scott-closed", _rows_inside(model.poset._down, positions, _mask_at(positions, len(model.poset))))
+    fiber = model._maxima[model.label_y.index(y)::len(model.label_y)]
+    targets = _mask_at(fiber, len(p))
+    positions = [i for i, row in enumerate(p._up) if row & targets]  # below some fiber element
+    lower = _mask_at(positions, len(p))
+    report.info("lower-set-size", len(positions))
+    report.check("scott-closed", _rows_inside(p._down, positions, lower))
     report.info("ambient-ideal-domain", "yes")
     report.info("lower-set-ideal-domain", "yes")
-    sub = model.poset.restrict(lower)
-    sub_max = sub.maximal_elements()
-    fiber_ok = report.check(
-        "max-equals-fiber",
-        sub_max == targets,
-        sorted(map(str, sub_max ^ targets)) or None,
-    )
-    if fiber_ok:
-        rel = relative_topology(sub, sub_max)
-        first = {e: model.max_labeling[e][0] for e in sub_max}
-        renamed = rel.renamed(first, model.label_x)
-        report.check("max-homeomorphic-to-factor", renamed == model.topology_x)
-    else:
-        report.check("max-homeomorphic-to-factor", False, "fiber mismatch")
-    return sub, report
+    maxima = _mask_at((i for i in positions if p._up[i] & lower == 1 << i), len(p))
+    fiber_ok = report.check("max-equals-fiber", maxima == targets,
+                            sorted(map(str, p.labels_of(maxima ^ targets))) or None)
+    report.check("max-homeomorphic-to-factor",
+                 fiber_ok and _relative_rows(p, fiber) == list(model.topology_x.around),
+                 None if fiber_ok else "fiber mismatch")
+    return FinitePoset([p.elements[i] for i in positions], _relative_rows(p, positions)), report
 
 
 def algebraic_model(p: FinitePoset) -> FinitePoset:

@@ -35,7 +35,7 @@ from math import inf
 from operator import lshift
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import FormatError, NotCoveringMax, excerpt
+from .errors import FormatError, NotCoveringMax, VerificationFailed, excerpt
 from .poset import FinitePoset
 from .report import Report
 
@@ -427,9 +427,6 @@ class OpenFamily:
     def member(self, j: int) -> SymbolicOpen:
         return self._opens[j]
 
-    def validate(self, mode: str) -> bool:
-        return all(validate_open(open_set, mode) for open_set in self._opens)
-
 
 # -- the diagonal argument -------------------------------------------------------
 
@@ -438,11 +435,12 @@ def diagonal_witness(family: OpenFamily, *, offsets: int = 0) -> tuple[Selector,
     """A selector point inside every family member but below a maximal point.
 
     Every member must certify covering the maximal points of L (error:
-    NotCoveringMax).  The witness picks, at chain j, exactly member j's
-    threshold for chain j; that chain point is a member, so upward closure
-    drags the selector's level-0 point into member j, for every j.  Since
-    the family covers each chain top through a finite threshold, such a
-    pick always exists; the level-0 point is never maximal in L.
+    NotCoveringMax) and be Scott open in L (VerificationFailed).  The witness
+    picks, at chain j, exactly member j's threshold for chain j; that chain
+    point is a member, so upward closure drags the selector's level-0 point
+    into member j, for every j.  Since the family covers each chain top
+    through a finite threshold, such a pick always exists; the level-0
+    point is never maximal in L.
 
     ``offsets`` lifts every pick that far above its threshold (membership
     only needs "at least the threshold"): a non-canonical witness.
@@ -452,6 +450,8 @@ def diagonal_witness(family: OpenFamily, *, offsets: int = 0) -> tuple[Selector,
         member = family.member(j)
         if not contains_max(member, MODE_L):
             raise NotCoveringMax(f"family member {j} does not certify covering the maxima")
+        if not validate_open(member, MODE_L):
+            raise VerificationFailed(f"family member {j} is not Scott open in L")
         picks[j] = member.thresholds(j) + offsets
     witness = Selector.from_mapping(picks, default=0)
     point = SelectorPoint(witness, 0)

@@ -26,6 +26,7 @@ from ordtop import (
     contains_max,
     is_scott_open,
     poset_to_json,
+    relative_topology,
     symbolic_member,
     validate_open,
 )
@@ -343,6 +344,50 @@ def oracle_max_shadow(model: ProductModel, k) -> frozenset:
     """Pairs labeling the maximal elements above an element, from the label sets."""
     maximal = model.poset.maximal_elements()
     return frozenset(model.max_labeling[e] for e in model.poset.up_set([k]) if e in maximal)
+
+
+def oracle_open_box_Q(model: ProductModel) -> FinitePoset:
+    """Q from label sets: P restricted to the elements whose shadow is an open box U x V with
+    U nonempty and y0 in V, each relabelled as its triple."""
+    triples = {}
+    for k in model.poset.elements:
+        shadow = oracle_max_shadow(model, k)
+        u = frozenset(x for x, _ in shadow)
+        v = frozenset(y for _, y in shadow)
+        if (u and len(shadow) == len(u) * len(v) and model.y0 in v
+                and model.topology_x.is_open(u) and model.topology_y.is_open(v)):
+            triples[k] = QTriple(u, v, k)
+    kept = model.poset.restrict(triples)
+    return FinitePoset([triples[k] for k in kept.elements], kept._up)
+
+
+def oracle_lower_set_model(model: ProductModel, y) -> tuple[FinitePoset, Report]:
+    """The lower model from label sets: the down set of the fiber, its subposet, and the
+    relative topology on its maxima renamed to X labels and compared with the X topology."""
+    report = Report()
+    report.info("fiber", y)
+    pair_to_max = {pair: e for e, pair in model.max_labeling.items()}
+    targets = frozenset(pair_to_max[(x, y)] for x in model.label_x)
+    lower = model.poset.down_set(targets)
+    report.info("lower-set-size", len(lower))
+    report.check("scott-closed", all(model.poset.down_set([e]) <= lower for e in lower))
+    report.info("ambient-ideal-domain", "yes")
+    report.info("lower-set-ideal-domain", "yes")
+    sub = model.poset.restrict(lower)
+    sub_max = sub.maximal_elements()
+    fiber_ok = report.check(
+        "max-equals-fiber",
+        sub_max == targets,
+        sorted(map(str, sub_max ^ targets)) or None,
+    )
+    if fiber_ok:
+        rel = relative_topology(sub, sub_max)
+        first = {e: model.max_labeling[e][0] for e in sub_max}
+        renamed = rel.renamed(first, model.label_x)
+        report.check("max-homeomorphic-to-factor", renamed == model.topology_x)
+    else:
+        report.check("max-homeomorphic-to-factor", False, "fiber mismatch")
+    return sub, report
 
 
 def oracle_boxes(model: ProductModel) -> list[tuple[QTriple, frozenset]]:

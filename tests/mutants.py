@@ -172,8 +172,8 @@ MUTANTS = (
     ),
     Mutant(
         "lower-model-closed-test-reads-up-rows", FACTORIZATION,
-        "_rows_inside(model.poset._down, positions,",
-        "_rows_inside(model.poset._up, positions,",
+        "_rows_inside(p._down, positions, lower)",
+        "_rows_inside(p._up, positions, lower)",
         # the lower-model goldens cannot see it: their lower sets are upward closed as well
         (TEST_FACTORIZATION + "test_lower_set_model_with_extra_covers",),
     ),
@@ -362,6 +362,77 @@ MUTANTS = (
         'int(f"{mask:0{n - 1}b}"[::-1], 2)',
         (TEST_POSET + "test_mirror_matches_the_bit_walk",
          TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
+    ),
+    Mutant(
+        "split-x-row-from-the-last-y-slice", FACTORIZATION,
+        "for row in rows[::ny]",
+        "for row in rows[ny - 1::ny]",
+        (TEST_FACTORIZATION + "test_split_recovers_both_factors_of_poset_products",
+         TEST_FACTORIZATION + "test_split_matches_the_oracle_on_shuffled_spaces"),
+    ),
+    Mutant(
+        "split-skips-the-cut-onto-pair-positions", FACTORIZATION,
+        "rows = topology.around if at == sorted(at) else _cut_rows(topology.around, at)",
+        "rows = topology.around",
+        (TEST_FACTORIZATION + "test_split_matches_the_oracle_on_shuffled_spaces",),
+    ),
+    Mutant(
+        "spread-one-block-too-far", FACTORIZATION,
+        'int(("0" * (ny - 1)).join(f"{u:b}"), 2)',
+        'int(("0" * ny).join(f"{u:b}"), 2)',
+        (TEST_FACTORIZATION + "test_split_recovers_both_factors_of_poset_products",
+         TEST_FACTORIZATION + "test_triple_poset_matches_both_enumerations"),
+    ),
+    Mutant(
+        "q-box-spreads-the-y-projection", FACTORIZATION,
+        "shadow == _spread(u, ny) * v",
+        "shadow == _spread(v, ny) * u",
+        (TEST_FACTORIZATION + "test_triple_poset_matches_both_enumerations",
+         TEST_CLI + "test_factor_verifies_the_model"),
+    ),
+    Mutant(
+        "q-skips-the-x-openness-test", FACTORIZATION,
+        "and _rows_inside(tx.around, _iter_bits(u), u) and",
+        "and",
+        (TEST_FACTORIZATION + "test_triple_poset_matches_the_label_sets",),
+    ),
+    Mutant(
+        "q-projection-keeps-the-last-block-only", FACTORIZATION,
+        "            u |= 1 << q // ny\n",
+        "            u = 1 << q // ny\n",
+        (TEST_FACTORIZATION + "test_triple_poset_matches_the_label_sets",),
+    ),
+    Mutant(
+        "shadow-drops-its-lowest-maximum", FACTORIZATION,
+        "_iter_bits(row & top)",
+        "_iter_bits(row & top & (row & top) - 1)",
+        (TEST_FACTORIZATION + "test_max_shadow_matches_the_label_sets",
+         TEST_FACTORIZATION + "test_triple_poset_matches_both_enumerations"),
+    ),
+    Mutant(
+        "transport-open-test-reads-the-continuity-side", FACTORIZATION,
+        "tight = [row for row, back in zip(tx.around, pulled) if back & ~row]",
+        "tight = [row for row, back in zip(tx.around, pulled) if row & ~back]",
+        (TEST_FACTORIZATION + "test_verification_rejects_a_non_discrete_maximal_space",),
+    ),
+    Mutant(
+        "lower-model-maxima-read-down-rows", FACTORIZATION,
+        "p._up[i] & lower == 1 << i",
+        "p._down[i] & lower == 1 << i",
+        (TEST_FACTORIZATION + "test_lower_set_model_matches_the_label_sets",
+         TEST_CLI + "test_lower_model_fiber"),
+    ),
+    Mutant(
+        "selected-maximal-test-reads-the-image", FACTORIZATION,
+        "if i is None or not maximal >> i & 1]",
+        "if i is None or not image >> i & 1]",
+        (TEST_FACTORIZATION + "test_verification_rejects_ideals_over_another_base",),
+    ),
+    Mutant(
+        "diagonal-skips-the-openness-check", SYMBOLIC,
+        "        if not validate_open(member, MODE_L):\n",
+        "        if False:\n",
+        (TEST_SYMBOLIC + "test_diagonal_refuses_a_member_that_is_not_open",),
     ),
 )
 

@@ -18,9 +18,10 @@ import pytest
 import ordtop.cli
 import ordtop.factorization as factorization
 from ordtop import (ProductModel, Report, Topology, build_poset, build_Q, idl_poset,
-                    lower_set_model, relative_topology, symbolic)
+                    lower_set_model, symbolic)
+from ordtop.factorization import _relative_rows
 
-from test_cli import ARGV_GOLDEN, DATA, GOLDEN, _call, all_pairs_shadow
+from test_cli import ARGV_GOLDEN, DATA, GOLDEN, _call, all_pairs_shadows
 from test_symbolic import MUTANTS
 
 
@@ -40,10 +41,10 @@ def _coarse_x_after_q(model):
     return q
 
 
-def _indiscrete_on_ideals(p, subspace):
+def _indiscrete_on_ideals(p, at):
     # the model's own maxima keep their topology; only the completion's, sets of triples, lose it
-    rel = relative_topology(p, subspace)
-    return _indiscrete(rel) if all(isinstance(s, frozenset) for s in rel.space) else rel
+    rows = _relative_rows(p, at)
+    return [(1 << len(at)) - 1] * len(at) if all(isinstance(e, frozenset) for e in p.elements) else rows
 
 
 def _coarse_x_first(model, y):
@@ -57,7 +58,7 @@ def _cutoffs(mutant):
 
 
 FACTOR = ["factor", "--input", DATA / "model_2x1.json"]
-ALL_PAIRS = (FACTOR, ProductModel, "max_shadow", all_pairs_shadow)
+ALL_PAIRS = (FACTOR, ProductModel, "_shadows", all_pairs_shadows)
 COARSE_X = (FACTOR, factorization, "build_Q", _coarse_x_after_q)
 DIAGONAL = ["diagonal", "--input", DATA / "family_uniform3.json"]
 OUTSIDE = (DIAGONAL, symbolic, "symbolic_member", lambda open_set, point: False)
@@ -69,7 +70,7 @@ KILLERS = {
     "claim-selected-are-maximal": ALL_PAIRS,
     "claim-max-point-bijection": ALL_PAIRS,
     "claim-map-continuous": COARSE_X,
-    "claim-map-open": (FACTOR, factorization, "relative_topology", _indiscrete_on_ideals),
+    "claim-map-open": (FACTOR, factorization, "_relative_rows", _indiscrete_on_ideals),
     "topology-transport-exact": COARSE_X,
     "max-homeomorphic-to-factor": (["lower-model", "--input", DATA / "model_2x1.json"],
                                    ordtop.cli, "lower_set_model", _coarse_x_first),

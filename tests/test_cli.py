@@ -1498,14 +1498,14 @@ def test_poset_verbs_keep_their_input_contract(malformed, data):
             assert (code, err) == (0, "")
 
 
-def all_pairs_shadow(model, k):
-    return frozenset((x, y) for x in model.label_x for y in model.label_y)
+def all_pairs_shadows(model):
+    return [(1 << len(model.label_x) * len(model.label_y)) - 1] * len(model.poset)
 
 
 def test_an_all_pairs_shadow_fails_as_an_undirected_ideal(capsys, monkeypatch):
     # every element claims every pair, so every element is a triple and
     # J(x) is all of the poset, whose two maxima have no upper bound
-    monkeypatch.setattr(ProductModel, "max_shadow", all_pairs_shadow)
+    monkeypatch.setattr(ProductModel, "_shadows", all_pairs_shadows)
     assert _call(capsys, ["factor", "--input", DATA / "model_2x1.json"]) == (1, (
         "q-count: 4\n"
         "claim-partial-order: yes\n"

@@ -1,5 +1,7 @@
+import json
 from functools import cached_property
 from itertools import permutations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -45,12 +47,16 @@ from helpers import (
     model_to_json,
     oracle_box_order_Q,
     oracle_build_Q,
+    oracle_lower_set_model,
     oracle_max_shadow,
+    oracle_open_box_Q,
     oracle_posets,
     oracle_split_product_topology,
     rooted_model,
     vshape,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_qtriple_renders_sorted():
@@ -132,6 +138,37 @@ def test_split_matches_the_oracle_on_random_3x2_topologies():
         assert fast == slow, masks
         verdicts.add(fast is None)
     assert verdicts == {True, False}
+
+
+def _random_preorder(rng: Random, n: int) -> list[int]:
+    """The closed rows of a random preorder: each point reaches each other one with probability 0.3."""
+    rows = [(1 << i) | sum(1 << j for j in range(n) if rng.random() < 0.3) for i in range(n)]
+    _transitive_close(rows)
+    return rows
+
+
+def test_split_matches_the_oracle_on_shuffled_spaces():
+    # the space comes from an explicit open family, listed in a shuffled order, so the split
+    # must cut its rows onto pair positions before it reads the slices
+    rng = Random(29)
+    verdicts, coarse = set(), 0
+    for nx, ny in ((2, 2), (3, 2), (2, 3)) * 60:
+        xs, ys = tuple(f"x{i}" for i in range(nx)), tuple(f"y{j}" for j in range(ny))
+        pairs = [(x, y) for x in xs for y in ys]
+        masks = _random_preorder(rng, nx * ny)
+        if rng.random() < 0.5:  # a product of two random preorders, so that both verdicts occur
+            ux, vy = _random_preorder(rng, nx), _random_preorder(rng, ny)
+            masks = [sum(1 << c * ny + d for c in range(nx) if ux[a] >> c & 1 for d in range(ny) if vy[b] >> d & 1)
+                     for a in range(nx) for b in range(ny)]
+        space = list(pairs)
+        while space == pairs:
+            rng.shuffle(space)
+        topology = Topology.from_opens(space, Topology(pairs, masks).opens)
+        fast, slow = _both_splits(topology, xs, ys)
+        assert fast == slow, masks
+        verdicts.add(fast is None)
+        coarse += fast is not None and not (fast[0].is_discrete and fast[1].is_discrete)
+    assert verdicts == {True, False} and coarse > 10
 
 
 def _powerset(items):
@@ -257,6 +294,8 @@ def test_verification_rejects_ideals_over_another_base():
     selected["x1"] = lower
     report = verify_claims(m, q, completion, selected)
     assert not report.ok and dict(report.entries)["claim-selected-are-ideals"] == "no [x1]"
+    # the lower triple's ideal is an element of the completion, below J(x1)
+    assert dict(report.entries)["claim-selected-are-maximal"] == "no [x1]"
 
 
 def test_verification_rejects_a_doctored_completion():
@@ -278,13 +317,11 @@ def test_verification_rejects_a_coarser_x_topology():
 def test_verification_rejects_a_non_discrete_maximal_space(monkeypatch):
     m = discrete_model(3, 2)
     q, completion, selected = _pipeline(m)
-    honest = factorization.relative_topology
 
-    def indiscrete(p, subspace):
-        rel = honest(p, subspace)
-        return Topology(rel.space, [(1 << len(rel.space)) - 1] * len(rel.space))
+    def indiscrete(p, at):
+        return [(1 << len(at)) - 1] * len(at)
 
-    monkeypatch.setattr(factorization, "relative_topology", indiscrete)
+    monkeypatch.setattr(factorization, "_relative_rows", indiscrete)
     report = verify_claims(m, q, completion, selected)
     assert _fails(report, "claim-map-open")
 
@@ -389,6 +426,24 @@ def test_triple_poset_matches_both_enumerations():
     assert multi_pair > len(models) // 3
 
 
+def test_triple_poset_matches_the_label_sets():
+    # the open-box elements from label sets, on every compared model with its own factor
+    # topologies and with random coarser ones, so that the openness tests can refuse a box
+    rng = Random(2029)
+    models = _compared_models()
+    refused = 0
+    for m in models:
+        q = build_Q(m)
+        oracle = oracle_open_box_Q(m)
+        assert (q.elements, q._up) == (oracle.elements, oracle._up), m.poset.covers()
+        m.topology_x = Topology(m.label_x, _random_preorder(rng, len(m.label_x)))
+        m.topology_y = Topology(m.label_y, _random_preorder(rng, len(m.label_y)))
+        coarse, oracle = build_Q(m), oracle_open_box_Q(m)
+        assert (coarse.elements, coarse._up) == (oracle.elements, oracle._up), m.poset.covers()
+        refused += len(coarse) < len(q)
+    assert refused > len(models) // 4
+
+
 def test_chain_pairs_model_shape():
     m = chain_pairs_model(1)
     assert len(m.poset) == 7
@@ -418,6 +473,30 @@ def test_lower_set_model_with_extra_covers():
     sub, report = lower_set_model(m, "0")
     assert report.ok
     assert "0" in sub.elements
+
+
+def test_lower_set_model_matches_the_label_sets():
+    # every fiber of every compared model, and of the named ones, with its own X topology and
+    # with an indiscrete one, which the fiber's maxima do not carry
+    named = [discrete_model(nx, ny) for nx in range(1, 4) for ny in range(1, 4)]
+    named += [rooted_model()] + [chain_pairs_model(depth) for depth in range(4)]
+    named += [model_from_json(json.loads(path.read_text())) for path in sorted(DATA.glob("model_*.json"))]
+    base = chain_pairs_model(1)  # the extra cover of test_lower_set_model_with_extra_covers
+    poset = build_poset(base.poset.elements, base.poset.covers() + (("0", "(1,0)"),))
+    named.append(ProductModel(poset, base.label_x, base.label_y, base.max_labeling, base.y0))
+    refused = 0
+    for m in _compared_models() + named:
+        for coarse in (False, True):
+            if coarse:
+                n = len(m.label_x)
+                m.topology_x = Topology(m.label_x, [(1 << n) - 1] * n)
+            for y in m.label_y:
+                sub, report = lower_set_model(m, y)
+                oracle_sub, oracle_report = oracle_lower_set_model(m, y)
+                assert report.entries == oracle_report.entries, (m.poset.covers(), y)
+                assert (sub.elements, sub._up) == (oracle_sub.elements, oracle_sub._up)
+                refused += not report.ok
+    assert refused > 100
 
 
 def test_algebraic_model_preserves_the_maximal_space():

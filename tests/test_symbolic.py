@@ -26,6 +26,7 @@ from ordtop import (
     SelectorPoint,
     SymbolicOpen,
     ThresholdRule,
+    VerificationFailed,
     contains_max,
     cutoff_open,
     diagonal_witness,
@@ -483,8 +484,25 @@ def test_diagonal_on_a_rule_family():
 
 
 def test_open_family_argument_checks():
-    assert uniform_family(2).validate(MODE_L)
-    assert not uniform_family(2).validate(MODE_LHAT)  # Lhat has no level-1 points
+    family = uniform_family(2)
+    assert all(validate_open(family.member(j), MODE_L) for j in family.indices())
+    # Lhat has no level-1 points
+    assert not any(validate_open(family.member(j), MODE_LHAT) for j in family.indices())
+
+
+def test_diagonal_refuses_a_member_that_is_not_open(capsys, tmp_path):
+    # the grant keeps level 0 but not level 1, so the member is not upward closed in L,
+    # although its zero threshold and the level-1 flag certify that it covers the maxima
+    grant = SymbolicOpen(ThresholdRule(default=0), all_level1=True, cylinders=[Cylinder((), {0})])
+    assert contains_max(grant, MODE_L) and not validate_open(grant, MODE_L)
+    family = OpenFamily([uniform_family(1).member(0), grant])
+    with pytest.raises(VerificationFailed, match="^family member 1 is not Scott open in L$"):
+        diagonal_witness(family)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family_to_json(family)))
+    assert main(["diagonal", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: family member 1 is not Scott open in L\n")
 
 
 # -- the countable certificate -------------------------------------------------------
