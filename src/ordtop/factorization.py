@@ -30,8 +30,8 @@ from .errors import (
     excerpt,
 )
 from .ideals import idl_poset
-from .poset import (FinitePoset, Label, _cut_rows, _iter_bits, _mask_at, _order_violation, _rows_inside, _utf8_labels,
-                    build_poset, label_text, poset_from_json)
+from .poset import (FinitePoset, Label, _cut_rows, _iter_bits, _mask_at, _order_violation, _rows_inside, _spread,
+                    _utf8_labels, build_poset, label_text, poset_from_json)
 from .report import Report
 from .topology import Topology, relative_topology
 
@@ -52,11 +52,6 @@ class QTriple:
         u = ",".join(sorted(map(str, self.u)))
         v = ",".join(sorted(map(str, self.v)))
         return f"(U={{{u}}},V={{{v}}},k={label_text(self.k)})"
-
-
-def _spread(u: int, ny: int) -> int:
-    """The mask with bit a of u moved to bit a * ny, so that ``_spread(u, ny) * v`` is the box of u and v < 2^ny."""
-    return int(("0" * (ny - 1)).join(f"{u:b}"), 2)
 
 
 def _relative_rows(p: FinitePoset, at: list[int]) -> list[int]:

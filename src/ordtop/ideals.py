@@ -5,12 +5,12 @@ An ideal is a nonempty directed lower set, held as a frozenset of labels.
 
 from __future__ import annotations
 
-from .poset import FinitePoset, Label, _cut_rows, _iter_bits, _rows_inside
+from .poset import FinitePoset, Label, _cut_rows, _iter_bits, _mirror, _rows_inside
 
 
-def _size_then_positions(mask: int) -> tuple:
-    """The key of the canonical order of subsets: by size, then by sorted positions."""
-    return mask.bit_count(), tuple(_iter_bits(mask))
+def _size_then_positions(mask: int, n: int) -> tuple[int, int]:
+    """The canonical subset order: by size, then by sorted positions, which is the mirrored mask descending."""
+    return mask.bit_count(), -_mirror(mask, n)
 
 
 def principal_ideal(base: FinitePoset, point: Label) -> frozenset:
@@ -26,7 +26,7 @@ def all_ideals(base: FinitePoset) -> list[frozenset]:
     """
     masks = [mask for mask in range(1, 1 << len(base))
              if _rows_inside(base._down, _iter_bits(mask), mask) and base._directed(mask)]
-    return [base.labels_of(mask) for mask in sorted(masks, key=_size_then_positions)]
+    return [base.labels_of(mask) for mask in sorted(masks, key=lambda mask: _size_then_positions(mask, len(base)))]
 
 
 def idl_poset(base: FinitePoset) -> tuple[FinitePoset, dict[Label, frozenset]]:
@@ -37,7 +37,7 @@ def idl_poset(base: FinitePoset) -> tuple[FinitePoset, dict[Label, frozenset]]:
     labels) sorted as ``all_ideals`` sorts them, ordered as the base, in O(n^2).
     """
     down = base._down
-    order = sorted(range(len(base)), key=lambda i: _size_then_positions(down[i]))
+    order = sorted(range(len(base)), key=lambda i: _size_then_positions(down[i], len(base)))
     labels = [base.labels_of(down[i]) for i in order]
     embedding = {base.elements[i]: label for i, label in zip(order, labels)}
     return FinitePoset(labels, _cut_rows(base._up, order)), embedding

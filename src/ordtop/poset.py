@@ -74,6 +74,11 @@ def _mirror(mask: int, n: int) -> int:
     return int(f"{mask:0{n}b}"[::-1], 2)
 
 
+def _spread(u: int, ny: int) -> int:
+    """The mask with bit a of u moved to bit a * ny, so that ``_spread(u, ny) * v`` is the box of u and v < 2^ny."""
+    return int(("0" * (ny - 1)).join(f"{u:b}"), 2)
+
+
 def _transitive_close(masks: list[int]) -> tuple[int, int] | None:
     """Replace each row by its reflexive-transitive closure, in place; return a cycle.
 
@@ -305,11 +310,7 @@ class FinitePoset:
 
     @cached_property
     def _max_mask(self) -> int:
-        mask = 0
-        for i in range(len(self)):
-            if self._up[i] == 1 << i:
-                mask |= 1 << i
-        return mask
+        return _mask_at((i for i, row in enumerate(self._up) if row == 1 << i), len(self))
 
     def maximal_elements(self) -> frozenset[Label]:
         return self.labels_of(self._max_mask)
@@ -400,51 +401,24 @@ def build_poset(elements: Iterable[Label], covers: Iterable[tuple[Label, Label]]
 
 
 def product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
-    """Componentwise order on pairs of labels."""
+    """Componentwise order on pairs of labels: (a, b) sits at position a * |q| + b, and each row is a box."""
     nq = len(q)
     elements = [(a, b) for a in p.elements for b in q.elements]
-    masks = []
-    for i in range(len(p)):
-        for j in range(nq):
-            row = 0
-            for k in _iter_bits(p._up[i]):
-                for l in _iter_bits(q._up[j]):
-                    row |= 1 << (k * nq + l)
-            masks.append(row)
-    return FinitePoset(elements, masks)
+    return FinitePoset(elements, [_spread(u, nq) * v for u in p._up for v in q._up])
 
 
 # -- order isomorphism search ---------------------------------------------
 
 
-def _refined_colors(p: FinitePoset) -> list[int]:
-    n = len(p)
-    down = p._down
-    colors = [(bin(p._up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
-    ranks = {c: r for r, c in enumerate(sorted(set(colors)))}
-    current = [ranks[c] for c in colors]
-    for _ in range(n):
-        sigs = []
-        for i in range(n):
-            above = tuple(sorted(current[j] for j in _iter_bits(p._up[i])))
-            below = tuple(sorted(current[j] for j in _iter_bits(down[i])))
-            sigs.append((current[i], above, below))
-        ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        refined = [ranks[s] for s in sigs]
-        if refined == current:
-            break
-        current = refined
-    return current
-
-
 def find_order_isomorphism(p: FinitePoset, q: FinitePoset) -> dict[Label, Label] | None:
-    """A label bijection preserving order both ways, or None (backtracking; tests only)."""
+    """A label bijection preserving order both ways, or None (backtracking on degrees; tests only)."""
     if len(p) != len(q):
         return None
-    cp, cq = _refined_colors(p), _refined_colors(q)
-    if sorted(cp) != sorted(cq):
+    # an isomorphism keeps each element's (up-set size, down-set size)
+    dp, dq = ([(up.bit_count(), down.bit_count()) for up, down in zip(r._up, r._down)] for r in (p, q))
+    if sorted(dp) != sorted(dq):
         return None
-    candidates = [[j for j in range(len(q)) if cq[j] == cp[i]] for i in range(len(p))]
+    candidates = [[j for j in range(len(q)) if dq[j] == d] for d in dp]
     order = sorted(range(len(p)), key=lambda i: len(candidates[i]))
     assigned: dict[int, int] = {}
     used: set[int] = set()

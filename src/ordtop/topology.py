@@ -56,7 +56,7 @@ class Topology:
         space = tuple(space)
         pos = {pt: i for i, pt in enumerate(space)}
         try:
-            masks = {sum(1 << pos[x] for x in set(u)) for u in family}
+            masks = {_mask_at([pos[x] for x in u], len(space)) for u in family}
         except KeyError:
             raise ValueError("open set leaves the space") from None
         around = [(1 << len(space)) - 1] * len(space)
@@ -84,7 +84,7 @@ class Topology:
     def is_open(self, points: Iterable) -> bool:
         """Whether a set of points holds the smallest open around each of them."""
         positions = [self._position(pt) for pt in points]
-        return _rows_inside(self.around, positions, sum(1 << i for i in set(positions)))
+        return _rows_inside(self.around, positions, _mask_at(positions, len(self.space)))
 
     def renamed(self, name: Mapping, space: Iterable) -> "Topology":
         """The subspace on the points ``name`` maps, renamed along it onto ``space``.
@@ -307,6 +307,6 @@ def is_gdelta(topology: Topology, subset: Iterable) -> bool:
 
     The definition, over up to 2^n opens; no verb calls it.  It agrees with ``Topology.is_open``.
     """
-    target = topology.labels_of(sum(1 << topology._position(pt) for pt in set(subset)))
+    target = topology.labels_of(_mask_at(map(topology._position, subset), len(topology.space)))
     meet = frozenset(topology.space).intersection(*(u for u in topology.opens if target <= u))
     return meet == target

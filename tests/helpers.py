@@ -268,6 +268,21 @@ def oracle_covers(p: FinitePoset) -> tuple:
     return tuple(out)
 
 
+def oracle_product(p: FinitePoset, q: FinitePoset) -> FinitePoset:
+    """The componentwise order on pairs (a, b) at a * |q| + b, one related pair ORed in at a time."""
+    nq = len(q)
+    elements = [(a, b) for a in p.elements for b in q.elements]
+    masks = []
+    for i in range(len(p)):
+        for j in range(nq):
+            row = 0
+            for k in _iter_bits(p._up[i]):
+                for l in _iter_bits(q._up[j]):
+                    row |= 1 << (k * nq + l)
+            masks.append(row)
+    return FinitePoset(elements, masks)
+
+
 def oracle_scott_opens(p: FinitePoset) -> Topology:
     """The Scott opens, testing every subset against the definition."""
     return Topology.from_opens(p.elements, [u for u in subsets(p.elements) if is_scott_open(p, u)])

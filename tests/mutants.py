@@ -32,6 +32,7 @@ CLI = "src/ordtop/cli.py"
 TOPOLOGY = "src/ordtop/topology.py"
 POSET = "src/ordtop/poset.py"
 FACTORIZATION = "src/ordtop/factorization.py"
+IDEALS = "src/ordtop/ideals.py"
 TEST_SYMBOLIC = "tests/test_symbolic.py::"
 TEST_CLI = "tests/test_cli.py::"
 TEST_TOPOLOGY = "tests/test_topology.py::"
@@ -377,11 +378,31 @@ MUTANTS = (
         (TEST_FACTORIZATION + "test_split_matches_the_oracle_on_shuffled_spaces",),
     ),
     Mutant(
-        "spread-one-block-too-far", FACTORIZATION,
+        "spread-one-block-too-far", POSET,
         'int(("0" * (ny - 1)).join(f"{u:b}"), 2)',
         'int(("0" * ny).join(f"{u:b}"), 2)',
         (TEST_FACTORIZATION + "test_split_recovers_both_factors_of_poset_products",
          TEST_FACTORIZATION + "test_triple_poset_matches_both_enumerations"),
+    ),
+    Mutant(
+        "product-box-transposed", POSET,
+        "_spread(u, nq) * v",
+        "_spread(v, nq) * u",
+        (TEST_POSET + "test_product_matches_the_oracle",),
+    ),
+    Mutant(
+        "canonical-key-ascending", IDEALS,
+        "-_mirror(mask, n)",
+        "_mirror(mask, n)",
+        # idl_poset and all_ideals share the key, so only a sort of their own can see it
+        (TEST_IDEALS + "test_all_ideals_match_the_subset_sweep",),
+    ),
+    Mutant(
+        "max-mask-reads-any-set-bit", POSET,
+        "row == 1 << i",
+        "row & 1 << i",
+        (TEST_POSET + "test_maximal_elements",
+         TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
     ),
     Mutant(
         "q-box-spreads-the-y-projection", FACTORIZATION,

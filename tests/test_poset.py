@@ -49,6 +49,7 @@ from helpers import (
     oracle_covers,
     oracle_mirror,
     oracle_posets,
+    oracle_product,
     oracle_transitive_close,
     random_poset,
     vshape,
@@ -161,6 +162,16 @@ def test_product_of_two_chains_is_a_grid():
     assert find_order_isomorphism(grid, diamond()) is not None
 
 
+def test_product_matches_the_oracle():
+    # every pair of posets on up to three elements, empty ones included, and random pairs up to 5 x 4
+    small = [p for n in range(4) for p in all_posets(n)]
+    rng = Random(2009)
+    pairs = [(p, q) for p in small for q in small]
+    pairs += [(random_poset(rng.randint(1, 5), rng), random_poset(rng.randint(1, 4), rng)) for _ in range(100)]
+    for p, q in pairs:
+        assert product(p, q) == oracle_product(p, q), (p.covers(), q.covers())
+
+
 def test_product_is_associative_up_to_isomorphism():
     small = [p for n in range(1, 4) for p in all_posets(n)]
     for p in small:
@@ -228,6 +239,31 @@ def test_isomorphism_search():
     assert iso == {"c0": "x", "c1": "y", "c2": "z"}
     assert find_order_isomorphism(chain(3), antichain(3)) is None
     assert find_order_isomorphism(diamond(), vshape()) is None
+
+
+def _bipartite_cycle(n: int, tag: str = "") -> FinitePoset:
+    """Bottoms b_i below the tops t_i and t_(i+1 mod n): its Hasse diagram is a cycle of 2n points."""
+    bottoms = [f"{tag}b{i}" for i in range(n)]
+    tops = [f"{tag}t{i}" for i in range(n)]
+    return build_poset(bottoms + tops, [(b, tops[(i + d) % n]) for i, b in enumerate(bottoms) for d in (0, 1)])
+
+
+def test_isomorphism_search_backtracks_where_no_degree_separates_the_points():
+    # every bottom is below two tops and every top above two bottoms, on both sides
+    c6 = _bipartite_cycle(6)
+    halves = [_bipartite_cycle(3, tag) for tag in "xy"]
+    two_c3 = build_poset(halves[0].elements + halves[1].elements, halves[0].covers() + halves[1].covers())
+    assert len(c6) == len(two_c3) == 12
+    assert find_order_isomorphism(c6, two_c3) is None
+    assert find_order_isomorphism(two_c3, c6) is None
+    # the same cycle, relabelled and listed in a shuffled order
+    rng = Random(2015)
+    rename = {e: f"r{k}" for k, e in enumerate(rng.sample(c6.elements, len(c6)))}
+    shuffled = rng.sample([rename[e] for e in c6.elements], len(c6))
+    copy = build_poset(shuffled, [(rename[a], rename[b]) for a, b in c6.covers()])
+    iso = find_order_isomorphism(c6, copy)
+    assert iso is not None and sorted(iso.values(), key=copy.index) == list(copy.elements)
+    assert all(c6.le(a, b) == copy.le(iso[a], iso[b]) for a in c6.elements for b in c6.elements)
 
 
 def test_label_text():
