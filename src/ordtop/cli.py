@@ -21,8 +21,7 @@ from typing import Iterator, Sequence
 
 from .errors import InputError, TooLarge, UnknownLabel, VerificationFailed, excerpt
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
-from .poset import (FinitePoset, _iter_bits, _mirror, covers_json_text, label_text, load_json,
-                    poset_from_json, to_dot)
+from .poset import FinitePoset, _mirror, covers_json_text, label_text, load_json, poset_from_json, to_dot
 from .report import Report
 from .symbolic import (
     MODE_L,
@@ -113,7 +112,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"bounded-complete: {_yn(is_bounded_complete(p))}")
     print(f"compact-count: {len(p)}")
     print(f"max-count: {p._max_mask.bit_count()}")
-    text = ",".join(label_text(p.elements[i]) for i in _iter_bits(p._max_mask))
+    text = ",".join(map(label_text, p._members(p._max_mask)))
     print(f"maximal: {{{text}}}")
     return 0
 
@@ -133,11 +132,11 @@ def _print_opens(topology: Topology) -> None:
     then as ``combinations``, the subsets of the points from ``tail`` on held as texts and written under heads
     that spell the earlier points.  The held texts fit in a quarter of the write bound, each counted as its
     characters, a comma per point and its str object, so peak memory stays near that of the writes."""
-    texts, n = [label_text(pt) for pt in topology.space], len(topology.space)
+    texts, n = [label_text(pt) for pt in topology.elements], len(topology)
     longest = f"open: {{{','.join(texts)}}}\n"
     per_write = max(1, LISTING_CHUNK_BYTES // len(longest.encode()))
     if not topology.is_discrete:  # one batch of masks at a time, spelled by one set of chunk tables
-        spelled = _set_texts(topology.space, topology.open_masks)
+        spelled = _set_texts(topology.elements, topology.open_masks)
         while batch := list(islice(spelled, per_write)):
             _write_lines("open: {", batch, per_write)
         return
@@ -170,7 +169,7 @@ def cmd_maxspace(args: argparse.Namespace) -> int:
     p = _load_poset(args)
     maximal = p.maximal_elements()
     rel = relative_topology(p, maximal)
-    print(f"max-count: {len(rel.space)}")
+    print(f"max-count: {len(rel)}")
     print(f"open-count: {rel.open_count}")
     print(f"discrete: {_yn(rel.is_discrete)}")
     _print_opens(rel)

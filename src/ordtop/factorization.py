@@ -71,17 +71,17 @@ def split_product_topology(
     On rows over pair positions a * |Y| + b, a box is ``_spread(U) * V``.
     """
     xs, ys = tuple(xs), tuple(ys)
-    at, ny = [topology._pos.get((x, y)) for x in xs for y in ys], len(ys)
-    if not (xs and ys) or len(at) != len(topology.space) or None in at or len(set(at)) != len(at):
+    at, ny = [topology._index.get((x, y)) for x in xs for y in ys], len(ys)
+    if not (xs and ys) or len(at) != len(topology) or None in at or len(set(at)) != len(at):
         raise InvalidModel("topology space is not the set of pairs of two nonempty factors")
-    rows = topology.around if at == sorted(at) else _cut_rows(topology.around, at)
+    rows = topology._up if at == sorted(at) else _cut_rows(topology._up, at)
     tx = Topology(xs, (int(f"{row:0{len(rows)}b}"[ny - 1::ny], 2) for row in rows[::ny]))
     ty = Topology(ys, (row & (1 << ny) - 1 for row in rows[:ny]))
-    boxes = [_spread(u, ny) for u in tx.around]
+    boxes = [_spread(u, ny) for u in tx._up]
     for q, row in enumerate(rows):
         a, b = divmod(q, ny)
-        if row != boxes[a] * ty.around[b]:
-            u, v = tx.labels_of(tx.around[a]), ty.labels_of(ty.around[b])
+        if row != boxes[a] * ty._up[b]:
+            u, v = tx.labels_of(tx._up[a]), ty.labels_of(ty._up[b])
             raise NotAProductTopology(
                 f"smallest open around ({xs[a]}, {ys[b]}) is not the box "
                 f"{sorted(map(str, u))} x {sorted(map(str, v))}"
@@ -186,7 +186,7 @@ def build_Q(model: ProductModel) -> FinitePoset:
             u |= 1 << q // ny
             v |= 1 << q % ny
         if (u and v & base and shadow == _spread(u, ny) * v
-                and _rows_inside(tx.around, _iter_bits(u), u) and _rows_inside(ty.around, _iter_bits(v), v)):
+                and _rows_inside(tx._up, _iter_bits(u), u) and _rows_inside(ty._up, _iter_bits(v), v)):
             kept.append(i)
             triples.append(QTriple(tx.labels_of(u), ty.labels_of(v), model.poset.elements[i]))
     return FinitePoset(triples, _relative_rows(model.poset, kept))
@@ -267,9 +267,9 @@ def verify_claims(
     # when the reverse holds; the transport is exact when both do.
     if report.ok:
         tx = model.topology_x
-        pulled = _relative_rows(completion, [index[selected[x]] for x in tx.space])
-        loose = [back for row, back in zip(tx.around, pulled) if row & ~back]
-        tight = [row for row, back in zip(tx.around, pulled) if back & ~row]
+        pulled = _relative_rows(completion, [index[selected[x]] for x in tx.elements])
+        loose = [back for row, back in zip(tx._up, pulled) if row & ~back]
+        tight = [row for row, back in zip(tx._up, pulled) if back & ~row]
         report.check("claim-map-continuous", not loose,
                      loose and sorted(map(str, tx.labels_of(loose[0]))))
         report.check("claim-map-open", not tight,
@@ -293,7 +293,7 @@ def lower_set_model(model: ProductModel, y) -> tuple[FinitePoset, Report]:
     Every finite poset is an ideal domain, so the report states that of the
     ambient poset and the down set; it checks that the down set is lower (so
     Scott closed) and that its maxima are the fiber, carrying the X topology.
-    Fiber, down set and maxima are masks; the fiber's X rows are compared with ``topology_x.around``.
+    Fiber, down set and maxima are masks; the fiber's X rows are compared with ``topology_x._up``.
     """
     if y not in model.label_y:
         raise UnknownLabel(f"{excerpt(y)} is not a Y label")
@@ -312,7 +312,7 @@ def lower_set_model(model: ProductModel, y) -> tuple[FinitePoset, Report]:
     fiber_ok = report.check("max-equals-fiber", maxima == targets,
                             sorted(map(str, p.labels_of(maxima ^ targets))) or None)
     report.check("max-homeomorphic-to-factor",
-                 fiber_ok and _relative_rows(p, fiber) == list(model.topology_x.around),
+                 fiber_ok and _relative_rows(p, fiber) == list(model.topology_x._up),
                  None if fiber_ok else "fiber mismatch")
     return FinitePoset([p.elements[i] for i in positions], _relative_rows(p, positions)), report
 
@@ -331,7 +331,7 @@ def algebraic_model(p: FinitePoset) -> FinitePoset:
         raise VerificationFailed("maximal points do not biject with maximal ideals")
     rel_p = relative_topology(p, maximal)
     rel_c = relative_topology(completion, comp_max)
-    if rel_p.renamed(sent, rel_c.space) != rel_c:
+    if rel_p.renamed(sent, rel_c.elements) != rel_c:
         raise VerificationFailed("maximal point topologies do not correspond")
     return completion
 

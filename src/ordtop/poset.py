@@ -4,13 +4,15 @@ Elements are opaque hashable labels kept in a fixed tuple; the order is
 stored closed (reflexive and transitive), so order queries never recompute
 reachability.  Internally each element carries an integer bitmask of the
 elements above it, so a subset is one integer and the subset primitives
-are a few bitwise operations on its members' rows.
+are a few bitwise operations on its members' rows.  A finite topology is
+stored the same way, so ``LabelledRows`` holds what the two share.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -25,6 +27,7 @@ from .errors import (
 )
 
 Label = Any
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as selectors: "0" is false, "1" true
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -185,27 +188,82 @@ def _cycle_detected(elements: tuple[Label, ...], at: tuple[int, ...]) -> CycleDe
     return CycleDetected(" and ".join(excerpt(elements[k]) for k in at) + " sit below each other")
 
 
-class FinitePoset:
+class LabelledRows:
+    """Distinct labels in a fixed order, each with a bitmask row over their positions: its up-set.
+
+    A poset's rows are its up-sets, and a finite topology's are its smallest
+    opens, the up-sets of its specialization preorder.  The raw constructor
+    checks the labels and the row count; it trusts the rows themselves.
+    """
+
+    def __init__(self, elements: Iterable[Label], rows: Iterable[int]):
+        self.elements = tuple(elements)
+        self._index = _label_index(self.elements)
+        self._up = tuple(rows)
+        if len(self._up) != len(self.elements):
+            raise ValueError("one row per element required")
+
+    @classmethod
+    def _indexed(cls, elements: tuple, index: dict, rows: Iterable[int]):
+        """The structure on rows built against the labels' checked index, which is kept, not rebuilt."""
+        s = cls.__new__(cls)
+        s.elements, s._index, s._up = elements, index, tuple(rows)
+        return s
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self) -> Iterator[Label]:
+        return iter(self.elements)
+
+    def __contains__(self, label: Label) -> bool:
+        return label in self._index
+
+    def _positions(self, labels: Iterable[Label]) -> list[int]:
+        """Each label's position, in order; ForeignSet names the first label that lives elsewhere.
+
+        The one label lookup of a subset: ``mask_of``, ``is_open``, ``up_set``
+        and ``down_set`` read it.
+        """
+        index = self._index
+        try:
+            return [index[label] for label in labels]
+        except KeyError as foreign:
+            raise ForeignSet(f"label {excerpt(foreign.args[0])} is not an element of this {self._kind}") from None
+
+    def mask_of(self, labels: Iterable[Label]) -> int:
+        """Bitmask of a subset; rejects labels that live elsewhere."""
+        return _mask_at(self._positions(labels), len(self))
+
+    def _members(self, mask: int) -> Iterator[Label]:
+        """The labels at the set bits of a mask, in position order; its binary digits, reversed, pick them in C."""
+        return compress(self.elements, bin(mask)[:1:-1].encode().translate(_DIGIT_BITS))
+
+    def labels_of(self, mask: int) -> frozenset[Label]:
+        return frozenset(self._members(mask))
+
+    def is_open(self, labels: Iterable[Label]) -> bool:
+        """Does the set hold the row of each member?  On a poset: is it an upper set, so Scott open."""
+        positions = self._positions(labels)
+        return _rows_inside(self._up, positions, _mask_at(positions, len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.elements == other.elements and self._up == other._up
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.elements, self._up))
+
+
+class FinitePoset(LabelledRows):
     """An immutable poset over an ordered tuple of distinct labels.
 
     Construct through ``build_poset`` (covers, closed automatically) or
     ``FinitePoset.from_relation`` (an already closed relation, revalidated).
-    The raw constructor trusts its masks and is meant for internal use.
     """
 
-    def __init__(self, elements: Iterable[Label], up_masks: Iterable[int]):
-        self.elements = tuple(elements)
-        self._index = _label_index(self.elements)
-        self._up = tuple(up_masks)
-        if len(self._up) != len(self.elements):
-            raise ValueError("one up-mask per element required")
-
-    @classmethod
-    def _indexed(cls, elements: tuple, index: dict, masks: list[int]) -> "FinitePoset":
-        """The poset on rows built against the labels' checked index, which is kept, not rebuilt."""
-        p = cls.__new__(cls)
-        p.elements, p._index, p._up = elements, index, tuple(masks)
-        return p
+    _kind = "poset"
 
     @classmethod
     def from_covers(cls, elements: Iterable[Label], covers: Iterable[tuple[Label, Label]]) -> "FinitePoset":
@@ -243,16 +301,7 @@ class FinitePoset:
             raise ValueError(f"relation is not {axiom} at {names}")
         return cls._indexed(elements, seen, masks)
 
-    # -- basic queries ----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Label]:
-        return iter(self.elements)
-
-    def __contains__(self, label: Label) -> bool:
-        return label in self._index
+    # -- order queries ----------------------------------------------------
 
     def index(self, label: Label) -> int:
         try:
@@ -270,27 +319,6 @@ class FinitePoset:
             for j in _iter_bits(self._up[i]):
                 down[j] |= 1 << i
         return tuple(down)
-
-    # -- masks ------------------------------------------------------------
-
-    def _positions(self, labels: Iterable[Label]) -> list[int]:
-        """Each label's position, in order; ForeignSet names the first label that lives elsewhere.
-
-        The one label lookup of a subset: ``mask_of``, ``up_set``, ``down_set`` and
-        ``is_upper_set`` read it.
-        """
-        index = self._index
-        try:
-            return [index[label] for label in labels]
-        except KeyError as foreign:
-            raise ForeignSet(f"label {excerpt(foreign.args[0])} is not an element of this poset") from None
-
-    def mask_of(self, labels: Iterable[Label]) -> int:
-        """Bitmask of a subset; rejects labels that live elsewhere."""
-        return _mask_at(self._positions(labels), len(self))
-
-    def labels_of(self, mask: int) -> frozenset[Label]:
-        return frozenset(self.elements[i] for i in _iter_bits(mask))
 
     # -- subset primitives --------------------------------------------------
 
@@ -380,16 +408,6 @@ class FinitePoset:
         kept = sorted(set(self._positions(labels)))
         return FinitePoset((self.elements[i] for i in kept), _cut_rows(self._up, kept))
 
-    # -- value semantics ------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FinitePoset):
-            return NotImplemented
-        return self.elements == other.elements and self._up == other._up
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self._up))
-
     def __repr__(self) -> str:
         pairs = sum(row.bit_count() for row in self._up)
         return f"FinitePoset({len(self)} elements, {pairs} related pairs)"
@@ -419,7 +437,13 @@ def find_order_isomorphism(p: FinitePoset, q: FinitePoset) -> dict[Label, Label]
     if sorted(dp) != sorted(dq):
         return None
     candidates = [[j for j in range(len(q)) if dq[j] == d] for d in dp]
-    order = sorted(range(len(p)), key=lambda i: len(candidates[i]))
+    # next, the most constrained element comparable to one placed, so a wrong placement fails at once
+    order, left, near = [], set(range(len(p))), 0
+    while left:
+        i = min([k for k in left if near >> k & 1] or left, key=lambda k: (len(candidates[k]), k))
+        order.append(i)
+        left.remove(i)
+        near |= p._up[i] | p._down[i]
     assigned: dict[int, int] = {}
     used: set[int] = set()
 

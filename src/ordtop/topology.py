@@ -3,7 +3,8 @@ classification predicates built from them.
 
 A finite topology is fixed by its specialization preorder (Alexandrov,
 "Diskrete Räume", 1937), so ``Topology`` keeps the smallest open around each
-point and builds the open family only for callers that list it.
+point, the poset rows of that preorder (``poset.LabelledRows``), and builds
+the open family only for callers that list it.
 
 On a finite poset a nonempty directed set contains its supremum as its
 greatest element, so the Scott conditions collapse: open means upper, closed
@@ -18,73 +19,55 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .errors import ForeignSet, excerpt
-from .poset import (FinitePoset, Label, _cut_rows, _iter_bits, _mask_at, _mirror, _order_violation,
-                    _rows_inside)
+from .errors import excerpt
+from .poset import (FinitePoset, Label, LabelledRows, _cut_rows, _iter_bits, _label_index, _mask_at, _mirror,
+                    _order_violation, _rows_inside)
 
 
-class Topology:
+class Topology(LabelledRows):
     """A finite topology, stored as the smallest open set around each point.
 
-    ``space`` fixes the point order used everywhere; ``around[i]`` is a
+    ``elements`` fixes the point order used everywhere; ``_up[i]`` is a
     bitmask over those positions holding the smallest open around
-    ``space[i]``.  The opens are the unions of these rows, listed on first
+    ``elements[i]``.  The opens are the unions of these rows, listed on first
     use as ``open_masks``.  ``validate`` checks that the rows nest;
     ``from_opens`` is the way in for an explicit open family.
     """
 
-    def __init__(self, space: Iterable, around: Iterable[int]):
-        self.space = tuple(space)
-        self._pos = {pt: i for i, pt in enumerate(self.space)}
-        if len(self._pos) != len(self.space):
-            raise ValueError("topology space has repeated points")
-        self.around = tuple(around)
-        if len(self.around) != len(self.space):
-            raise ValueError("one smallest open per point required")
-        for i, row in enumerate(self.around):
-            if row >> len(self.space) or not row >> i & 1:
-                raise ValueError(f"smallest open around {self.space[i]!r} is not around it")
+    _kind = "topology"
+
+    def __init__(self, elements: Iterable, rows: Iterable[int]):
+        super().__init__(elements, rows)
+        n = len(self.elements)
+        for i, row in enumerate(self._up):
+            if row >> n or not row >> i & 1:
+                raise ValueError(f"smallest open around {self.elements[i]!r} is not around it")
 
     @classmethod
     def from_opens(cls, space: Iterable, family: Iterable[Iterable]) -> "Topology":
         """The topology with exactly the given opens, or ValueError.
 
-        Each point's row is the meet of the members holding it.  Every member is
-        the union of its points' rows, so the family is a topology exactly when
-        it holds every union of rows.
+        Each point's row is the meet of the members holding it, so it holds
+        the point.  Every member is the union of its points' rows, so the
+        family is a topology exactly when it holds every union of rows.
         """
         space = tuple(space)
-        pos = {pt: i for i, pt in enumerate(space)}
+        index = _label_index(space)
         try:
-            masks = {_mask_at([pos[x] for x in u], len(space)) for u in family}
+            masks = {_mask_at([index[x] for x in u], len(space)) for u in family}
         except KeyError:
             raise ValueError("open set leaves the space") from None
-        around = [(1 << len(space)) - 1] * len(space)
+        rows = [(1 << len(space)) - 1] * len(space)
         for mask in masks:
             for i in _iter_bits(mask):
-                around[i] &= mask
-        topology = cls(space, around)
-        if _union_closure(around) != masks:
+                rows[i] &= mask
+        if _union_closure(rows) != masks:
             raise ValueError("family is not closed under unions and meets, empty ones included")
-        return topology
-
-    def labels_of(self, mask: int) -> frozenset:
-        return frozenset(self.space[i] for i in _iter_bits(mask))
-
-    def _position(self, point) -> int:
-        pos = self._pos.get(point)
-        if pos is None:
-            raise ForeignSet(f"point {excerpt(point)} is not in this topology's space")
-        return pos
+        return cls._indexed(space, index, rows)
 
     def smallest_open(self, point) -> frozenset:
         """The meet of all opens around a point, itself open."""
-        return self.labels_of(self.around[self._position(point)])
-
-    def is_open(self, points: Iterable) -> bool:
-        """Whether a set of points holds the smallest open around each of them."""
-        positions = [self._position(pt) for pt in points]
-        return _rows_inside(self.around, positions, _mask_at(positions, len(self.space)))
+        return self.labels_of(self._up[self._positions((point,))[0]])
 
     def renamed(self, name: Mapping, space: Iterable) -> "Topology":
         """The subspace on the points ``name`` maps, renamed along it onto ``space``.
@@ -93,13 +76,13 @@ class Topology:
         """
         space = tuple(space)
         points, source = set(space), {}  # each new name's old positions
-        for old, pt in enumerate(self.space):
+        for old, pt in enumerate(self.elements):
             if pt in name:
                 source.setdefault(name[pt], []).append(old)
         for label in (*source, *space):
             if label not in points or len(source.get(label, ())) != 1:
                 raise ValueError(f"the renaming and the space disagree at {excerpt(label)}")
-        return Topology(space, _cut_rows(self.around, [source[pt][0] for pt in space]))
+        return Topology(space, _cut_rows(self._up, [source[pt][0] for pt in space]))
 
     @cached_property
     def open_masks(self) -> tuple[int, ...]:
@@ -110,9 +93,9 @@ class Topology:
         holding the lowest differing position comes first, and that is the
         larger integer: each size class is a plain descending sort.
         """
-        n = len(self.space)
+        n = len(self)
         by_size: list[list[int]] = [[] for _ in range(n + 1)]
-        for mask in _union_closure(_mirror(row, n) for row in self.around):
+        for mask in _union_closure(_mirror(row, n) for row in self._up):
             by_size[mask.bit_count()].append(mask)
         ordered: list[int] = []
         for same in by_size:
@@ -127,39 +110,28 @@ class Topology:
 
     def sorted_opens(self) -> list[frozenset]:
         """The opens as label sets, in the canonical order of ``open_masks``."""
-        backwards = self.space[::-1]
+        backwards = self.elements[::-1]
         return [frozenset(backwards[b] for b in _iter_bits(mask)) for mask in self.open_masks]
 
     def validate(self) -> None:
         """Raise ValueError unless the rows nest: they must form a preorder."""
-        violation = _order_violation(self.around)
+        violation = _order_violation(self._up)
         if violation is not None and violation[0] != "antisymmetric":
             axiom, at = violation
-            raise ValueError(f"rows are not {axiom} at {[self.space[k] for k in at]}")
+            raise ValueError(f"rows are not {axiom} at {[self.elements[k] for k in at]}")
 
     @cached_property
     def is_discrete(self) -> bool:
         """Whether every smallest open is a singleton, so that every subset is open."""
-        return all(row == 1 << i for i, row in enumerate(self.around))
+        return all(row == 1 << i for i, row in enumerate(self._up))
 
     @property
     def open_count(self) -> int:
         """How many opens there are: 2^n on a discrete space, with no open listed."""
-        return 1 << len(self.space) if self.is_discrete else len(self.open_masks)
-
-    def _rows(self) -> dict:
-        return {pt: self.smallest_open(pt) for pt in self.space}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return self._rows() == other._rows()
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._rows().items()))
+        return 1 << len(self) if self.is_discrete else len(self.open_masks)
 
     def __repr__(self) -> str:
-        return f"Topology({len(self.space)} points)"
+        return f"Topology({len(self)} points)"
 
 
 # -- closure enumeration ------------------------------------------------------
@@ -187,10 +159,8 @@ def _directed_sups(p: FinitePoset) -> tuple[tuple[int, int | None], ...]:
     return tuple((mask, p._sup(mask)) for mask in range(1, 1 << len(p)) if p._directed(mask))
 
 
-def is_upper_set(p: FinitePoset, members: Iterable[Label]) -> bool:
-    """Does the set hold every element above each member?  Positions are looked up once; no bit is walked."""
-    positions = p._positions(members)
-    return _rows_inside(p._up, positions, _mask_at(positions, len(p)))
+# does the set hold every element above each member?  Positions are looked up once; no bit is walked
+is_upper_set = FinitePoset.is_open
 
 
 def is_scott_open(p: FinitePoset, members: Iterable[Label]) -> bool:
@@ -221,7 +191,7 @@ def scott_opens(p: FinitePoset) -> Topology:
     The opens are the upper sets, so the smallest open around an element is
     its principal up-set.
     """
-    return Topology(p.elements, p._up)
+    return Topology._indexed(p.elements, p._index, p._up)
 
 
 def relative_topology(p: FinitePoset, subspace: Iterable[Label]) -> Topology:
@@ -231,7 +201,7 @@ def relative_topology(p: FinitePoset, subspace: Iterable[Label]) -> Topology:
     up-set, which is the up-set in the restricted order.
     """
     sub = p.restrict(subspace)
-    return Topology(sub.elements, sub._up)
+    return Topology._indexed(sub.elements, sub._index, sub._up)
 
 
 # -- way below ----------------------------------------------------------------
@@ -307,6 +277,6 @@ def is_gdelta(topology: Topology, subset: Iterable) -> bool:
 
     The definition, over up to 2^n opens; no verb calls it.  It agrees with ``Topology.is_open``.
     """
-    target = topology.labels_of(_mask_at(map(topology._position, subset), len(topology.space)))
-    meet = frozenset(topology.space).intersection(*(u for u in topology.opens if target <= u))
+    target = topology.labels_of(topology.mask_of(subset))
+    meet = frozenset(topology.elements).intersection(*(u for u in topology.opens if target <= u))
     return meet == target

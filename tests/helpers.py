@@ -290,20 +290,21 @@ def oracle_scott_opens(p: FinitePoset) -> Topology:
 
 def oracle_sorted_opens(topology: Topology) -> list[frozenset]:
     """The unions of the smallest opens as label sets, sorted by size, then sorted positions."""
-    pos = {pt: i for i, pt in enumerate(topology.space)}
-    opens = {topology.labels_of(mask) for mask in _union_closure(topology.around)}
+    pos = {pt: i for i, pt in enumerate(topology.elements)}
+    opens = {topology.labels_of(mask) for mask in _union_closure(topology._up)}
     return sorted(opens, key=lambda u: (len(u), tuple(sorted(pos[x] for x in u))))
 
 
-def oracle_is_upper_set(p: FinitePoset, members) -> bool:
-    """Each member's up-set lies inside the set, member by member over the mask's bits.
+def oracle_is_upper_set(p: FinitePoset | Topology, members) -> bool:
+    """Each member's row lies inside the set, member by member over the mask's bits.
 
-    The mask is ORed together one ``index`` at a time, so this shares no code
-    with ``FinitePoset.mask_of`` and its label lookup.
+    The mask is ORed together one scan of the labels at a time, so this shares
+    no code with ``mask_of`` and its label lookup.  A topology's rows are its
+    smallest opens, so on one this is the open test.
     """
     mask = 0
     for label in members:
-        mask |= 1 << p.index(label)
+        mask |= 1 << p.elements.index(label)
     return all(p._up[i] & ~mask == 0 for i in _iter_bits(mask))
 
 
@@ -329,7 +330,7 @@ def oracle_split_product_topology(topology: Topology, xs, ys) -> tuple[Topology,
     """
     xs, ys = tuple(xs), tuple(ys)
     pairs = frozenset((x, y) for x in xs for y in ys)
-    if frozenset(topology.space) != pairs:
+    if frozenset(topology.elements) != pairs:
         raise InvalidModel("topology space is not the expected set of pairs")
     tx_opens = {frozenset(x for x in xs if (x, y) in w) for w in topology.opens for y in ys}
     ty_opens = {frozenset(y for y in ys if (x, y) in w) for w in topology.opens for x in xs}

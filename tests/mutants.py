@@ -158,6 +158,26 @@ MUTANTS = (
          TEST_SYMBOLIC + "test_replay_upper_sets_match_the_oracle_and_walk_no_bits"),
     ),
     Mutant(
+        "upper-test-skips-its-last-position", POSET,
+        "return _rows_inside(self._up, positions, _mask_at(positions, len(self)))",
+        "return _rows_inside(self._up, positions[:-1], _mask_at(positions, len(self)))",
+        (TEST_TOPOLOGY + "test_fast_and_exhaustive_openness_agree_on_small_posets",
+         TEST_FACTORIZATION + "test_split_matches_the_oracle_on_shuffled_spaces"),
+    ),
+    Mutant(
+        "labels-read-the-digits-unreversed", POSET,
+        "bin(mask)[:1:-1].encode()",
+        "bin(mask)[2:].encode()",
+        (TEST_POSET + "test_maximal_elements",
+         TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
+    ),
+    Mutant(
+        "relative-topology-keeps-the-parent-index", TOPOLOGY,
+        "Topology._indexed(sub.elements, sub._index, sub._up)",
+        "Topology._indexed(sub.elements, p._index, sub._up)",
+        (TEST_TOPOLOGY + "test_relative_topology_traces_every_oracle_open",),
+    ),
+    Mutant(
         "scott-closed-reads-up-rows", TOPOLOGY,
         "lower = _rows_inside(p._down, _iter_bits(mask), mask)",
         "lower = _rows_inside(p._up, _iter_bits(mask), mask)",
@@ -293,15 +313,15 @@ MUTANTS = (
     ),
     Mutant(
         "open-count-always-a-power-of-two", TOPOLOGY,
-        "return 1 << len(self.space) if self.is_discrete else len(self.open_masks)",
-        "return 1 << len(self.space)",
+        "return 1 << len(self) if self.is_discrete else len(self.open_masks)",
+        "return 1 << len(self)",
         (TEST_CLI + "test_open_listings_match_the_frozenset_sort",
          TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
     ),
     Mutant(
         "check-prints-its-maxima-reversed", CLI,
-        "for i in _iter_bits(p._max_mask))",
-        "for i in reversed([*_iter_bits(p._max_mask)]))",
+        "map(label_text, p._members(p._max_mask))",
+        "map(label_text, reversed([*p._members(p._max_mask)]))",
         (TEST_CLI + "test_finite_verbs_match_their_golden_stdout",),
     ),
     Mutant(
@@ -373,8 +393,8 @@ MUTANTS = (
     ),
     Mutant(
         "split-skips-the-cut-onto-pair-positions", FACTORIZATION,
-        "rows = topology.around if at == sorted(at) else _cut_rows(topology.around, at)",
-        "rows = topology.around",
+        "rows = topology._up if at == sorted(at) else _cut_rows(topology._up, at)",
+        "rows = topology._up",
         (TEST_FACTORIZATION + "test_split_matches_the_oracle_on_shuffled_spaces",),
     ),
     Mutant(
@@ -413,7 +433,7 @@ MUTANTS = (
     ),
     Mutant(
         "q-skips-the-x-openness-test", FACTORIZATION,
-        "and _rows_inside(tx.around, _iter_bits(u), u) and",
+        "and _rows_inside(tx._up, _iter_bits(u), u) and",
         "and",
         (TEST_FACTORIZATION + "test_triple_poset_matches_the_label_sets",),
     ),
@@ -432,8 +452,8 @@ MUTANTS = (
     ),
     Mutant(
         "transport-open-test-reads-the-continuity-side", FACTORIZATION,
-        "tight = [row for row, back in zip(tx.around, pulled) if back & ~row]",
-        "tight = [row for row, back in zip(tx.around, pulled) if row & ~back]",
+        "tight = [row for row, back in zip(tx._up, pulled) if back & ~row]",
+        "tight = [row for row, back in zip(tx._up, pulled) if row & ~back]",
         (TEST_FACTORIZATION + "test_verification_rejects_a_non_discrete_maximal_space",),
     ),
     Mutant(

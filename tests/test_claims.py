@@ -26,8 +26,8 @@ from test_symbolic import MUTANTS
 
 
 def _indiscrete(topology: Topology) -> Topology:
-    n = len(topology.space)
-    return Topology(topology.space, [(1 << n) - 1] * n)
+    n = len(topology)
+    return Topology(topology.elements, [(1 << n) - 1] * n)
 
 
 def _unordered_completion(q):

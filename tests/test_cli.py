@@ -840,13 +840,13 @@ def test_open_listings_match_the_frozenset_sort(name):
     # the mask path, the texts the verbs print and the count all follow the oracle's opens;
     # where no two opens share a text, equal texts mean the same opens in the same order
     for t in LISTINGS[name]():
-        position = {pt: i for i, pt in enumerate(t.space)}
+        position = {pt: i for i, pt in enumerate(t.elements)}
         texts = [",".join(label_text(x) for x in sorted(u, key=position.__getitem__))
                  for u in oracle_sorted_opens(t)]
-        masked = list(_set_texts(t.space, t.open_masks))
-        assert masked == texts, t.around
+        masked = list(_set_texts(t.elements, t.open_masks))
+        assert masked == texts, t._up
         written = "".join(_written_opens(t)) == _listing(masked)  # a bool, so no long listing is diffed
-        assert written and t.open_count == len(texts), t.around
+        assert written and t.open_count == len(texts), t._up
 
 
 def _listing(texts) -> str:
@@ -881,7 +881,7 @@ def _within_bound(writes, texts, bound: int) -> bool:
 
 def _discrete(labels) -> Topology:
     topology = scott_opens(build_poset(labels, []))
-    assert topology.is_discrete and list(topology.space) == list(labels)
+    assert topology.is_discrete and list(topology.elements) == list(labels)
     return topology
 
 
@@ -892,7 +892,7 @@ LABEL_PIECES = ["\x00", "\x01", "open: {", "}\n", "\n", ",", "{", "}", "\u00e9",
 
 def test_listings_are_written_in_bounded_chunks():
     topology = scott_opens(antichain(16))  # 2^16 opens, about 2 MB of lines
-    one_write = _listing(oracle_discrete_texts(list(topology.space)))
+    one_write = _listing(oracle_discrete_texts(list(topology.elements)))
     writes = _written_opens(topology)
     written = "".join(writes) == one_write  # a bool, so no long listing is diffed
     assert len(writes) >= 2 and written
@@ -900,7 +900,7 @@ def test_listings_are_written_in_bounded_chunks():
     # and on a discrete space with multibyte labels, 2^16 opens and about 6 MB of lines
     wide16 = _discrete([f"\u4e2d\u00e9{i:x}" for i in range(16)])
     writes = _written_opens(wide16)
-    written = "".join(writes) == _listing(oracle_discrete_texts(list(wide16.space)))
+    written = "".join(writes) == _listing(oracle_discrete_texts(list(wide16.elements)))
     assert len(writes) >= 6 and written
     assert max(len(w.encode()) for w in writes) <= ordtop.cli.LISTING_CHUNK_BYTES
     # the bound holds in UTF-8 bytes on both paths, and a line longer than it goes alone
@@ -911,11 +911,11 @@ def test_listings_are_written_in_bounded_chunks():
     discrete = [_discrete([wide, "\u00e9" * 4, "x", "\U0001d11e"]), _discrete(["", "\n", "w", "x"]),
                 _discrete([f"\u00e9{i}" for i in range(7)])]
     for bound in (1, 20, 64, 200):
-        texts = list(_set_texts(ordered.space, ordered.open_masks))
+        texts = list(_set_texts(ordered.elements, ordered.open_masks))
         writes = _written_opens(ordered, bound)
         assert "".join(writes) == _listing(texts) and _within_bound(writes, texts, bound), bound
         for space in discrete:
-            texts = list(oracle_discrete_texts(list(space.space)))
+            texts = list(oracle_discrete_texts(list(space.elements)))
             writes = _written_opens(space, bound)
             assert "".join(writes) == _listing(texts) and _within_bound(writes, texts, bound), bound
 
@@ -1029,7 +1029,7 @@ def test_topology_on_an_ordered_golden_reads_the_masks(capsys, monkeypatch):
     build = Topology.open_masks.func
 
     def spy(self):
-        read.append(len(self.space))
+        read.append(len(self))
         return build(self)
 
     spied = cached_property(spy)

@@ -47,6 +47,7 @@ from helpers import (
     model_to_json,
     oracle_box_order_Q,
     oracle_build_Q,
+    oracle_is_upper_set,
     oracle_lower_set_model,
     oracle_max_shadow,
     oracle_open_box_Q,
@@ -163,7 +164,10 @@ def test_split_matches_the_oracle_on_shuffled_spaces():
         space = list(pairs)
         while space == pairs:
             rng.shuffle(space)
-        topology = Topology.from_opens(space, Topology(pairs, masks).opens)
+        listed = Topology(pairs, masks)
+        topology = Topology.from_opens(space, listed.opens)
+        for members in _powerset(space):  # the lookup follows the shuffled order; the oracle reads the rows
+            assert topology.is_open(members) == oracle_is_upper_set(listed, members), masks
         fast, slow = _both_splits(topology, xs, ys)
         assert fast == slow, masks
         verdicts.add(fast is None)
@@ -212,7 +216,7 @@ def test_factor_pipeline_lists_no_open(monkeypatch):
     build = Topology.open_masks.func
 
     def spy(self):
-        listed.append(len(self.space))
+        listed.append(len(self))
         return build(self)
 
     spied = cached_property(spy)

@@ -5,8 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordtop import (
+    DuplicateLabel,
+    FinitePoset,
     ForeignSet,
     Topology,
+    build_poset,
     compact_elements,
     is_algebraic,
     is_bounded_complete,
@@ -37,6 +40,7 @@ from helpers import (
     subsets,
     vshape,
 )
+from ordtop.poset import LabelledRows
 
 
 def _oracle_inputs():
@@ -59,7 +63,7 @@ def test_two_chain_scott_topology_is_exact():
 
 
 def test_topology_constructor_rejects_broken_families():
-    with pytest.raises(ValueError):
+    with pytest.raises(DuplicateLabel):
         Topology.from_opens(["a", "a"], [frozenset(), frozenset({"a"})])
     with pytest.raises(ValueError):
         Topology.from_opens(["a"], [frozenset({"a"})])  # missing the empty set
@@ -74,7 +78,7 @@ def test_topology_constructor_rejects_malformed_rows():
         Topology(["a", "b"], [0b10, 0b10])  # a's smallest open misses a
     with pytest.raises(ValueError):
         Topology(["a"], [0b11])  # the row leaves the space
-    with pytest.raises(ValueError):
+    with pytest.raises(DuplicateLabel):
         Topology(["a", "a"], [0b01, 0b10])
 
 
@@ -117,6 +121,7 @@ def test_fast_and_exhaustive_openness_agree_on_small_posets():
     for p, subset in _oracle_inputs():
         upper = oracle_is_upper_set(p, subset)
         assert is_upper_set(p, subset) == upper == is_scott_open(p, subset), (p.covers(), subset)
+        assert scott_opens(p).is_open(subset) == upper, (p.covers(), subset)
         # a one-shot iterable, with a repeated member, is read once
         assert is_upper_set(p, iter([*subset, *subset])) == upper, (p.covers(), subset)
         assert (p.down_set(subset) == subset) == is_scott_closed(p, subset), (p.covers(), subset)
@@ -191,7 +196,7 @@ def test_bounded_completeness_on_crowns():
 def test_scott_opens_match_the_subset_sweep():
     for p in oracle_posets():
         fast, slow = scott_opens(p), oracle_scott_opens(p)
-        assert fast.space == slow.space
+        assert fast.elements == slow.elements
         assert fast.opens == slow.opens, p.covers()
 
 
@@ -211,8 +216,11 @@ def test_relative_topology_traces_every_oracle_open():
         for _ in range(3):
             subspace = [e for e in p.elements if rng.random() < 0.5]
             rel = relative_topology(p, subspace)
-            assert rel.space == tuple(subspace)
+            assert rel.elements == tuple(subspace)
             assert rel.opens == {u & frozenset(subspace) for u in whole}, (p.covers(), subspace)
+            # and its points are looked up in the subspace, not in p
+            for x in subspace:
+                assert rel.smallest_open(x) == p.up_set([x]) & frozenset(subspace), (p.covers(), subspace, x)
 
 
 def test_relative_topology_on_maxima_is_discrete():
@@ -252,10 +260,31 @@ def test_a_foreign_point_is_a_foreign_set():
     assert t.smallest_open("a") == {"a", "b"} and t.is_open({"b"})
 
 
+def test_topologies_are_equal_when_their_points_and_rows_are():
+    # the same opens on the same points, listed in another order, make another value, as for posets
+    t = Topology(["a", "b"], [0b11, 0b10])
+    swapped = Topology(["b", "a"], [0b01, 0b11])
+    assert t.opens == swapped.opens and t != swapped
+    assert build_poset(["a", "b"], [("a", "b")]) != build_poset(["b", "a"], [("a", "b")])
+    again = Topology.from_opens(["a", "b"], [set(), {"b"}, {"a", "b"}])
+    assert t == again and hash(t) == hash(again) and len({t, again, swapped}) == 2
+    # a poset is not its Scott topology, though the two hold the same rows
+    p = chain(2)
+    assert scott_opens(p)._up == p._up and scott_opens(p) != p
+
+
+def test_the_lookup_reader_upper_test_and_equality_have_one_body():
+    shared = {"_positions", "mask_of", "labels_of", "is_open", "__eq__", "__hash__"}
+    assert shared <= set(vars(LabelledRows))
+    for cls in (FinitePoset, Topology):
+        assert issubclass(cls, LabelledRows) and not shared & set(vars(cls)), cls
+    assert is_upper_set is Topology.is_open is LabelledRows.is_open
+
+
 def test_from_opens_rebuilds_the_smallest_opens():
     for p in oracle_posets():
         t = scott_opens(p)
-        assert Topology.from_opens(t.space, t.opens) == t, p.covers()
+        assert Topology.from_opens(t.elements, t.opens) == t, p.covers()
 
 
 def test_open_masks_hold_position_i_at_bit_n_minus_1_minus_i():
@@ -271,8 +300,8 @@ def test_sorted_opens_match_the_frozenset_sort():
     topologies += [scott_opens(antichain(n)) for n in (0, 1, 7, 8, 9)]
     for t in topologies:
         expected = oracle_sorted_opens(t)
-        assert t.sorted_opens() == expected, t.around
-        assert t.opens == frozenset(expected), t.around
+        assert t.sorted_opens() == expected, t._up
+        assert t.opens == frozenset(expected), t._up
 
 
 def test_gdelta_matches_the_meet_of_opens():
@@ -302,7 +331,7 @@ def test_points_are_separated_in_the_maximal_subspace():
     for n in range(1, 6):
         for p in all_posets(n):
             rel = relative_topology(p, p.maximal_elements())
-            for m in rel.space:
+            for m in rel.elements:
                 around = [u for u in rel.opens if m in u]
                 assert frozenset.intersection(*around) == frozenset({m})
 
@@ -311,7 +340,7 @@ def test_no_library_size_bound_on_a_long_chain():
     # the CLI bounds its input once; the library answers at any size
     p = chain(40)
     assert len(scott_opens(p).open_masks) == 41
-    assert relative_topology(p, p.maximal_elements()).space == ("c39",)
+    assert relative_topology(p, p.maximal_elements()).elements == ("c39",)
     assert is_bounded_complete(p)
     completion, _ = idl_poset(p)
     assert len(completion) == 40
@@ -320,7 +349,7 @@ def test_no_library_size_bound_on_a_long_chain():
 
 def test_no_library_size_bound_on_a_wide_crown():
     p = crown(30)
-    assert scott_opens(p).around == p._up
+    assert scott_opens(p)._up == p._up
     assert relative_topology(p, p.maximal_elements()).is_discrete
     assert not is_bounded_complete(p)
     completion, _ = idl_poset(p)
