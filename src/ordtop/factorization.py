@@ -16,7 +16,6 @@ the functions return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -31,22 +30,22 @@ from .errors import (
 )
 from .ideals import idl_poset
 from .poset import (FinitePoset, Label, _cut_rows, _iter_bits, _mask_at, _order_violation, _rows_inside, _spread,
-                    _utf8_labels, build_poset, label_text, poset_from_json)
+                    Record, _utf8_labels, build_poset, label_text, poset_from_json)
 from .report import Report
 from .topology import Topology, relative_topology
 
 
-@dataclass(frozen=True)
-class QTriple:
+class QTriple(Record):
     """An admissible triple: an element k of P whose maximal shadow is the open box u x v.
 
     ``u`` is a nonempty open set of X labels, ``v`` an open set of Y labels
     containing the base point; ``build_Q`` makes one triple per such element.
     """
 
-    u: frozenset
-    v: frozenset
-    k: Label
+    _fields = ("u", "v", "k")
+
+    def __init__(self, u: frozenset, v: frozenset, k: Label):
+        self.__dict__.update(u=u, v=v, k=k)
 
     def __str__(self) -> str:
         u = ",".join(sorted(map(str, self.u)))

@@ -14,6 +14,7 @@ import json
 from functools import cached_property
 from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -186,6 +187,45 @@ def _label_index(elements: tuple[Label, ...], where: str | None = None) -> dict[
 
 def _cycle_detected(elements: tuple[Label, ...], at: tuple[int, ...]) -> CycleDetected:
     return CycleDetected(" and ".join(excerpt(elements[k]) for k in at) + " sit below each other")
+
+
+class Record:
+    """A frozen value: equality, hash and repr over the fields its class names in ``_fields``.
+
+    The value classes of the symbolic engine and the factor pipeline could
+    be frozen dataclasses, but importing ``dataclasses`` loads ``inspect``,
+    ``ast``, ``dis`` and ``tokenize`` (7-9 ms), and each decorated class
+    compiles its generated methods (about 0.8 ms): a quarter of ``import
+    ordtop``, paid by every process for no verb.  This base keeps their
+    contract: equality only within one class, the hash of the field tuple,
+    the text ``Name(field=value, ...)``, and ``FrozenInstanceError`` on any
+    assignment or deletion.  So ``__init__`` sets the fields in the
+    instance's ``__dict__``, or by ``object.__setattr__`` when they are slots.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls._fields)  # one name gives the value alone, so it is wrapped in a tuple
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._key(self)))})"
+
+    def __setattr__(self, name: str, value: Any, action: str = "assign to") -> None:
+        from dataclasses import FrozenInstanceError  # on this error path only
+        raise FrozenInstanceError(f"cannot {action} field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        self.__setattr__(name, None, "delete")
 
 
 class LabelledRows:

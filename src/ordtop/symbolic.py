@@ -29,14 +29,13 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import chain, product as cartesian, repeat
 from math import inf
 from operator import lshift
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, NotCoveringMax, VerificationFailed, excerpt
-from .poset import FinitePoset
+from .poset import FinitePoset, Record
 from .report import Report
 
 MODE_L = "L"
@@ -58,15 +57,15 @@ def _natural(value) -> bool:
     return type(value) is int and value >= 0
 
 
-class _StepFunction:
+class _StepFunction(Record):
     """A sequence over the naturals, stored as its canonical step function.
 
     ``starts`` are the ascending chains where a step begins, the first at
     chain 0, and ``values`` holds the value of each step, from its start up
     to the next one; the last step runs forever, so its value is the
     default.  Neighbouring steps differ, so equal sequences have equal
-    steps, and the frozen dataclasses ``Selector`` and ``ThresholdRule``
-    compare, hash and print by these two fields.  The validating
+    steps, and these two are the ``Record`` fields by which ``Selector``
+    and ``ThresholdRule`` compare, hash and print.  The validating
     constructors (the class call and ``from_mapping``) take finitely many
     (chain, value) exceptions over a default, in any order, as the file
     format does; ``exceptions`` turns the steps back into those points.
@@ -77,6 +76,7 @@ class _StepFunction:
     canonical, as ``cutoff_open`` and ``truncate_domain`` build them.
     """
 
+    _fields = ("starts", "values")
     _value: str  # the noun for a value in errors
     _absent_ok = False  # may a value be None?
 
@@ -159,47 +159,49 @@ class _StepFunction:
         return zip(chain((low,), self.starts[first + 1:stop]), self.values[first:stop])
 
 
-@dataclass(frozen=True, init=False)
 class Selector(_StepFunction):
     """A choice of one finite position per chain: finite exceptions over a default."""
 
-    starts: tuple
-    values: tuple
     _value = "position"
 
 
-@dataclass(frozen=True)
-class ChainPoint:
+class ChainPoint(Record):
     """The point at a finite position of one chain."""
 
-    chain: int
-    pos: int
+    _fields = ("chain", "pos")
+
+    def __init__(self, chain: int, pos: int):
+        self.__dict__.update(chain=chain, pos=pos)
 
 
-@dataclass(frozen=True)
-class ChainTop:
+class ChainTop(Record):
     """The top of one chain: the supremum of its finite points."""
 
-    chain: int
+    _fields = ("chain",)
+
+    def __init__(self, chain: int):
+        self.__dict__.update(chain=chain)
 
 
 # slots: a truncation holds thousands of these, and a slotted point is smaller and quicker to build
-@dataclass(frozen=True, slots=True)
-class SelectorPoint:
+class SelectorPoint(Record):
     """A selector's point at level 0 or 1; level 1 exists only in L mode."""
 
-    selector: Selector
-    level: int
+    __slots__ = _fields = ("selector", "level")
+
+    def __init__(self, selector: Selector, level: int):
+        object.__setattr__(self, "selector", selector)
+        object.__setattr__(self, "level", level)
 
     @classmethod
     def _from_fields(cls, selectors: Sequence[Selector], levels: Sequence[int]) -> list["SelectorPoint"]:
         """The points of ``selectors[k]`` at ``levels[k]``, which the caller knows to be valid.
 
         The trusted constructor, as ``_from_steps`` is for a rule.  The class
-        call runs ``type.__call__`` and the generated frozen ``__init__`` per
-        point; here each point is a bare instance whose two slots are set by
-        ``object.__setattr__``, as that ``__init__`` sets them, in loops that
-        run in C, so thousands of points cost no Python call each.
+        call runs ``type.__call__`` and ``__init__`` per point; here each
+        point is a bare instance whose two slots are set by
+        ``object.__setattr__``, as ``__init__`` sets them, in loops that run
+        in C, so thousands of points cost no Python call each.
         """
         points = list(map(object.__new__, repeat(cls, len(selectors))))
         for name, column in (("selector", selectors), ("level", levels)):
@@ -249,7 +251,6 @@ def is_maximal(point: LPoint, mode: str) -> bool:
 # -- symbolic opens ------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
 class ThresholdRule(_StepFunction):
     """Admission threshold per chain; None means the chain is missing.
 
@@ -257,8 +258,6 @@ class ThresholdRule(_StepFunction):
     and, through upward closure, the chain top.
     """
 
-    starts: tuple
-    values: tuple
     _value = "threshold"
     _absent_ok = True
 
@@ -266,33 +265,29 @@ class ThresholdRule(_StepFunction):
         _StepFunction.__init__(self, exceptions, default)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Record):
     """A grant for selector points: minimum positions on finitely many chains.
 
     A selector matches when it clears every listed minimum; matched
     selectors receive membership at the listed levels.
     """
 
-    conds: tuple = ()
-    levels: frozenset = field(default_factory=frozenset)
+    _fields = ("conds", "levels")
 
-    def __post_init__(self):
-        conds = dict(self.conds)
+    def __init__(self, conds: Iterable = (), levels: Iterable[int] = frozenset()):
+        conds = dict(conds)
         if not (all(map(_natural, conds)) and all(map(_natural, conds.values()))):
             raise ValueError("cylinder conditions must pair natural numbers")
-        object.__setattr__(self, "conds", tuple(sorted(conds.items())))
-        levels = frozenset(self.levels)
+        levels = frozenset(levels)
         if not levels <= {0, 1}:
             raise ValueError("cylinder levels must sit inside {0, 1}")
-        object.__setattr__(self, "levels", levels)
+        self.__dict__.update(conds=tuple(sorted(conds.items())), levels=levels)
 
     def matches(self, selector: Selector) -> bool:
         return all(selector(i) >= minimum for i, minimum in self.conds)
 
 
-@dataclass(frozen=True)
-class SymbolicOpen:
+class SymbolicOpen(Record):
     """A Scott open of the fragment: thresholds, a level-1 flag, cylinders.
 
     ``all_level1`` makes every level-1 selector point a member beyond the
@@ -301,15 +296,14 @@ class SymbolicOpen:
     reading and is not stored.
     """
 
-    thresholds: ThresholdRule = ThresholdRule()
-    all_level1: bool = False
-    cylinders: tuple = ()
+    _fields = ("thresholds", "all_level1", "cylinders")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cylinders", tuple(self.cylinders))
-        for cylinder in self.cylinders:
-            if not isinstance(cylinder, Cylinder):
-                raise ValueError("cylinders must be Cylinder instances")
+    def __init__(self, thresholds: ThresholdRule = ThresholdRule(), all_level1: bool = False,
+                 cylinders: Iterable[Cylinder] = ()):
+        cylinders = tuple(cylinders)
+        if not all(isinstance(cylinder, Cylinder) for cylinder in cylinders):
+            raise ValueError("cylinders must be Cylinder instances")
+        self.__dict__.update(thresholds=thresholds, all_level1=all_level1, cylinders=cylinders)
 
 
 def _forced(thresholds: ThresholdRule, selector: Selector) -> bool:

@@ -425,6 +425,27 @@ MUTANTS = (
          TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
     ),
     Mutant(
+        "record-equality-skips-the-class-test", POSET,
+        "        if other.__class__ is not self.__class__:\n            return NotImplemented\n"
+        "        return self._key(self) == self._key(other)\n",
+        "        return self._key(self) == self._key(other)\n",
+        (TEST_SYMBOLIC + "test_value_classes_compare_hash_print_and_freeze_as_their_fields",),
+    ),
+    Mutant(
+        "record-assignment-goes-through", POSET,
+        '        raise FrozenInstanceError(f"cannot {action} field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        (TEST_SYMBOLIC + "test_value_classes_compare_hash_print_and_freeze_as_their_fields",
+         TEST_SYMBOLIC + "test_replay_selectors_are_the_validating_constructors"),
+    ),
+    Mutant(
+        "record-repr-drops-the-field-names", POSET,
+        "map('{}={!r}'.format, self._fields, self._key(self))",
+        "map(repr, self._key(self))",
+        (TEST_SYMBOLIC + "test_lookup_tables_leave_value_semantics_alone",
+         TEST_SYMBOLIC + "test_value_classes_compare_hash_print_and_freeze_as_their_fields"),
+    ),
+    Mutant(
         "q-box-spreads-the-y-projection", FACTORIZATION,
         "shadow == _spread(u, ny) * v",
         "shadow == _spread(v, ny) * u",

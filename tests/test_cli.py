@@ -343,6 +343,20 @@ def test_a_process_out_of_memory_prints_no_traceback():
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: truncate-l ran out of memory\n")
 
 
+def test_a_process_loads_no_class_generator_at_start_up():
+    # every verb pays for the import: `dataclasses` and the `inspect` it loads cost a process about 15 ms
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    probe = ("import sys\n"
+             "import ordtop, ordtop.cli\n"
+             "code = ordtop.cli.main(sys.argv[1:])\n"
+             "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)), file=sys.stderr)\n")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe, "check", "--input", str(DATA / "diamond.json")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "0 []\n")
+    assert done.stdout == (DATA / "golden" / "check_diamond.out").read_text(encoding="utf-8")
+
+
 def test_a_reader_that_leaves_early_ends_the_listing_with_exit_141(tmp_path):
     # as `ordtop topology ... | head -1`: 2^16 opens, about 2 MB of lines, far more than a pipe holds
     poset = tmp_path / "antichain.json"

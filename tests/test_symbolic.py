@@ -22,6 +22,7 @@ from ordtop import (
     FormatError,
     NotCoveringMax,
     OpenFamily,
+    QTriple,
     Selector,
     SelectorPoint,
     SymbolicOpen,
@@ -171,6 +172,71 @@ def test_lookup_tables_leave_value_semantics_alone():
     assert selector == fresh and hash(selector) == hash(fresh) and repr(selector) == repr(fresh)
     assert rule == fresh_rule and hash(rule) == hash(fresh_rule) and repr(rule) == repr(fresh_rule)
     assert dict(selector.exceptions) == {3: 1, 7: 4}
+
+
+# Per value class: the value built by position, the same value by keywords (or by default), a value
+# of another class, over equal field values where the classes allow it, and the value's repr.
+_VALUE_TABLE = {
+    "Selector": (lambda: Selector(((0, 2),)), lambda: Selector(exceptions={0: 2}, default=0),
+                 lambda: ThresholdRule(0, ((0, 2),)), "Selector(starts=(0, 1), values=(2, 0))"),
+    "Selector()": (lambda: Selector((), 0), lambda: Selector(), lambda: ThresholdRule(),
+                   "Selector(starts=(0,), values=(0,))"),
+    "ThresholdRule": (lambda: ThresholdRule(1, ((2, None),)), lambda: ThresholdRule(exceptions=[(2, None)], default=1),
+                      lambda: Selector._from_steps((0, 2, 3), (1, None, 1)),
+                      "ThresholdRule(starts=(0, 2, 3), values=(1, None, 1))"),
+    "ChainPoint": (lambda: ChainPoint(3, 0), lambda: ChainPoint(chain=3, pos=0), lambda: SelectorPoint(3, 0),
+                   "ChainPoint(chain=3, pos=0)"),
+    "ChainTop": (lambda: ChainTop(3), lambda: ChainTop(chain=3), lambda: ChainPoint(3, 0), "ChainTop(chain=3)"),
+    "SelectorPoint": (lambda: SelectorPoint(Selector(), 1), lambda: SelectorPoint(level=1, selector=Selector()),
+                      lambda: ChainPoint(Selector(), 1),
+                      "SelectorPoint(selector=Selector(starts=(0,), values=(0,)), level=1)"),
+    "Cylinder": (lambda: Cylinder(((4, 1), (2, 3)), frozenset({0})), lambda: Cylinder(levels=[0], conds={2: 3, 4: 1}),
+                 lambda: ChainPoint(((2, 3), (4, 1)), frozenset({0})),
+                 "Cylinder(conds=((2, 3), (4, 1)), levels=frozenset({0}))"),
+    "Cylinder()": (lambda: Cylinder((), frozenset()), lambda: Cylinder(), lambda: ChainPoint((), frozenset()),
+                   "Cylinder(conds=(), levels=frozenset())"),
+    "SymbolicOpen": (lambda: SymbolicOpen(ThresholdRule(2), True, [Cylinder()]),
+                     lambda: SymbolicOpen(cylinders=(Cylinder(),), all_level1=True, thresholds=ThresholdRule(2)),
+                     lambda: QTriple(ThresholdRule(2), True, (Cylinder(),)),
+                     "SymbolicOpen(thresholds=ThresholdRule(starts=(0,), values=(2,)), all_level1=True, "
+                     "cylinders=(Cylinder(conds=(), levels=frozenset()),))"),
+    "SymbolicOpen()": (lambda: SymbolicOpen(ThresholdRule(), False, ()), lambda: SymbolicOpen(),
+                       lambda: QTriple(ThresholdRule(), False, ()),
+                       "SymbolicOpen(thresholds=ThresholdRule(starts=(0,), values=(0,)), all_level1=False, "
+                       "cylinders=())"),
+    "QTriple": (lambda: QTriple(frozenset({"a"}), frozenset({"y0"}), "k"),
+                lambda: QTriple(k="k", v=frozenset({"y0"}), u=frozenset({"a"})),
+                lambda: SymbolicOpen(frozenset({"a"}), frozenset({"y0"}), ()),
+                "QTriple(u=frozenset({'a'}), v=frozenset({'y0'}), k='k')"),
+}
+_FIELDS = {"Selector": ("starts", "values"), "ThresholdRule": ("starts", "values"), "ChainPoint": ("chain", "pos"),
+           "ChainTop": ("chain",), "SelectorPoint": ("selector", "level"), "Cylinder": ("conds", "levels"),
+           "SymbolicOpen": ("thresholds", "all_level1", "cylinders"), "QTriple": ("u", "v", "k")}
+
+
+@pytest.mark.parametrize("name", _VALUE_TABLE)
+def test_value_classes_compare_hash_print_and_freeze_as_their_fields(name):
+    build, build_by_keyword, build_other, text = _VALUE_TABLE[name]
+    value, same, other = build(), build_by_keyword(), build_other()
+    fields = _FIELDS[type(value).__name__]
+    assert type(value) is type(same) and value is not same
+    assert value == same and not value != same and hash(value) == hash(same)
+    key = tuple(getattr(value, field) for field in fields)
+    assert hash(value) == hash(key)
+    assert repr(value) == repr(same) == text
+    # the other class holds no equal value, even where its field values equal these
+    assert type(other) is not type(value) and value != other and other != value
+    assert value.__eq__(other) is NotImplemented
+    for field in fields:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, field)
+    assert tuple(getattr(value, field) for field in fields) == key
+    if isinstance(value, SelectorPoint):
+        assert not hasattr(value, "__dict__")
+    else:
+        assert vars(value) == dict(zip(fields, key))
 
 
 # chain indices near 0, where runs and equal neighbours are common, and past 2**63
