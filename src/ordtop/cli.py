@@ -6,7 +6,8 @@ checks pass; 1 when a claim does not hold, either because a claim verb
 (``factor``, ``lower-model``, ``diagonal``, ``lhat-cert``) printed a report
 holding a failed check or because a ``VerificationFailed`` was raised; 2 for
 an ``InputError`` or ``OSError`` (the input is unusable) or a ``MemoryError``;
-141 (128 + SIGPIPE) with nothing printed when stdout's reader goes away.
+141 (128 + SIGPIPE) with nothing printed when stdout's reader goes away.  A verb is one
+``_COMMANDS`` row, which holds all of its flags, and one ``cmd_<verb>`` function.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 
 from .errors import InputError, TooLarge, UnknownLabel, VerificationFailed, excerpt
 from .factorization import ProductModel, factor_model, lower_set_model, model_from_json
-from .poset import FinitePoset, _mirror, covers_json_text, label_text, load_json, poset_from_json, to_dot
+from .poset import FinitePoset, _picked, covers_json_text, label_text, load_json, poset_from_json, to_dot
 from .report import Report
 from .symbolic import (
     MODE_L,
@@ -112,7 +113,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"bounded-complete: {_yn(is_bounded_complete(p))}")
     print(f"compact-count: {len(p)}")
     print(f"max-count: {p._max_mask.bit_count()}")
-    text = ",".join(map(label_text, p._members(p._max_mask)))
+    text = ",".join(map(label_text, _picked(p.elements, p._max_mask)))
     print(f"maximal: {{{text}}}")
     return 0
 
@@ -182,9 +183,9 @@ def cmd_idl(args: argparse.Namespace) -> int:
     # every ideal is principal, and down(a) <= down(b) exactly when a <= b
     print(f"ideal-count: {len(p)}")
     print("isomorphic-to-base: yes")
-    masks = [_mirror(down, len(p)) for down in p._down]
-    for e, text in zip(p.elements, _set_texts(p.elements, masks)):
-        print(f"principal {label_text(e)}: {{{text}}}")
+    texts = list(map(label_text, p.elements))
+    for text, down in zip(texts, p._down):
+        print(f"principal {text}: {{{','.join(_picked(texts, down))}}}")
     return 0
 
 
@@ -277,68 +278,46 @@ def _in_range(low: int, high: int | None = None):
     return parse
 
 
-def _add_input(sub: argparse.ArgumentParser, what: str) -> None:
-    sub.add_argument("--input", required=True, help=f"path to a {what} file")
-
-
-def _add_bound(sub: argparse.ArgumentParser, default: int = 20) -> None:
-    sub.add_argument("--max-elements", type=_in_range(0), default=default,
-                     help=f"input size bound, in poset elements (default {default})")
+# one row per verb, in help's order: its help; what its --input file holds (None: no --input); its own flags,
+# each name with its add_argument options; and its --max-elements default (None: no bound), added last
+_COMMANDS = {
+    "check": ("structural properties of a finite poset", "poset JSON", {}, 20),
+    "topology": ("all Scott open sets of a finite poset", "poset JSON", {}, 20),
+    "maxspace": ("relative topology on the maximal elements", "poset JSON", {}, 20),
+    "idl": ("ideal completion of a finite poset", "poset JSON", {}, 20),
+    "factor": ("factor model construction with verification", "product model JSON", {}, 20),
+    "lower-model": ("down set of one fiber of a product model", "product model JSON",
+                    {"--y0": dict(help="fiber label on the second factor (default: the model's base point)")}, 20),
+    "diagonal": ("diagonal witness against a covering family", "open family JSON", {
+        "--offset": dict(type=_in_range(0), default=0, help="lift every witness position this far above its threshold"),
+    }, None),
+    "lhat-cert": ("countable-intersection certificate for the pruned domain", None, {
+        "--eval-bound": dict(type=_in_range(0, MAX_EVAL_BOUND), default=50,
+                             help="check chain points and cutoffs up to this index (default 50)"),
+    }, None),
+    "truncate-l": ("finite prefix of the chain-bundle domain as poset JSON", None, {
+        "--width": dict(type=_in_range(1), required=True, help="number of chains kept"),
+        "--depth": dict(type=_in_range(1), required=True, help="finite positions kept per chain"),
+        "--mode": dict(choices=MODES, default=MODE_L),
+    }, 5000),
+    "hasse": ("DOT rendering of the cover relation", "poset JSON",
+              {"--dot": dict(help="write the DOT text here instead of stdout")}, 20),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="ordtop",
-        description="order-theoretic domain checks, factorizations, and certificates",
-    )
+        prog="ordtop", description="order-theoretic domain checks, factorizations, and certificates")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("check", help="structural properties of a finite poset")
-    _add_input(sub, "poset JSON")
-    _add_bound(sub)
-
-    sub = commands.add_parser("topology", help="all Scott open sets of a finite poset")
-    _add_input(sub, "poset JSON")
-    _add_bound(sub)
-
-    sub = commands.add_parser("maxspace", help="relative topology on the maximal elements")
-    _add_input(sub, "poset JSON")
-    _add_bound(sub)
-
-    sub = commands.add_parser("idl", help="ideal completion of a finite poset")
-    _add_input(sub, "poset JSON")
-    _add_bound(sub)
-
-    sub = commands.add_parser("factor", help="factor model construction with verification")
-    _add_input(sub, "product model JSON")
-    _add_bound(sub)
-
-    sub = commands.add_parser("lower-model", help="down set of one fiber of a product model")
-    _add_input(sub, "product model JSON")
-    sub.add_argument("--y0", help="fiber label on the second factor (default: the model's base point)")
-    _add_bound(sub)
-
-    sub = commands.add_parser("diagonal", help="diagonal witness against a covering family")
-    _add_input(sub, "open family JSON")
-    sub.add_argument("--offset", type=_in_range(0), default=0,
-                     help="lift every witness position this far above its threshold")
-
-    sub = commands.add_parser("lhat-cert", help="countable-intersection certificate for the pruned domain")
-    sub.add_argument("--eval-bound", type=_in_range(0, MAX_EVAL_BOUND), default=50,
-                     help="check chain points and cutoffs up to this index (default 50)")
-
-    sub = commands.add_parser("truncate-l", help="finite prefix of the chain-bundle domain as poset JSON")
-    sub.add_argument("--width", type=_in_range(1), required=True, help="number of chains kept")
-    sub.add_argument("--depth", type=_in_range(1), required=True,
-                     help="finite positions kept per chain")
-    sub.add_argument("--mode", choices=MODES, default=MODE_L)
-    _add_bound(sub, default=5000)
-
-    sub = commands.add_parser("hasse", help="DOT rendering of the cover relation")
-    _add_input(sub, "poset JSON")
-    sub.add_argument("--dot", help="write the DOT text here instead of stdout")
-    _add_bound(sub)
-
+    for verb, (text, holds, flags, bound) in _COMMANDS.items():
+        sub = commands.add_parser(verb, help=text)
+        if holds is not None:
+            sub.add_argument("--input", required=True, help=f"path to a {holds} file")
+        for flag, options in flags.items():
+            sub.add_argument(flag, **options)
+        if bound is not None:
+            sub.add_argument("--max-elements", type=_in_range(0), default=bound,
+                             help=f"input size bound, in poset elements (default {bound})")
     return parser
 
 

@@ -152,12 +152,6 @@ class ProductModel:
         bit, top = {at: 1 << q for q, at in enumerate(self._maxima)}, self.poset._max_mask
         return [sum(map(bit.__getitem__, _iter_bits(row & top))) for row in self.poset._up]
 
-    def max_shadow(self, k: Label) -> frozenset:
-        """Pairs labeling the maximal elements above an element, read off its pair mask."""
-        ny = len(self.label_y)
-        return frozenset((self.label_x[q // ny], self.label_y[q % ny])
-                         for q in _iter_bits(self._shadows()[self.poset.index(k)]))
-
     def __repr__(self) -> str:
         return (
             f"ProductModel({len(self.poset)} elements, "

@@ -60,6 +60,11 @@ def _mask_at(positions: Iterable[int], n: int) -> int:
     return int(digits, 2)
 
 
+def _picked(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of a mask, in position order; its binary digits, reversed, pick them in C."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGIT_BITS))
+
+
 def _rows_inside(rows: Sequence[int], positions: Iterable[int], mask: int) -> bool:
     """Does ``mask`` hold the row of each position?  One AND per row, in C; no row's bits are walked."""
     outside = (1 << len(rows)) - 1 ^ mask
@@ -275,12 +280,8 @@ class LabelledRows:
         """Bitmask of a subset; rejects labels that live elsewhere."""
         return _mask_at(self._positions(labels), len(self))
 
-    def _members(self, mask: int) -> Iterator[Label]:
-        """The labels at the set bits of a mask, in position order; its binary digits, reversed, pick them in C."""
-        return compress(self.elements, bin(mask)[:1:-1].encode().translate(_DIGIT_BITS))
-
     def labels_of(self, mask: int) -> frozenset[Label]:
-        return frozenset(self._members(mask))
+        return frozenset(_picked(self.elements, mask))
 
     def is_open(self, labels: Iterable[Label]) -> bool:
         """Does the set hold the row of each member?  On a poset: is it an upper set, so Scott open."""

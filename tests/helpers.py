@@ -356,6 +356,13 @@ def oracle_split_product_topology(topology: Topology, xs, ys) -> tuple[Topology,
     return Topology.from_opens(xs, tx_opens), Topology.from_opens(ys, ty_opens)
 
 
+def max_shadow(model: ProductModel, k) -> frozenset:
+    """Pairs labeling the maximal elements above an element, read off its pair mask in ``model._shadows()``."""
+    ny = len(model.label_y)
+    return frozenset((model.label_x[q // ny], model.label_y[q % ny])
+                     for q in _iter_bits(model._shadows()[model.poset.index(k)]))
+
+
 def oracle_max_shadow(model: ProductModel, k) -> frozenset:
     """Pairs labeling the maximal elements above an element, from the label sets."""
     maximal = model.poset.maximal_elements()

@@ -320,8 +320,8 @@ MUTANTS = (
     ),
     Mutant(
         "check-prints-its-maxima-reversed", CLI,
-        "map(label_text, p._members(p._max_mask))",
-        "map(label_text, reversed([*p._members(p._max_mask)]))",
+        "map(label_text, _picked(p.elements, p._max_mask))",
+        "map(label_text, reversed([*_picked(p.elements, p._max_mask)]))",
         (TEST_CLI + "test_finite_verbs_match_their_golden_stdout",),
     ),
     Mutant(
@@ -495,6 +495,18 @@ MUTANTS = (
         "        if not validate_open(member, MODE_L):\n",
         "        if False:\n",
         (TEST_SYMBOLIC + "test_diagonal_refuses_a_member_that_is_not_open",),
+    ),
+    Mutant(
+        "idl-spells-the-up-sets", CLI,
+        "zip(texts, p._down)",
+        "zip(texts, p._up)",
+        (TEST_CLI + "test_finite_verbs_match_their_golden_stdout",),
+    ),
+    Mutant(
+        "parser-adds-a-verbs-flags-in-reverse", CLI,
+        "for flag, options in flags.items():",
+        "for flag, options in reversed(flags.items()):",
+        (TEST_CLI + "test_help_matches_its_golden",),
     ),
 )
 

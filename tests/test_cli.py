@@ -1085,6 +1085,22 @@ def test_symbolic_verbs_match_their_golden_stdout(capsys, name):
     assert out == (DATA / "golden" / "argv" / f"{name}.out").read_text(encoding="utf-8")
 
 
+# golden/help/<verb>.out holds `ordtop <verb> -h` and golden/help/ordtop.out holds `ordtop -h`, at 80 columns
+HELP_GOLDEN = sorted((DATA / "golden" / "help").glob("*.out"))
+
+
+def test_every_verb_has_a_help_golden():
+    assert sorted(g.stem for g in HELP_GOLDEN) == sorted(["ordtop", *ordtop.cli._verbs()])
+
+
+@pytest.mark.parametrize("golden", HELP_GOLDEN, ids=[g.stem for g in HELP_GOLDEN])
+def test_help_matches_its_golden(capsys, monkeypatch, golden):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    code, out, err = _call(capsys, ["-h"] if golden.stem == "ordtop" else [golden.stem, "-h"])
+    assert (code, err) == (0, "")
+    assert out == golden.read_text(encoding="utf-8")
+
+
 # the definitions that the finite theorems stand in for; no verb may call them
 REFERENCES = ("way_below", "is_scott_open", "is_scott_closed", "is_gdelta", "is_continuous",
               "is_algebraic", "is_ideal_domain", "compact_elements", "all_ideals",

@@ -44,6 +44,7 @@ from helpers import (
     chain,
     diamond,
     discrete_model,
+    max_shadow,
     model_to_json,
     oracle_box_order_Q,
     oracle_build_Q,
@@ -396,9 +397,9 @@ def _compared_models() -> list[ProductModel]:
 def test_max_shadow_matches_the_label_sets():
     for m in _compared_models():
         for k in m.poset.elements:
-            assert m.max_shadow(k) == oracle_max_shadow(m, k), (m.poset.covers(), k)
+            assert max_shadow(m, k) == oracle_max_shadow(m, k), (m.poset.covers(), k)
     with pytest.raises(InputError):
-        m.max_shadow("no such element")
+        max_shadow(m, "no such element")
 
 
 def test_triple_poset_matches_both_enumerations():
@@ -425,7 +426,7 @@ def test_triple_poset_matches_both_enumerations():
         completion, _ = idl_poset(boxes)
         selected = {x: ideal_J(m, x, boxes) for x in m.label_x}
         assert verify_claims(m, boxes, completion, selected).ok
-        multi_pair += any(len(m.max_shadow(k)) > 1 for k in m.poset.elements)
+        multi_pair += any(len(max_shadow(m, k)) > 1 for k in m.poset.elements)
     assert 0 < enumerated < len(models)
     assert multi_pair > len(models) // 3
 
