@@ -34,7 +34,7 @@ from .symbolic import (
     truncation_hasse,
     truncation_size,
 )
-from .topology import Topology, is_bounded_complete, relative_topology, scott_opens
+from .topology import Topology, is_bounded_complete, scott_opens
 
 
 def _yn(value: bool) -> str:
@@ -168,12 +168,12 @@ def cmd_topology(args: argparse.Namespace) -> int:
 
 def cmd_maxspace(args: argparse.Namespace) -> int:
     p = _load_poset(args)
-    maximal = p.maximal_elements()
-    rel = relative_topology(p, maximal)
-    print(f"max-count: {len(rel)}")
-    print(f"open-count: {rel.open_count}")
-    print(f"discrete: {_yn(rel.is_discrete)}")
-    _print_opens(rel)
+    count = p._max_mask.bit_count()
+    print(f"max-count: {count}")
+    # the maxima form an antichain, so each trace of a principal up-set is a singleton
+    print(f"open-count: {1 << count}")
+    print("discrete: yes")
+    _print_opens(Topology(_picked(p.elements, p._max_mask), (1 << i for i in range(count))))
     return 0
 
 

@@ -91,71 +91,72 @@ def _spread(u: int, ny: int) -> int:
 def _transitive_close(masks: list[int]) -> tuple[int, int] | None:
     """Replace each row by its reflexive-transitive closure, in place; return a cycle.
 
-    Tarjan's strongly-connected-components search, iterative, in O(n + e)
-    row operations.  Components finish after every component they reach, so
-    a finished component's closed row is its members' bits OR the closed
-    rows of its direct successors outside it.  A row is overwritten only
-    when its component finishes, after its last read as a list of edges, so
+    Tarjan's strongly-connected-components search, iterative, following
+    each edge once, in O(n + e) row operations.  The node being walked holds
+    its unfollowed edges ``rest``, its ``reach`` so far and its low-link.  A
+    successor whose component is closed gives it its closed row, and every
+    node of that row leaves ``rest``: a closed row holds only closed nodes,
+    whose rows it holds.  A node whose walk ends hands its reach and
+    low-link to its parent, whose ``rest`` then loses that reach too (each
+    open node in it has a visit number no lower than the low-link handed
+    over).  A component's root has then gathered the component's reach,
+    and its members take it as their closed row.  A row is overwritten only
+    when its component closes, after it was read as a list of edges, so
     cycles (preorders) close like any other relation.  Returns the pair
     ``_order_violation`` reports on the closed rows: None, or the least index
     i in a component of two or more and the least other member j of it.
     """
     n = len(masks)
     order = [0] * n  # visit number from 1; 0 while unvisited
-    low = [0] * n
-    finished = n + 1  # the order of a finished node: it never lowers a low-link
-    pending = list(masks)  # edges not yet followed
-    stack: list[int] = []
+    closed = n + 1  # the order of a node whose component is closed
+    stack: list[int] = []  # the visited nodes of open components, in visit order
     visits = 0
     cycle = None
     for root in range(n):
         if order[root]:
             continue
         visits += 1
-        order[root] = low[root] = visits
+        order[root] = visits
+        v, rest, reach, low, at = root, masks[root], 1 << root, visits, len(stack)
         stack.append(root)
-        work = [root]
-        while work:
-            v = work[-1]
-            rest = pending[v]
+        work = []  # the walked node's ancestors, as (node, rest, reach, low-link, stack height)
+        while True:
             while rest:
                 bit = rest & -rest
-                rest ^= bit
                 w = bit.bit_length() - 1
-                if not order[w]:
-                    pending[v] = rest
+                seen = order[w]
+                if not seen:
+                    work.append((v, rest ^ bit, reach, low, at))
                     visits += 1
-                    order[w] = low[w] = visits
+                    order[w] = visits
+                    v, rest, reach, low, at = w, masks[w], bit, visits, len(stack)
                     stack.append(w)
-                    work.append(w)
-                    break
-                if order[w] < low[v]:
-                    low[v] = order[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1]]:
-                    low[work[-1]] = low[v]
-                if low[v] != order[v]:
-                    continue
-                w = stack.pop()
-                component, members = [w], 1 << w
-                while w != v:
-                    w = stack.pop()
-                    component.append(w)
-                    members |= 1 << w
-                row = members
+                elif seen == closed:
+                    row = masks[w]
+                    reach |= row
+                    rest &= ~row
+                else:
+                    rest ^= bit
+                    if seen < low:
+                        low = seen
+            if low == order[v]:
+                component = stack[at:]
+                del stack[at:]
                 for u in component:
-                    out = masks[u] & ~members
-                    while out:
-                        bit = out & -out
-                        out ^= bit
-                        row |= masks[bit.bit_length() - 1]
-                for u in component:
-                    masks[u] = row
-                    order[u] = finished
+                    masks[u] = reach
+                    order[u] = closed
                 if len(component) > 1:
                     i, j = sorted(component)[:2]
                     cycle = min(cycle, (i, j)) if cycle else (i, j)
+            if not work:
+                break
+            below, lowest = reach, low
+            v, rest, reach, low, at = work.pop()
+            if rest:  # a parent whose edges are all followed skips building the complement
+                rest &= ~below
+            reach |= below
+            if lowest < low:
+                low = lowest
     return cycle
 
 
@@ -601,11 +602,9 @@ def _dot_quote(text: str) -> str:
 
 def to_dot(p: FinitePoset) -> str:
     """Hasse diagram in DOT form: nodes in element order, edges low to high."""
-    lines = ["digraph poset {", "  rankdir=BT;"]
-    for label in p.elements:
-        lines.append(f"  {_dot_quote(label_text(label))};")
-    for low, high in p.covers():
-        lines.append(f"  {_dot_quote(label_text(low))} -> {_dot_quote(label_text(high))};")
+    quoted = {label: _dot_quote(label_text(label)) for label in p.elements}
+    lines = ["digraph poset {", "  rankdir=BT;", *(f"  {name};" for name in quoted.values())]
+    lines += [f"  {quoted[low]} -> {quoted[high]};" for low, high in p.covers()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -446,6 +446,34 @@ MUTANTS = (
          TEST_SYMBOLIC + "test_value_classes_compare_hash_print_and_freeze_as_their_fields"),
     ),
     Mutant(
+        "closure-child-hands-its-parent-nothing", POSET,
+        "below, lowest = reach, low",
+        "below, lowest = 0, closed",
+        (TEST_POSET + "test_closure_matches_warshall_on_every_small_relation",
+         TEST_POSET + "test_closure_matches_networkx_on_large_cyclic_relations"),
+    ),
+    Mutant(
+        "closure-closes-above-its-low-link", POSET,
+        "            if low == order[v]:\n",
+        "            if low <= order[v]:\n",
+        (TEST_POSET + "test_closure_matches_warshall_on_every_small_relation",
+         TEST_POSET + "test_cycles_at_high_indices_keep_their_message"),
+    ),
+    Mutant(
+        "closure-drops-a-closed-row-untaken", POSET,
+        "                    reach |= row\n                    rest &= ~row\n",
+        "                    rest &= ~row\n",
+        (TEST_POSET + "test_closure_matches_warshall_on_every_small_relation",
+         TEST_POSET + "test_closure_matches_networkx_on_large_cyclic_relations"),
+    ),
+    Mutant(
+        "closure-cycle-pair-from-the-first-two-popped", POSET,
+        "i, j = sorted(component)[:2]",
+        "i, j = component[:-3:-1]",
+        (TEST_POSET + "test_cycles_at_high_indices_keep_their_message",
+         TEST_POSET + "test_closure_matches_warshall_on_random_cyclic_relations"),
+    ),
+    Mutant(
         "q-box-spreads-the-y-projection", FACTORIZATION,
         "shadow == _spread(u, ny) * v",
         "shadow == _spread(v, ny) * u",

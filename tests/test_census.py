@@ -60,13 +60,14 @@ UNENTERED = {
         "factorization.ProductModel.__repr__", "factorization.QTriple.__str__", "factorization.chain_pairs_model",
         "poset.FinitePoset.__repr__", "poset.FinitePoset.down_set", "poset.FinitePoset.from_relation",
         "poset.FinitePoset.index", "poset.FinitePoset.is_directed", "poset.FinitePoset.le",
-        "poset.FinitePoset.supremum", "poset.FinitePoset.up_set", "poset.LabelledRows.__contains__",
-        "poset.LabelledRows.__eq__", "poset.LabelledRows.__hash__", "poset.LabelledRows.__iter__",
-        "poset.LabelledRows.is_open", "poset.LabelledRows.mask_of", "poset.Record.__delattr__",
-        "poset.Record.__repr__", "poset.Record.__setattr__", "poset.load_poset", "report.Report.__repr__",
-        "report.Report.__str__", "topology.Topology.__repr__", "topology.Topology.from_opens",
-        "topology.Topology.opens", "topology.Topology.renamed", "topology.Topology.smallest_open",
-        "topology.Topology.sorted_opens", "topology.Topology.validate",
+        "poset.FinitePoset.restrict", "poset.FinitePoset.supremum", "poset.FinitePoset.up_set",
+        "poset.LabelledRows.__contains__", "poset.LabelledRows.__eq__", "poset.LabelledRows.__hash__",
+        "poset.LabelledRows.__iter__", "poset.LabelledRows._positions", "poset.LabelledRows.is_open",
+        "poset.LabelledRows.mask_of", "poset.Record.__delattr__", "poset.Record.__repr__",
+        "poset.Record.__setattr__", "poset.load_poset", "report.Report.__repr__", "report.Report.__str__",
+        "topology.Topology.__repr__", "topology.Topology.from_opens", "topology.Topology.opens",
+        "topology.Topology.renamed", "topology.Topology.smallest_open", "topology.Topology.sorted_opens",
+        "topology.Topology.validate", "topology.relative_topology",
     ], LIBRARY),
     **dict.fromkeys([
         "factorization.algebraic_model", "factorization.covering_intersection", "factorization.ideal_J",

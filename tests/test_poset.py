@@ -509,17 +509,20 @@ def test_closing_builds_never_recheck_the_order_axioms(monkeypatch, capsys):
     assert calls == [2]
 
 
-@pytest.mark.parametrize("covers,message", [
+@pytest.mark.parametrize("n,covers,message", [
     # a chain e0 < ... < e39 whose top is sent back below e35
-    pytest.param([(f"e{i}", f"e{i + 1}") for i in range(39)] + [("e39", "e35")],
+    pytest.param(40, [(f"e{i}", f"e{i + 1}") for i in range(39)] + [("e39", "e35")],
                  "'e35' and 'e36' sit below each other", id="chain-back-edge"),
     # a three-cycle on high indices, entered from a low one
-    pytest.param([("e30", "e38"), ("e38", "e33"), ("e33", "e30"), ("e2", "e30")],
+    pytest.param(40, [("e30", "e38"), ("e38", "e33"), ("e33", "e30"), ("e2", "e30")],
                  "'e30' and 'e33' sit below each other", id="three-cycle"),
+    # a chain e0 < ... < e2999 whose top is sent back below e1500
+    pytest.param(3000, [(f"e{i}", f"e{i + 1}") for i in range(2999)] + [("e2999", "e1500")],
+                 "'e1500' and 'e1501' sit below each other", id="long-chain-back-edge"),
 ])
-def test_cycles_at_high_indices_keep_their_message(covers, message):
+def test_cycles_at_high_indices_keep_their_message(n, covers, message):
     with pytest.raises(CycleDetected) as info:
-        build_poset([f"e{i}" for i in range(40)], covers)
+        build_poset([f"e{i}" for i in range(n)], covers)
     assert str(info.value) == message
 
 
@@ -582,6 +585,43 @@ def test_closure_matches_the_networkx_closure_of_the_covers():
         closure = nx.transitive_closure_dag(hasse)
         assert masks == [1 << i | sum(1 << j for j in closure.successors(i))
                          for i in range(len(p))], p.covers()
+
+
+def _nested_cycles(n: int, rng: Random) -> list[int]:
+    """A shuffled path on n points, cut here and there, with back edges that close cycles inside cycles."""
+    at = list(range(n))
+    rng.shuffle(at)
+    masks = [0] * n
+    steps = [(a, a + 1) for a in range(n - 1) if rng.random() < 0.95]
+    backs = []
+    for _ in range(rng.randint(1, 8)):
+        a = rng.randrange(n)
+        backs.append((rng.randrange(a, n), a))
+    forwards = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 10)]
+    for a, b in steps + backs + forwards:
+        masks[at[a]] |= 1 << at[b]
+    return masks
+
+
+def test_closure_matches_networkx_on_large_cyclic_relations():
+    rng = Random(1973)
+    cyclic = 0
+    for _ in range(35):
+        n = rng.randint(50, 300)
+        masks = _nested_cycles(n, rng)
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((i, j) for i in range(n) for j in _iter_bits(masks[i]))
+        closure = nx.transitive_closure(g, reflexive=True)
+        components = [sorted(c) for c in nx.strongly_connected_components(g) if len(c) > 1]
+        closed = list(masks)
+        cycle = _transitive_close(closed)
+        assert closed == [sum(1 << j for j in closure.successors(i)) for i in range(n)], masks
+        # the least pair of the cyclic component whose least member is least
+        assert cycle == (tuple(min(components)[:2]) if components else None), masks
+        cyclic += cycle is not None
+    assert 0 < cyclic < 35
+
 
 
 def test_isomorphism_search_matches_networkx_on_hasse_diagrams():
