@@ -8,6 +8,7 @@ holding a failed check or because a ``VerificationFailed`` was raised; 2 for
 an ``InputError`` or ``OSError`` (the input is unusable) or a ``MemoryError``;
 141 (128 + SIGPIPE) with nothing printed when stdout's reader goes away.  A verb is one
 ``_COMMANDS`` row, which holds all of its flags, and one ``cmd_<verb>`` function.
+A plain argv is read from its verb's row; any other goes through argparse.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import functools
 import os
 import sys
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from operator import add, and_, itemgetter, rshift
 from typing import Iterator, Sequence
 
@@ -145,6 +146,8 @@ def _print_opens(topology: Topology) -> None:
     while tail and (held := 2 * held + span * (len(texts[tail - 1]) + 1)) <= LISTING_CHUNK_BYTES // 4:
         tail, span = tail - 1, 2 * span
     subsets = [[""], texts] + [list(map(",".join, combinations(texts[tail:], k))) for k in range(2, n + 1)]
+    if not tail:  # every subset is held: the size classes in order, in one listing
+        return _write_lines("open: {", [*chain.from_iterable(subsets)], per_write)
 
     def write_opens(k: int, first: int, head: str) -> None:  # the size-k opens of least position >= first
         if k < 2:  # no point, or one: held or not, each point is its own text
@@ -278,30 +281,43 @@ def _in_range(low: int, high: int | None = None):
     return parse
 
 
-# one row per verb, in help's order: its help; what its --input file holds (None: no --input); its own flags,
-# each name with its add_argument options; and its --max-elements default (None: no bound), added last
+def _flags(holds: str | None, own: dict[str, dict], bound: int | None) -> dict[str, dict]:
+    """A verb's flags in its parser's order, each long name with its ``add_argument`` options: ``--input``
+    when the verb reads a file that holds ``holds``, its own flags, and ``--max-elements`` when it has a bound."""
+    flags = {"--input": dict(required=True, help=f"path to a {holds} file")} if holds is not None else {}
+    flags.update(own)
+    if bound is not None:
+        flags["--max-elements"] = dict(type=_in_range(0), default=bound,
+                                       help=f"input size bound, in poset elements (default {bound})")
+    return flags
+
+
+# one row per verb, in help's order: its help, and its flags from what its --input file holds (None: no
+# --input), its own flags and its --max-elements default (None: no bound)
 _COMMANDS = {
-    "check": ("structural properties of a finite poset", "poset JSON", {}, 20),
-    "topology": ("all Scott open sets of a finite poset", "poset JSON", {}, 20),
-    "maxspace": ("relative topology on the maximal elements", "poset JSON", {}, 20),
-    "idl": ("ideal completion of a finite poset", "poset JSON", {}, 20),
-    "factor": ("factor model construction with verification", "product model JSON", {}, 20),
-    "lower-model": ("down set of one fiber of a product model", "product model JSON",
-                    {"--y0": dict(help="fiber label on the second factor (default: the model's base point)")}, 20),
-    "diagonal": ("diagonal witness against a covering family", "open family JSON", {
+    "check": ("structural properties of a finite poset", _flags("poset JSON", {}, 20)),
+    "topology": ("all Scott open sets of a finite poset", _flags("poset JSON", {}, 20)),
+    "maxspace": ("relative topology on the maximal elements", _flags("poset JSON", {}, 20)),
+    "idl": ("ideal completion of a finite poset", _flags("poset JSON", {}, 20)),
+    "factor": ("factor model construction with verification", _flags("product model JSON", {}, 20)),
+    "lower-model": ("down set of one fiber of a product model", _flags("product model JSON", {
+        "--y0": dict(help="fiber label on the second factor (default: the model's base point)"),
+    }, 20)),
+    "diagonal": ("diagonal witness against a covering family", _flags("open family JSON", {
         "--offset": dict(type=_in_range(0), default=0, help="lift every witness position this far above its threshold"),
-    }, None),
-    "lhat-cert": ("countable-intersection certificate for the pruned domain", None, {
+    }, None)),
+    "lhat-cert": ("countable-intersection certificate for the pruned domain", _flags(None, {
         "--eval-bound": dict(type=_in_range(0, MAX_EVAL_BOUND), default=50,
                              help="check chain points and cutoffs up to this index (default 50)"),
-    }, None),
-    "truncate-l": ("finite prefix of the chain-bundle domain as poset JSON", None, {
+    }, None)),
+    "truncate-l": ("finite prefix of the chain-bundle domain as poset JSON", _flags(None, {
         "--width": dict(type=_in_range(1), required=True, help="number of chains kept"),
         "--depth": dict(type=_in_range(1), required=True, help="finite positions kept per chain"),
         "--mode": dict(choices=MODES, default=MODE_L),
-    }, 5000),
-    "hasse": ("DOT rendering of the cover relation", "poset JSON",
-              {"--dot": dict(help="write the DOT text here instead of stdout")}, 20),
+    }, 5000)),
+    "hasse": ("DOT rendering of the cover relation", _flags("poset JSON", {
+        "--dot": dict(help="write the DOT text here instead of stdout"),
+    }, 20)),
 }
 
 
@@ -309,21 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordtop", description="order-theoretic domain checks, factorizations, and certificates")
     commands = parser.add_subparsers(dest="command", required=True)
-    for verb, (text, holds, flags, bound) in _COMMANDS.items():
+    for verb, (text, flags) in _COMMANDS.items():
         sub = commands.add_parser(verb, help=text)
-        if holds is not None:
-            sub.add_argument("--input", required=True, help=f"path to a {holds} file")
         for flag, options in flags.items():
             sub.add_argument(flag, **options)
-        if bound is not None:
-            sub.add_argument("--max-elements", type=_in_range(0), default=bound,
-                             help=f"input size bound, in poset elements (default {bound})")
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and shared by every later call.
+    """The parser, built on the first ``main`` call that needs it and shared by every later call.
 
     Nothing changes it once built, and ``parse_args`` fills a fresh namespace
     on every call, so no call sees the flags of another.
@@ -338,15 +349,56 @@ def _verbs() -> dict[str, argparse.ArgumentParser]:
     return commands.choices
 
 
+def _plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the verb's parser gives a plain argv, read from the verb's row; None for any other argv.
+
+    An argv is plain when it is a verb and then (flag, value) pairs: each flag
+    one of the verb's, spelled in full and given once, every required flag
+    given, and each value a ``str`` led by no ``-`` and passing its flag's
+    type and choices.  The parser reads such an argv the same way, one value
+    per flag, so each dest is its value or its default.
+    """
+    row = _COMMANDS.get(argv[0]) if argv else None
+    if row is None or not len(argv) & 1:
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) != len(argv) - 1 or not given.keys() <= row[1].keys():  # a flag repeated or not the verb's
+        return None
+    values = {}
+    for flag, options in row[1].items():
+        dest = flag[2:].replace("-", "_")
+        if flag not in given:
+            if options.get("required"):
+                return None
+            values[dest] = options.get("default")
+            continue
+        text = given[flag]
+        if not isinstance(text, str) or text.startswith("-"):  # argparse reads it: its own error, or a flag
+            return None
+        convert = options.get("type")
+        try:
+            value = text if convert is None else convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # the errors argparse reports as usage
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values, command=argv[0])
+
+
 def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
     """The namespace ``_parser().parse_args(argv)`` gives, or its usage error.
 
-    When ``argv`` starts with a verb, the top-level parse only hands the rest
-    to that verb's parser, so its parser reads the rest directly.  Any other
-    argv (none, ``-h``, an unknown verb, a leading flag or ``--``) ends in help
-    or a usage error, and takes the full parse.
+    A plain argv is read from its verb's row, and no parser is built.  When
+    any other argv starts with a verb, the top-level parse only hands the
+    rest to that verb's parser, so its parser reads the rest directly.  Any
+    other argv (none, ``-h``, an unknown verb, a leading flag or ``--``) ends
+    in help or a usage error, and takes the full parse.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain(argv)
+    if args is not None:
+        return args
     verb = _verbs().get(argv[0]) if argv else None
     if verb is None:
         return _parser().parse_args(argv)

@@ -23,6 +23,7 @@ from .errors import (
     EmptySet,
     ForeignSet,
     FormatError,
+    InputError,
     UnknownLabel,
     excerpt,
 )
@@ -313,12 +314,11 @@ class FinitePoset(LabelledRows):
         elements = tuple(elements)
         seen = _label_index(elements)
         masks = [0] * len(elements)
-        for low, high in covers:
-            if low not in seen:
-                raise UnknownLabel(f"cover mentions unknown label {excerpt(low)}")
-            if high not in seen:
-                raise UnknownLabel(f"cover mentions unknown label {excerpt(high)}")
-            masks[seen[low]] |= 1 << seen[high]
+        try:
+            for low, high in covers:  # each label looked up once, low before high
+                masks[seen[low]] |= 1 << seen[high]
+        except KeyError as unknown:
+            raise UnknownLabel(f"cover mentions unknown label {excerpt(unknown.args[0])}") from None
         cycle = _transitive_close(masks)
         if cycle is not None:
             raise _cycle_detected(elements, cycle)
@@ -554,7 +554,23 @@ def _utf8_labels(labels: Iterable[str]) -> None:
             raise FormatError(f"label {excerpt(label)} is not UTF-8 text") from None
 
 
+def _malformed_entry(covers: list) -> None:
+    """FormatError naming the first cover entry that is not a ``[low, high]`` list of strings."""
+    for item in covers:
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[0], str) and isinstance(item[1], str)):
+            raise FormatError(f"malformed cover entry {excerpt(item)}")
+
+
 def poset_from_json(data: object) -> FinitePoset:
+    """The poset of a document; a malformed cover entry is named before any other fault of its covers.
+
+    When every entry is an exact list (checked in C), the covers go to
+    ``build_poset`` as they stand, and its closure reads each pair.  An entry
+    that is not a pair of labels makes the build raise, and only then are
+    the entries walked for the first malformed one, so the error is the one a
+    shape check ahead of the build would give.
+    """
     if not isinstance(data, dict):
         raise FormatError("poset file must hold a JSON object")
     elements = data.get("elements")
@@ -564,13 +580,14 @@ def poset_from_json(data: object) -> FinitePoset:
     _utf8_labels(elements)
     if not isinstance(covers, list):
         raise FormatError('"covers" must be an array of [low, high] pairs')
-    pairs = []
-    for item in covers:
-        if not (isinstance(item, list) and len(item) == 2
-                and isinstance(item[0], str) and isinstance(item[1], str)):
-            raise FormatError(f"malformed cover entry {excerpt(item)}")
-        pairs.append((item[0], item[1]))
-    return build_poset(elements, pairs)
+    try:
+        if set(map(type, covers)) <= {list}:
+            return build_poset(elements, covers)
+    except (InputError, TypeError, ValueError):
+        _malformed_entry(covers)
+        raise
+    _malformed_entry(covers)  # a string or a tuple would unpack as a pair; a list subclass passes
+    return build_poset(elements, covers)
 
 
 def load_json(path: str) -> object:

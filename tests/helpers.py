@@ -9,6 +9,7 @@ from ordtop import (
     MODE_LHAT,
     ChainPoint,
     ChainTop,
+    DuplicateLabel,
     FinitePoset,
     FormatError,
     InvalidModel,
@@ -19,6 +20,7 @@ from ordtop import (
     Selector,
     ThresholdRule,
     Topology,
+    UnknownLabel,
     VerificationFailed,
     build_poset,
     OpenFamily,
@@ -31,7 +33,8 @@ from ordtop import (
     validate_open,
 )
 from ordtop import symbolic
-from ordtop.poset import _iter_bits, _order_violation, _transitive_close
+from ordtop.errors import excerpt
+from ordtop.poset import _iter_bits, _order_violation, _transitive_close, _utf8_labels
 from ordtop.topology import _union_closure
 
 
@@ -239,6 +242,39 @@ def oracle_load_json(path: str) -> object:
             return json.load(handle)
         except (ValueError, RecursionError) as exc:
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def oracle_poset_from_json(data: object) -> FinitePoset:
+    """``poset_from_json`` in two passes: every cover entry's shape first, then its labels, then the build.
+
+    A malformed entry is named before a duplicate label, a duplicate label
+    before an unknown one (low before high, in entry order), and those
+    before a cycle, which the build reports.
+    """
+    if not isinstance(data, dict):
+        raise FormatError("poset file must hold a JSON object")
+    elements = data.get("elements")
+    covers = data.get("covers")
+    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+        raise FormatError('"elements" must be an array of strings')
+    _utf8_labels(elements)
+    if not isinstance(covers, list):
+        raise FormatError('"covers" must be an array of [low, high] pairs')
+    pairs = []
+    for item in covers:
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[0], str) and isinstance(item[1], str)):
+            raise FormatError(f"malformed cover entry {excerpt(item)}")
+        pairs.append((item[0], item[1]))
+    seen = set()
+    for label in elements:
+        if label in seen:
+            raise DuplicateLabel(f"duplicate element label {excerpt(label)}")
+        seen.add(label)
+    for label in (label for pair in pairs for label in pair):
+        if label not in seen:
+            raise UnknownLabel(f"cover mentions unknown label {excerpt(label)}")
+    return build_poset(elements, pairs)
 
 
 def oracle_transitive_close(masks: list[int]) -> list[int]:

@@ -355,7 +355,55 @@ MUTANTS = (
         "    args.command = argv[0]\n",
         "",
         (TEST_CLI + "test_edge_argvs_match_the_full_parse",
-         TEST_CLI + "test_finite_verbs_match_their_golden_stdout"),
+         TEST_CLI + "test_main_matches_the_full_parse"),
+    ),
+    Mutant(
+        "plain-argv-keeps-the-first-of-a-repeated-flag", CLI,
+        "    given = dict(zip(argv[1::2], argv[2::2]))\n    if 2 * len(given) != len(argv) - 1 or not",
+        "    given = dict(reversed([*zip(argv[1::2], argv[2::2])]))\n    if not",
+        (TEST_CLI + "test_edge_argvs_match_the_full_parse",),
+    ),
+    Mutant(
+        "plain-argv-takes-a-dash-led-value", CLI,
+        'isinstance(text, str) or text.startswith("-"):',
+        "isinstance(text, str):",
+        (TEST_CLI + "test_edge_argvs_match_the_full_parse",),
+    ),
+    Mutant(
+        "plain-argv-takes-a-value-that-is-not-text", CLI,
+        "        if not isinstance(text, str) or text",
+        "        if text",
+        (TEST_CLI + "test_a_value_that_is_not_text_meets_the_parsers_error",),
+    ),
+    Mutant(
+        "plain-argv-skips-the-choices", CLI,
+        '        if "choices" in options and value not in options["choices"]:\n            return None\n',
+        "",
+        (TEST_CLI + "test_edge_argvs_match_the_full_parse",),
+    ),
+    Mutant(
+        "plain-argv-reads-a-missing-required-flag-as-none", CLI,
+        '            if options.get("required"):\n                return None\n',
+        "",
+        (TEST_CLI + "test_edge_argvs_match_the_full_parse",),
+    ),
+    Mutant(
+        "loader-re-raises-the-build-error-unwalked", POSET,
+        "        _malformed_entry(covers)\n        raise\n",
+        "        raise\n",
+        (TEST_POSET + "test_loader_faults_match_the_two_pass_reference",),
+    ),
+    Mutant(
+        "loader-closes-a-string-entry-as-a-cover", POSET,
+        "        if set(map(type, covers)) <= {list}:\n            return build_poset(elements, covers)\n",
+        "        return build_poset(elements, covers)\n",
+        (TEST_POSET + "test_loader_faults_match_the_two_pass_reference",),
+    ),
+    Mutant(
+        "unknown-cover-label-named-from-high", POSET,
+        "excerpt(unknown.args[0])",
+        "excerpt(high)",
+        (TEST_POSET + "test_loader_faults_match_the_two_pass_reference",),
     ),
     Mutant(
         "loader-skips-the-cr-translation", POSET,

@@ -2,8 +2,8 @@
 
 A fresh interpreter installs a ``sys.settrace`` hook before it imports
 ``ordtop.cli``, then runs ``main`` on the argvs of the CLI goldens, of
-``ARGV_GOLDEN`` and of every CLI job of the three benchmark workloads at seed
-101.  A function is a ``def`` at any depth; class bodies, comprehensions and
+``ARGV_GOLDEN``, of the help goldens and one usage error, and of every CLI job
+of the three benchmark workloads at seed 101.  A function is a ``def`` at any depth; class bodies, comprehensions and
 lambdas are not counted, and what runs at import counts as entered.  Every
 function that no run enters must be listed in ``UNENTERED`` with its reason,
 and no listed function may be entered, so the table cannot go stale: a perf
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from types import CodeType
 
-from test_cli import ARGV_GOLDEN, DATA, GOLDEN
+from test_cli import ARGV_GOLDEN, DATA, GOLDEN, HELP_GOLDEN
 from test_perfbench_verdicts import _load
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -107,6 +107,8 @@ def _census(tmp_path: Path) -> tuple[set[str], set[str]]:
     argvs = [[verb, "--input", str(DATA / f"{stem}.json")]
              for verb, _, stem in (g.stem.partition("_") for g in GOLDEN)]
     argvs += ARGV_GOLDEN.values()
+    # help and a usage error are runs too, and only they reach argparse
+    argvs += [["-h"] if g.stem == "ordtop" else [g.stem, "-h"] for g in HELP_GOLDEN] + [["check"]]
     corpus = _load("corpus")
     for workload in corpus.WORKLOADS:
         directory = tmp_path / workload

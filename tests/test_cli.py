@@ -674,6 +674,32 @@ def test_importing_the_cli_builds_no_parser():
     assert result.stdout == "0\n"
 
 
+@pytest.mark.parametrize("argv,built", [
+    pytest.param(["check", "--input", DATA / "diamond.json"], 0, id="plain"),
+    pytest.param(["check", "--inp", DATA / "diamond.json"], 1, id="abbreviated"),
+])
+def test_only_an_argv_that_is_not_plain_builds_the_parser(argv, built):
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    probe = ("import contextlib, io, sys, ordtop.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = ordtop.cli.main(sys.argv[1:])\n"
+             "print(code, ordtop.cli._parser.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert result.stdout == f"0 {built}\n"
+
+
+def test_a_value_that_is_not_text_meets_the_parsers_error():
+    # a library caller's path object makes no plain argv, so argparse reads it and raises as the full parse does
+    argv = ["check", "--input", DATA / "diamond.json"]
+    with pytest.raises(TypeError) as ours:
+        ordtop.cli._parse(argv)
+    with pytest.raises(TypeError) as full:
+        _full_parse(argv)
+    assert str(ours.value) == str(full.value)
+
+
 # -- a verb's own parser reads its flags ------------------------------------------------
 
 # each verb with an argv it runs on, and the long flags its parser takes
@@ -731,6 +757,14 @@ def _same_as_the_full_parse(argv) -> tuple:
     ["lower-model", "--input", DATA / "model_2x1.json", "--y0=y"],
     ["lhat-cert", "check"], ["truncate-l", "--width", 2, "--depth", 2, "--mode", "L", "L"],
     ["hasse", "--input", DATA / "diamond.json", "-h", "--dot"],
+    # the border of a plain argv, which is read without a parser
+    ["check", "--input", ""], ["check", "--input", "-"],
+    ["diagonal", "--input", DATA / "family_uniform3.json", "--offset", "-1"],
+    ["truncate-l", "--width", 0, "--depth", 2], ["truncate-l", "--width", 2, "--depth", 2, "--mode", "X"],
+    ["lhat-cert", "--eval-bound", 3001], ["lhat-cert", "--eval-bound", "\u0663"],  # int() reads an Arabic-Indic 3
+    ["lower-model", "--input", DATA / "model_2x1.json", "--y0", "no-such-y", "--y0", "y"],
+    ["lower-model", "--input", DATA / "model_2x1.json", "--y0", "--dot"],
+    ["truncate-l", "--width", 2, "--depth", 2],
 ])
 def test_edge_argvs_match_the_full_parse(argv):
     _same_as_the_full_parse([str(a) for a in argv])

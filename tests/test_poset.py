@@ -6,7 +6,7 @@ from random import Random
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordtop import (
@@ -48,6 +48,7 @@ from helpers import (
     diamond,
     oracle_covers,
     oracle_mirror,
+    oracle_poset_from_json,
     oracle_posets,
     oracle_product,
     oracle_transitive_close,
@@ -317,6 +318,43 @@ def test_json_text_is_the_indented_json_dump(p):
 def test_json_rejects_malformed_documents(data):
     with pytest.raises(FormatError):
         poset_from_json(data)
+
+
+class _Pair(list):
+    """A cover entry as a library caller may hand it: a list subclass."""
+
+
+_LOADER_LABELS = ["a", "b", "c"]
+_cover_label = st.sampled_from([*_LOADER_LABELS, "zz", "\ud800"])
+_cover_pairs = st.lists(_cover_label, min_size=2, max_size=2)
+_cover_entries = st.one_of(_cover_pairs, _cover_pairs, _cover_pairs.map(_Pair), st.sampled_from(
+    ["ab", {"a": "b", "c": "a"}, ["a"], ["a", "b", "c"], [1, "a"], [["x"], "a"], [True, "a"], None]))
+_hostile_documents = st.fixed_dictionaries({
+    "elements": st.lists(st.sampled_from(_LOADER_LABELS), max_size=4)
+    | st.lists(st.sampled_from([*_LOADER_LABELS, "\ud800"]), max_size=4),
+    "covers": st.lists(_cover_entries, max_size=6),
+})
+
+
+def _loaded(load, data) -> object:
+    """The poset ``load`` builds from ``data``, or the type and text of what it raises."""
+    try:
+        return load(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_hostile_documents)
+@example(data={"elements": ["a", "b"], "covers": ["ab"]})  # a string would unpack as a pair
+@example(data={"elements": ["a"], "covers": [[1, "a"]]})  # the build meets 1 as an unknown label
+@example(data={"elements": ["a", "a"], "covers": [["a", "zz"], [True, "a"]]})
+@example(data={"elements": ["a"], "covers": [["zz", "a"]]})  # the low label is the unknown one
+@example(data={"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"], None]})
+@example(data={"elements": ["a", "b"], "covers": [_Pair(["a", "b"])]})  # no error: the poset is built
+def test_loader_faults_match_the_two_pass_reference(data):
+    # a malformed entry first, then a duplicate label, then an unknown one, then a cycle
+    assert _loaded(poset_from_json, data) == _loaded(oracle_poset_from_json, data)
 
 
 def test_load_poset_from_file():
