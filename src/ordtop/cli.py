@@ -17,7 +17,7 @@ import argparse
 import functools
 import os
 import sys
-from itertools import chain, combinations, islice, repeat
+from itertools import combinations, islice, repeat
 from operator import add, and_, itemgetter, rshift
 from typing import Iterator, Sequence
 
@@ -146,8 +146,6 @@ def _print_opens(topology: Topology) -> None:
     while tail and (held := 2 * held + span * (len(texts[tail - 1]) + 1)) <= LISTING_CHUNK_BYTES // 4:
         tail, span = tail - 1, 2 * span
     subsets = [[""], texts] + [list(map(",".join, combinations(texts[tail:], k))) for k in range(2, n + 1)]
-    if not tail:  # every subset is held: the size classes in order, in one listing
-        return _write_lines("open: {", [*chain.from_iterable(subsets)], per_write)
 
     def write_opens(k: int, first: int, head: str) -> None:  # the size-k opens of least position >= first
         if k < 2:  # no point, or one: held or not, each point is its own text
@@ -349,13 +347,19 @@ def _verbs() -> dict[str, argparse.ArgumentParser]:
     return commands.choices
 
 
+# the add_argument options _plain reads as argparse does; a flag with any other (an action, nargs, a dest)
+# makes its verb's argv argparse's to read
+_PLAIN_OPTIONS = frozenset({"help", "type", "default", "required", "choices"})
+
+
 def _plain(argv: list[str]) -> argparse.Namespace | None:
     """The namespace the verb's parser gives a plain argv, read from the verb's row; None for any other argv.
 
     An argv is plain when it is a verb and then (flag, value) pairs: each flag
     one of the verb's, spelled in full and given once, every required flag
-    given, and each value a ``str`` led by no ``-`` and passing its flag's
-    type and choices.  The parser reads such an argv the same way, one value
+    given, each value a ``str`` led by no ``-`` and passing its flag's type
+    and choices, and no flag of the verb's holding an option outside
+    ``_PLAIN_OPTIONS``.  The parser reads such an argv the same way, one value
     per flag, so each dest is its value or its default.
     """
     row = _COMMANDS.get(argv[0]) if argv else None
@@ -366,6 +370,8 @@ def _plain(argv: list[str]) -> argparse.Namespace | None:
         return None
     values = {}
     for flag, options in row[1].items():
+        if not options.keys() <= _PLAIN_OPTIONS:
+            return None
         dest = flag[2:].replace("-", "_")
         if flag not in given:
             if options.get("required"):

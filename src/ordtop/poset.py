@@ -23,7 +23,6 @@ from .errors import (
     EmptySet,
     ForeignSet,
     FormatError,
-    InputError,
     UnknownLabel,
     excerpt,
 )
@@ -554,23 +553,7 @@ def _utf8_labels(labels: Iterable[str]) -> None:
             raise FormatError(f"label {excerpt(label)} is not UTF-8 text") from None
 
 
-def _malformed_entry(covers: list) -> None:
-    """FormatError naming the first cover entry that is not a ``[low, high]`` list of strings."""
-    for item in covers:
-        if not (isinstance(item, list) and len(item) == 2
-                and isinstance(item[0], str) and isinstance(item[1], str)):
-            raise FormatError(f"malformed cover entry {excerpt(item)}")
-
-
 def poset_from_json(data: object) -> FinitePoset:
-    """The poset of a document; a malformed cover entry is named before any other fault of its covers.
-
-    When every entry is an exact list (checked in C), the covers go to
-    ``build_poset`` as they stand, and its closure reads each pair.  An entry
-    that is not a pair of labels makes the build raise, and only then are
-    the entries walked for the first malformed one, so the error is the one a
-    shape check ahead of the build would give.
-    """
     if not isinstance(data, dict):
         raise FormatError("poset file must hold a JSON object")
     elements = data.get("elements")
@@ -580,13 +563,10 @@ def poset_from_json(data: object) -> FinitePoset:
     _utf8_labels(elements)
     if not isinstance(covers, list):
         raise FormatError('"covers" must be an array of [low, high] pairs')
-    try:
-        if set(map(type, covers)) <= {list}:
-            return build_poset(elements, covers)
-    except (InputError, TypeError, ValueError):
-        _malformed_entry(covers)
-        raise
-    _malformed_entry(covers)  # a string or a tuple would unpack as a pair; a list subclass passes
+    for item in covers:
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[0], str) and isinstance(item[1], str)):
+            raise FormatError(f"malformed cover entry {excerpt(item)}")
     return build_poset(elements, covers)
 
 

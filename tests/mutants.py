@@ -388,15 +388,15 @@ MUTANTS = (
         (TEST_CLI + "test_edge_argvs_match_the_full_parse",),
     ),
     Mutant(
-        "loader-re-raises-the-build-error-unwalked", POSET,
-        "        _malformed_entry(covers)\n        raise\n",
-        "        raise\n",
-        (TEST_POSET + "test_loader_faults_match_the_two_pass_reference",),
+        "plain-argv-reads-every-option", CLI,
+        "        if not options.keys() <= _PLAIN_OPTIONS:\n            return None\n",
+        "",
+        (TEST_CLI + "test_a_flag_with_another_option_leaves_its_verb_to_argparse",),
     ),
     Mutant(
         "loader-closes-a-string-entry-as-a-cover", POSET,
-        "        if set(map(type, covers)) <= {list}:\n            return build_poset(elements, covers)\n",
-        "        return build_poset(elements, covers)\n",
+        "        if not (isinstance(item, list) and len(item) == 2\n",
+        "        if not (len(item) == 2\n",
         (TEST_POSET + "test_loader_faults_match_the_two_pass_reference",),
     ),
     Mutant(

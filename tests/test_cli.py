@@ -700,6 +700,21 @@ def test_a_value_that_is_not_text_meets_the_parsers_error():
     assert str(ours.value) == str(full.value)
 
 
+def test_every_flag_holds_only_the_options_the_plain_reader_reads():
+    assert all(options.keys() <= ordtop.cli._PLAIN_OPTIONS
+               for _, flags in ordtop.cli._COMMANDS.values() for options in flags.values())
+
+
+@pytest.mark.parametrize("options", [dict(action="store_true"), dict(nargs=2), dict(dest="other")],
+                         ids=["action", "nargs", "dest"])
+def test_a_flag_with_another_option_leaves_its_verb_to_argparse(monkeypatch, options):
+    # a flag the plain reader would pair with the next token, or name wrongly, makes no plain argv
+    text, flags = ordtop.cli._COMMANDS["check"]
+    monkeypatch.setitem(ordtop.cli._COMMANDS, "check", (text, {**flags, "--extra": options}))
+    assert ordtop.cli._plain(["check", "--input", "a.json", "--extra", "b"]) is None
+    assert ordtop.cli._plain(["check", "--input", "a.json"]) is None
+
+
 # -- a verb's own parser reads its flags ------------------------------------------------
 
 # each verb with an argv it runs on, and the long flags its parser takes
